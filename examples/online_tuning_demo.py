@@ -5,11 +5,12 @@ The matrix registers through the plain *heuristic* path — no tuning
 sweep, no learned predictor — with the conservative NumPy backend. The
 service then receives a stream of SpMV requests; once the matrix is
 hot (``online_hot_threshold`` batches), the :class:`OnlineTuner`
-re-times the entry's backend and thread count *in the background*,
-seeded from the roofline watchdog's live GFLOP/s baseline, and
-promotes the measured winner into the live entry and the plan cache.
+times the entry's executor against its backend / thread-count
+neighbors *in the background*, seeded from the roofline watchdog's
+live GFLOP/s baseline, and swaps the measured winner into the live
+entry (``entry.executor``) and the plan cache.
 
-Watch for: the entry's backend flipping ``numpy → c`` (when a compiler
+Watch for: the executor's backend flipping ``numpy → c`` (when a compiler
 is present) without any registration-time sweep, the
 ``autoplan.online_promotions{outcome=...}`` counter, and the per-batch
 latency dropping mid-stream.
@@ -30,6 +31,11 @@ HOT_THRESHOLD = 16      #: batches before the first background tune
 N_REQUESTS = 120
 M = N = 20_000
 NNZ = 400_000
+
+
+def _execution(entry) -> str:
+    d = entry.executor.describe()
+    return f"backend={d['backend']} threads={d['exec_threads']}"
 
 
 def main() -> None:
@@ -55,8 +61,8 @@ def main() -> None:
     fp = entry.fingerprint
     print(f"registered {M}x{N}, {NNZ:,} nnz via plan_path="
           f"{entry.plan_path!r}")
-    print(f"  start: backend={entry.plan.backend} "
-          f"threads={entry.exec_threads} "
+    start = entry.executor
+    print(f"  start: {_execution(entry)} "
           f"(compiler {'present' if c_backend_available() else 'absent'})")
 
     x = rng.standard_normal(N)
@@ -66,22 +72,19 @@ def main() -> None:
         t0 = time.perf_counter()
         client.spmv(fp, x)
         window.append(time.perf_counter() - t0)
-        if promoted_at is None and (entry.plan.backend != "numpy"
-                                    or entry.exec_threads > 1):
+        if promoted_at is None and entry.executor is not start:
             promoted_at = i
         if i % 20 == 0:
             mean_ms = 1e3 * sum(window) / len(window)
             print(f"  req {i:4d}: mean latency {mean_ms:7.3f} ms  "
-                  f"[backend={entry.plan.backend} "
-                  f"threads={entry.exec_threads}]")
+                  f"[{_execution(entry)}]")
             window.clear()
     client.drain()
 
     print()
     if promoted_at is not None:
         print(f"promotion observed at request #{promoted_at}: "
-              f"backend={entry.plan.backend} "
-              f"threads={entry.exec_threads}")
+              f"{_execution(entry)}")
     else:
         print("no promotion: the starting configuration measured best "
               "on this host (expected without a C compiler)")

@@ -33,7 +33,7 @@ CLI: ``repro cluster {node,router,bench}``.
 """
 
 from .aserver import AsyncFrontEnd
-from .client import ClusterClient, ClusterOperator
+from .client import ClusterClient
 from .node import ClusterNode, start_node
 from .placement import HashRing, Placement
 from .router import ClusterRouter, start_router
@@ -42,7 +42,6 @@ __all__ = [
     "AsyncFrontEnd",
     "ClusterClient",
     "ClusterNode",
-    "ClusterOperator",
     "ClusterRouter",
     "HashRing",
     "Placement",

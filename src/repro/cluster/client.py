@@ -41,40 +41,8 @@ import numpy as np
 
 from ..errors import ClusterError
 from ..observe import context as _context
+from ..solvers.operator import FingerprintOperator
 from . import wire
-
-
-class ClusterOperator:
-    """A cluster-registered matrix as a solver-ready operator."""
-
-    def __init__(self, client: "ClusterClient", fingerprint: str,
-                 shape: tuple[int, int]):
-        self._client = client
-        self.fingerprint = fingerprint
-        self._shape = shape
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nrows(self) -> int:
-        return self._shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._shape[1]
-
-    def spmv(self, x: np.ndarray,
-             y: np.ndarray | None = None) -> np.ndarray:
-        result = self._client.spmv(self.fingerprint, x)
-        if y is None:
-            return result
-        y += result
-        return y
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.spmv(x)
 
 
 class ClusterClient:
@@ -222,14 +190,14 @@ class ClusterClient:
                                                   int(shape[1]))
         return reply
 
-    def operator(self, fingerprint: str) -> ClusterOperator:
+    def operator(self, fingerprint: str) -> FingerprintOperator:
         self._check_open()
         shape = self._shapes.get(fingerprint)
         if shape is None:
             raise ClusterError(
                 f"unknown fingerprint {fingerprint!r} (register the "
                 f"matrix through this client first)")
-        return ClusterOperator(self, fingerprint, shape)
+        return FingerprintOperator(self, fingerprint, shape)
 
     # -------------------------------------------------------- hot path
     def spmv(self, fingerprint: str, x: np.ndarray) -> np.ndarray:
@@ -336,4 +304,4 @@ class ClusterClient:
         return kind == wire.KIND_PONG
 
 
-__all__ = ["ClusterClient", "ClusterOperator"]
+__all__ = ["ClusterClient"]

@@ -18,7 +18,7 @@ OSKI-PETSc baseline demonstrates.
 
 from ..errors import DistError, ShardDeadError
 from .fault import HeartbeatMonitor, RetryPolicy
-from .group import ShardGroup, ShardOperator
+from .group import ShardGroup
 from .shm import SEGMENT_PREFIX, SegmentArena, SegmentSpec
 
 __all__ = [
@@ -30,5 +30,4 @@ __all__ = [
     "SegmentSpec",
     "ShardDeadError",
     "ShardGroup",
-    "ShardOperator",
 ]

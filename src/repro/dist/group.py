@@ -76,6 +76,7 @@ from ..parallel.partition import (
     partition_cols_balanced,
     partition_rows_balanced,
 )
+from ..solvers.operator import FingerprintOperator
 from .fault import HeartbeatMonitor, RetryPolicy, TelemetryCollector
 from .shard import shard_main
 from .shm import SegmentArena
@@ -659,10 +660,10 @@ class ShardGroup:
         return _ring.collate(self._spool_dir, trace_id=trace_id)
 
     # -------------------------------------------------------- operators
-    def operator(self, fingerprint: str) -> "ShardOperator":
+    def operator(self, fingerprint: str) -> FingerprintOperator:
         """Solver-protocol handle (``shape``/``spmv``/``__call__``)."""
         rec = self._require(fingerprint)
-        return ShardOperator(self, fingerprint, rec.shape)
+        return FingerprintOperator(self, fingerprint, rec.shape)
 
     # ------------------------------------------------------- monitoring
     def _heartbeat_scan(self) -> None:
@@ -710,39 +711,3 @@ class ShardGroup:
                 ),
             }
 
-
-class ShardOperator:
-    """A shard-resident matrix as a solver-ready linear operator."""
-
-    def __init__(self, group: ShardGroup, fingerprint: str,
-                 shape: tuple[int, int]):
-        self._group = group
-        self.fingerprint = fingerprint
-        self._shape = tuple(shape)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nrows(self) -> int:
-        return self._shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._shape[1]
-
-    def spmv(self, x: np.ndarray,
-             y: np.ndarray | None = None) -> np.ndarray:
-        result = self._group.spmv(self.fingerprint, x)
-        if y is None:
-            return result
-        y += result
-        return y
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.spmv(x)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<ShardOperator {self.nrows}x{self.ncols} "
-                f"fingerprint={self.fingerprint}>")

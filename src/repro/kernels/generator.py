@@ -26,9 +26,8 @@ import numpy as np
 
 from ..errors import KernelError
 
-# Guarded like parallel.native._WORK: threaded callers (the C-backend
-# fallback path runs inside worker threads) must not race the
-# compile-and-insert below.
+# Lock-guarded: threaded callers (the C-backend fallback path runs
+# inside worker threads) must not race the compile-and-insert below.
 _CACHE: dict[tuple[str, int, int], Callable] = {}
 _CACHE_LOCK = threading.Lock()
 

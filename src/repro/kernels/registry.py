@@ -23,7 +23,6 @@ remains the default everywhere and the compiled path is opt-in.
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -37,12 +36,6 @@ BACKENDS = ("numpy", "c", "auto")
 
 _REGISTRY: dict[str, KernelFn] = {}
 
-#: old name → (new name, removal hint). Old names keep working but
-#: warn; new code should use the right-hand side.
-_DEPRECATED_ALIASES: dict[str, str] = {
-    "format_native": "format_numpy",
-}
-
 
 def register_kernel(name: str, fn: KernelFn | None = None):
     """Register a kernel under ``name`` (usable as a decorator)."""
@@ -51,22 +44,13 @@ def register_kernel(name: str, fn: KernelFn | None = None):
             register_kernel(name, f)
             return f
         return deco
-    if name in _REGISTRY or name in _DEPRECATED_ALIASES:
+    if name in _REGISTRY:
         raise KernelError(f"kernel {name!r} already registered")
     _REGISTRY[name] = fn
     return fn
 
 
 def get_kernel(name: str) -> KernelFn:
-    alias_target = _DEPRECATED_ALIASES.get(name)
-    if alias_target is not None:
-        warnings.warn(
-            f"kernel name {name!r} is deprecated; use "
-            f"{alias_target!r} (the kernel is NumPy, not native code)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        name = alias_target
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -76,9 +60,7 @@ def get_kernel(name: str) -> KernelFn:
 
 
 def available_kernels() -> list[str]:
-    """Registered kernel names, deprecated aliases included (so older
-    callers that check membership before dispatching keep working)."""
-    return sorted([*_REGISTRY, *_DEPRECATED_ALIASES])
+    return sorted(_REGISTRY)
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "PerfAttributor",
     "PerfSample",
     "configure",
+    "format_label",
     "get_attributor",
     "global_ceilings",
     "observe_kernel",
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-def _format_label(matrix) -> str:
+def format_label(matrix) -> str:
     """``CSRMatrix`` → ``csr``, ``CacheBlockedMatrix`` → ``cacheblocked``."""
     name = type(matrix).__name__.lower()
     if name.endswith("matrix"):
@@ -75,7 +76,7 @@ class KernelCounts:
             flops=2.0 * matrix.nnz_logical,
             matrix_bytes=float(matrix.footprint_bytes()),
             vector_bytes=float(VALUE_BYTES * n + 2 * VALUE_BYTES * m),
-            fmt=_format_label(matrix),
+            fmt=format_label(matrix),
         )
 
     def total_flops(self, k: int = 1) -> float:

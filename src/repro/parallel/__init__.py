@@ -3,10 +3,10 @@
 Implements the paper's §4.3 toolkit: row partitioning statically
 balanced by nonzeros (the strategy the paper exploits), column
 partitioning and a segmented-scan decomposition (described as future
-work — implemented here), NUMA-aware block-to-node assignment, a
-real shared-memory multiprocessing backend for native execution on the
-host machine, and a thread-pool path over the GIL-free compiled C
-kernels (:mod:`repro.parallel.threaded`).
+work — implemented here), NUMA-aware block-to-node assignment, and
+real parallel execution on the host machine: a thread-pool path over
+the GIL-free compiled C kernels (:mod:`repro.parallel.threaded`). The
+persistent multi-process tier lives in :mod:`repro.dist`.
 """
 
 from .column import column_parallel_spmv, column_partition_traffic_factor
@@ -18,7 +18,6 @@ from .partition import (
     partition_cols_balanced,
 )
 from .scan import segmented_scan_spmv
-from .native import native_parallel_spmv
 from .threaded import threaded_spmm, threaded_spmv
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "assign_numa",
     "column_parallel_spmv",
     "column_partition_traffic_factor",
-    "native_parallel_spmv",
     "partition_cols_balanced",
     "partition_rows_balanced",
     "partition_rows_equal",

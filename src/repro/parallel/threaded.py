@@ -1,12 +1,13 @@
 """Thread-pool SpMV/SpMM over the GIL-free compiled kernels.
 
-:mod:`repro.parallel.native` parallelizes with *forked processes*
-because NumPy kernels hold the GIL. The compiled CSR kernels in
-:mod:`repro.kernels.cbackend` release it (``ctypes`` drops the GIL for
-the duration of every foreign call), so plain threads become a real
-parallel path: no fork, no copy-on-write pages, no result shipping —
-each thread runs the kernel over a disjoint ``[r0, r1)`` row range of
-the *same* matrix, writing disjoint slices of one shared destination.
+NumPy kernels hold the GIL, so threads over them only time-slice (the
+process-level answer is the persistent shard tier, :mod:`repro.dist`).
+The compiled CSR kernels in :mod:`repro.kernels.cbackend` release it
+(``ctypes`` drops the GIL for the duration of every foreign call), so
+plain threads become a real parallel path: no fork, no copy-on-write
+pages, no result shipping — each thread runs the kernel over a disjoint
+``[r0, r1)`` row range of the *same* matrix, writing disjoint slices of
+one shared destination.
 
 Row ranges come from the same nonzero-balanced partitioner the rest of
 the parallel tier uses (the paper's static load-balancing strategy).
@@ -107,6 +108,51 @@ def _record(secs: np.ndarray, s) -> None:
     s.set(imbalance=round(imbalance, 3))
 
 
+def _threaded(csr: CSRMatrix, x: np.ndarray, y: np.ndarray,
+              k: int | None, n_threads: int | None,
+              partition: RowPartition | None,
+              min_nnz_per_thread: int) -> np.ndarray:
+    """Shared driver behind both entry points (arguments already
+    validated): ``k is None`` is SpMV on vectors, otherwise the
+    ``k``-wide fused SpMM on ``(n, k)`` blocks. With one slab or no
+    compiler it runs the serial NumPy kernel instead."""
+    from ..formats.multivector import spmm as _np_spmm
+    from ..kernels.cbackend.dispatch import _kernel_for
+    from ..kernels.cbackend.build import compiler_available
+
+    name = "threaded.spmv" if k is None else "threaded.spmm"
+    width = {} if k is None else {"k": k}
+    n = _plan_threads(csr, n_threads, min_nnz_per_thread)
+    kernel = None
+    if n > 1 and compiler_available():
+        kernel = _kernel_for(csr)
+    if kernel is None or n <= 1:
+        _metrics.inc("threaded.serial_fallbacks")
+        with _span(name, threads=1, nnz=csr.nnz_stored):
+            return csr.spmv(x, y) if k is None else _np_spmm(csr, x, y)
+    part = _resolve_partition(csr, partition, n)
+    xc = np.ascontiguousarray(x)
+    yc = y if y.flags.c_contiguous else np.ascontiguousarray(y)
+    args = (csr.indptr.ctypes.data, csr.indices.ctypes.data,
+            csr.data.ctypes.data, xc.ctypes.data, yc.ctypes.data)
+
+    def run_one(r0: int, r1: int) -> None:
+        if k is None:
+            kernel.spmv(*args, r0, r1)
+        else:
+            kernel.spmm(*args, r0, r1, k)
+
+    with _span(name, threads=n, nnz=csr.nnz_stored, **width) as s:
+        t0 = time.perf_counter()
+        secs = _run_ranges(part.ranges(), run_one, n)
+        _observe_kernel(csr, time.perf_counter() - t0,
+                        backend="threaded", **width)
+        _record(secs, s)
+    if yc is not y:
+        y[...] = yc
+    return y
+
+
 def threaded_spmv(
     csr: CSRMatrix,
     x: np.ndarray,
@@ -118,42 +164,16 @@ def threaded_spmv(
 ) -> np.ndarray:
     """``y ← y + A·x`` with one thread per nnz-balanced row slab.
 
-    Parameters mirror :func:`repro.parallel.native.native_parallel_spmv`
-    (``n_threads`` defaults to the CPU count, clamped so each thread
-    gets at least ``min_nnz_per_thread`` nonzeros). Results match the
-    serial compiled kernel bitwise — each row is summed by exactly one
-    thread in the same order — and match ``csr.spmv`` to ~1e-15.
+    ``n_threads`` defaults to the CPU count, clamped so each thread
+    gets at least ``min_nnz_per_thread`` nonzeros; ``partition`` is an
+    optional pre-computed row partition with that many parts. Results
+    match the serial compiled kernel bitwise — each row is summed by
+    exactly one thread in the same order — and match ``csr.spmv`` to
+    ~1e-15.
     """
-    from ..kernels.cbackend.dispatch import _kernel_for
-    from ..kernels.cbackend.build import compiler_available
-
     x, y = csr._check_spmv_args(x, y)
-    n = _plan_threads(csr, n_threads, min_nnz_per_thread)
-    kernel = None
-    if n > 1 and compiler_available():
-        kernel = _kernel_for(csr)
-    if kernel is None or n <= 1:
-        _metrics.inc("threaded.serial_fallbacks")
-        with _span("threaded.spmv", threads=1, nnz=csr.nnz_stored):
-            return csr.spmv(x, y)
-    part = _resolve_partition(csr, partition, n)
-    xc = np.ascontiguousarray(x)
-    yc = y if y.flags.c_contiguous else np.ascontiguousarray(y)
-    args = (csr.indptr.ctypes.data, csr.indices.ctypes.data,
-            csr.data.ctypes.data, xc.ctypes.data, yc.ctypes.data)
-
-    def run_one(r0: int, r1: int) -> None:
-        kernel.spmv(*args, r0, r1)
-
-    with _span("threaded.spmv", threads=n, nnz=csr.nnz_stored) as s:
-        t0 = time.perf_counter()
-        secs = _run_ranges(part.ranges(), run_one, n)
-        _observe_kernel(csr, time.perf_counter() - t0,
-                        backend="threaded")
-        _record(secs, s)
-    if yc is not y:
-        y[...] = yc
-    return y
+    return _threaded(csr, x, y, None, n_threads, partition,
+                     min_nnz_per_thread)
 
 
 def threaded_spmm(
@@ -171,10 +191,6 @@ def threaded_spmm(
     all ``k`` right-hand sides. Falls back to the serial NumPy SpMM
     when the compiled backend is unavailable.
     """
-    from ..formats.multivector import spmm as _np_spmm
-    from ..kernels.cbackend.dispatch import _kernel_for
-    from ..kernels.cbackend.build import compiler_available
-
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != csr.ncols:
         raise ValueError(
@@ -187,30 +203,5 @@ def threaded_spmm(
         raise ValueError(
             f"Y must have shape ({csr.nrows}, {k}), got {y.shape}"
         )
-    n = _plan_threads(csr, n_threads, min_nnz_per_thread)
-    kernel = None
-    if n > 1 and compiler_available():
-        kernel = _kernel_for(csr)
-    if kernel is None or n <= 1:
-        _metrics.inc("threaded.serial_fallbacks")
-        with _span("threaded.spmm", threads=1, nnz=csr.nnz_stored):
-            return _np_spmm(csr, x, y)
-    part = _resolve_partition(csr, partition, n)
-    xc = np.ascontiguousarray(x)
-    yc = y if y.flags.c_contiguous else np.ascontiguousarray(y)
-    args = (csr.indptr.ctypes.data, csr.indices.ctypes.data,
-            csr.data.ctypes.data, xc.ctypes.data, yc.ctypes.data)
-
-    def run_one(r0: int, r1: int) -> None:
-        kernel.spmm(*args, r0, r1, k)
-
-    with _span("threaded.spmm", threads=n, nnz=csr.nnz_stored,
-               k=k) as s:
-        t0 = time.perf_counter()
-        secs = _run_ranges(part.ranges(), run_one, n)
-        _observe_kernel(csr, time.perf_counter() - t0, k=k,
-                        backend="threaded")
-        _record(secs, s)
-    if yc is not y:
-        y[...] = yc
-    return y
+    return _threaded(csr, x, y, k, n_threads, partition,
+                     min_nnz_per_thread)

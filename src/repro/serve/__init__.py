@@ -9,16 +9,19 @@ thousands of multiplies:
 * :mod:`.plancache` — lossless JSON plan serialization plus a
   version-stamped on-disk store keyed by
   ``(machine, fingerprint, repro.__version__)``.
+* :mod:`.executor` — how one registered matrix executes (in-process,
+  threaded, or on a shard group): chosen once at registration, held on
+  the registry entry, swapped by the tuners.
 * :mod:`.scheduler` — coalesces concurrent same-matrix requests into
   multi-vector SpMM batches (size/deadline triggered) with bounded-
-  queue admission control.
+  queue admission control; runs each batch on the entry's executor.
 * :mod:`.worker` — instrumented thread pool sized to the machine model.
 * :mod:`.routes` — transport-independent request routing
   (``/v1/spmv``, ``/v1/matrices``, ``/healthz``, Prometheus
   ``/metrics``, the ``/v1/debug/*`` plane).
 * :mod:`.transport` — stdlib threading HTTP front end over the same
   router (the async front end lives in :mod:`repro.cluster.aserver`).
-* :mod:`.client` — the in-process client; its :class:`MatrixOperator`
+* :mod:`.client` — the in-process client; its ``operator(fp)`` handle
   satisfies the solver ``LinearOperator`` protocol.
 
 With ``ServeClient(shards=N)`` the registry backs large matrices with
@@ -27,7 +30,7 @@ in shared memory once and batches execute on fault-tolerant worker
 processes instead of in-process threads.
 """
 
-from .client import MatrixOperator, ServeClient
+from .client import ServeClient
 from .plancache import PlanCache, plans_equal
 from .registry import MatrixRegistry, RegistryEntry
 from .routes import Request, Response, Router
@@ -37,7 +40,6 @@ from .worker import WorkerPool
 
 __all__ = [
     "BatchScheduler",
-    "MatrixOperator",
     "MatrixRegistry",
     "PlanCache",
     "RegistryEntry",

@@ -3,9 +3,11 @@
 :class:`ServeClient` is the one object an application embeds: it owns
 the tuned-matrix registry, the on-disk plan cache, the coalescing
 scheduler, and the worker pool. The HTTP layer
-(:mod:`repro.serve.server`) is a thin shell over the same client.
+(:mod:`repro.serve.routes` behind :mod:`repro.serve.transport`) is a
+thin shell over the same client.
 
-:meth:`ServeClient.operator` returns a :class:`MatrixOperator` whose
+:meth:`ServeClient.operator` returns a
+:class:`~repro.solvers.operator.FingerprintOperator` whose
 ``spmv(x, y=None)``/``shape``/``__call__`` surface satisfies the
 ``LinearOperator`` protocol of :mod:`repro.solvers`, so conjugate
 gradients, the power method, and (via its ``operator=`` hook) PageRank
@@ -36,54 +38,11 @@ from ..observe import perf as _perf
 from ..observe.perf import MachineCeilings, PerfWatchdog
 from ..observe.slo import SloTracker
 from ..observe.trace import span as _span
+from ..solvers.operator import FingerprintOperator
 from .plancache import PlanCache
 from .registry import MatrixRegistry, RegistryEntry
 from .scheduler import BatchScheduler
 from .worker import WorkerPool
-
-
-class MatrixOperator:
-    """A registered matrix as a solver-ready linear operator.
-
-    Every ``spmv`` routes through the scheduler, so independent callers
-    sharing a matrix coalesce into multi-vector batches while a lone
-    sequential caller (an iterative solver) gets exact single-vector
-    kernels.
-    """
-
-    def __init__(self, client: "ServeClient", fingerprint: str,
-                 shape: tuple[int, int]):
-        self._client = client
-        self.fingerprint = fingerprint
-        self._shape = shape
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nrows(self) -> int:
-        return self._shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._shape[1]
-
-    def spmv(self, x: np.ndarray,
-             y: np.ndarray | None = None) -> np.ndarray:
-        """``y ← y + A·x`` computed by the service."""
-        result = self._client.spmv(self.fingerprint, x)
-        if y is None:
-            return result
-        y += result
-        return y
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.spmv(x)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<MatrixOperator {self.nrows}x{self.ncols} "
-                f"fingerprint={self.fingerprint}>")
 
 
 class ServeClient:
@@ -249,10 +208,16 @@ class ServeClient:
             )
         return entry
 
-    def operator(self, fingerprint: str) -> MatrixOperator:
-        """Solver-ready handle for a registered matrix."""
+    def operator(self, fingerprint: str) -> FingerprintOperator:
+        """Solver-ready handle for a registered matrix.
+
+        Every ``spmv`` routes through the scheduler, so independent
+        callers sharing a matrix coalesce into multi-vector batches
+        while a lone sequential caller (an iterative solver) gets exact
+        single-vector kernels.
+        """
         entry = self.registry.get(fingerprint)
-        return MatrixOperator(self, entry.fingerprint, entry.shape)
+        return FingerprintOperator(self, entry.fingerprint, entry.shape)
 
     # --------------------------------------------------------- requests
     def _request_context(self, fingerprint: str
@@ -383,4 +348,4 @@ class ServeClient:
         self.close()
 
 
-__all__ = ["MatrixOperator", "ServeClient", "ServeError"]
+__all__ = ["ServeClient", "ServeError"]

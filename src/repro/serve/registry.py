@@ -13,13 +13,16 @@ entries until the new matrix fits. Eviction drops only the in-memory
 materialization — the tuned plan stays on disk, so a re-registration
 of an evicted matrix is a plan-cache hit plus one materialization.
 
-Sharded backing: when the registry is built with a
-:class:`~repro.dist.group.ShardGroup`, matrices whose materialized
-footprint reaches ``shard_threshold_bytes`` are additionally registered
-with the group — their slabs ship into shared memory once, and the
-scheduler executes their batches on the persistent shard workers
-instead of in-process. Eviction unregisters the matrix from the group,
-freeing its segments.
+Execution: how an entry computes ``y = A·x`` is decided here, once,
+and held on ``RegistryEntry.executor`` (:mod:`repro.serve.executor`).
+When the registry is built with a :class:`~repro.dist.group.ShardGroup`,
+matrices whose materialized footprint reaches ``shard_threshold_bytes``
+are additionally registered with the group — their slabs ship into
+shared memory once — and get a shards executor; everything else runs
+in-process. :meth:`MatrixRegistry.swap` is the one way a live entry's
+plan, structure or executor changes afterwards (background re-tune,
+online tuner). Eviction closes the executor, which for a shard-backed
+matrix frees its segments.
 """
 
 from __future__ import annotations
@@ -27,16 +30,19 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core.engine import SpmvEngine
 from ..core.plan import SpmvPlan
 from ..errors import ServeError
 from ..formats.base import SparseFormat
 from ..formats.coo import COOMatrix
+from ..kernels.registry import resolve_backend
 from ..machines.model import Machine
 from ..observe import metrics as _metrics
+from ..observe.perf.attribution import format_label
 from ..observe.trace import span as _span
+from .executor import InProcessExecutor, ShardsExecutor
 from .plancache import PlanCache
 
 
@@ -51,10 +57,9 @@ class RegistryEntry:
     matrix: SparseFormat
     footprint_bytes: int
     from_plan_cache: bool     #: tuning came from the disk cache
+    #: How batches for this matrix execute (:mod:`repro.serve.executor`).
+    executor: object = field(repr=False)
     hits: int = field(default=0)
-    sharded: bool = field(default=False)
-    #: The backing :class:`~repro.dist.group.ShardGroup` when sharded.
-    shard_group: object | None = field(default=None, repr=False)
     #: True while the plan came from the autoplan predictor and has not
     #: yet been confirmed or overridden by a background re-tune.
     predicted: bool = field(default=False)
@@ -63,9 +68,6 @@ class RegistryEntry:
     #: Sweep-candidate label behind the plan ("" for heuristic/cached).
     autoplan_label: str = field(default="")
     autoplan_confidence: float = field(default=0.0)
-    #: Execution thread count promoted by the online tuner; 1 means the
-    #: scheduler runs batches in-process, single-threaded, as before.
-    exec_threads: int = field(default=1)
 
     @property
     def nrows(self) -> int:
@@ -75,30 +77,15 @@ class RegistryEntry:
     def ncols(self) -> int:
         return self.shape[1]
 
-    def csr_view(self):
-        """The materialized structure as one full-extent CSR matrix,
-        or ``None`` when the plan produced anything else.
-
-        This is the precondition for the threaded execution path (and
-        the online tuner's thread axis): ``threaded_spmv`` computes the
-        whole ``y = A·x``, so the view must cover the full shape.
-        """
-        from ..formats.blocked import CacheBlockedMatrix
-        from ..formats.csr import CSRMatrix
-
-        mat = self.matrix
-        if isinstance(mat, CSRMatrix):
-            return mat
-        if isinstance(mat, CacheBlockedMatrix) and len(mat.blocks) == 1:
-            blk = mat.blocks[0]
-            if (isinstance(blk.matrix, CSRMatrix)
-                    and blk.r0 == 0 and blk.c0 == 0
-                    and blk.r1 == self.shape[0]
-                    and blk.c1 == self.shape[1]):
-                return blk.matrix
-        return None
+    @property
+    def watchdog_key(self) -> str:
+        """``<format>/<backend>``: the perf-watchdog baseline series
+        this entry's batches feed (and the online tuner reads back)."""
+        return (f"{format_label(self.matrix)}/"
+                f"{self.executor.describe()['backend']}")
 
     def describe(self) -> dict:
+        execution = self.executor.describe()
         return {
             "fingerprint": self.fingerprint,
             "shape": list(self.shape),
@@ -108,12 +95,12 @@ class RegistryEntry:
             "backend": self.plan.backend,
             "plan_cache_hit": self.from_plan_cache,
             "hits": self.hits,
-            "sharded": self.sharded,
+            "sharded": execution["sharded"],
             "plan_path": self.plan_path,
             "predicted": self.predicted,
             "autoplan_label": self.autoplan_label,
             "autoplan_confidence": self.autoplan_confidence,
-            "exec_threads": self.exec_threads,
+            "exec_threads": execution["exec_threads"],
         }
 
 
@@ -133,8 +120,6 @@ class MatrixRegistry:
         plan_mode: str = "heuristic",
         autoplanner=None,
     ):
-        from ..kernels.registry import resolve_backend
-
         if plan_mode not in ("heuristic", "auto", "predict", "tune"):
             raise ServeError(f"unknown plan_mode {plan_mode!r}")
 
@@ -238,39 +223,38 @@ class MatrixRegistry:
                 # A cached plan is structurally valid for any backend —
                 # the backend only selects the execution substrate — so
                 # restamp rather than replan.
-                import dataclasses
-
-                plan = dataclasses.replace(plan, backend=self.backend)
+                plan = replace(plan, backend=self.backend)
             with _span("serve.materialize", fingerprint=fingerprint):
                 matrix = plan.materialize(coo)
+            footprint = matrix.footprint_bytes()
+            s.set(plan_cache_hit=from_cache, plan_path=path,
+                  footprint_bytes=footprint)
+            if (self.shard_group is not None
+                    and footprint >= self.shard_threshold_bytes):
+                # Back the matrix with the persistent shard workers:
+                # slabs ship into shared memory once, here. The shard
+                # tier executes plain CSR regardless of the tuned
+                # in-process format.
+                self.shard_group.register(coo, fingerprint=fingerprint)
+                executor = ShardsExecutor(self.shard_group, fingerprint)
+                _metrics.inc("serve.matrices_sharded")
+                s.set(sharded=True)
+            else:
+                executor = InProcessExecutor(matrix, plan.backend)
             entry = RegistryEntry(
                 fingerprint=fingerprint,
                 shape=coo.shape,
                 nnz=coo.nnz_logical,
                 plan=plan,
                 matrix=matrix,
-                footprint_bytes=matrix.footprint_bytes(),
+                footprint_bytes=footprint,
                 from_plan_cache=from_cache,
+                executor=executor,
                 predicted=(path == "predict"),
                 plan_path=path,
                 autoplan_label=outcome.label if outcome else "",
                 autoplan_confidence=outcome.confidence if outcome else 0.0,
             )
-            s.set(plan_cache_hit=from_cache, plan_path=path,
-                  footprint_bytes=entry.footprint_bytes)
-            if (self.shard_group is not None
-                    and entry.footprint_bytes
-                    >= self.shard_threshold_bytes):
-                # Back the matrix with the persistent shard workers:
-                # slabs ship into shared memory once, here; the
-                # scheduler routes its batches to the group. The shard
-                # tier executes plain CSR regardless of the tuned
-                # in-process format.
-                self.shard_group.register(coo, fingerprint=fingerprint)
-                entry.sharded = True
-                entry.shard_group = self.shard_group
-                _metrics.inc("serve.matrices_sharded")
-                s.set(sharded=True)
             if self.plan_cache is not None and not from_cache:
                 # Stored after the shard decision so tuning provenance
                 # records the shard count it will actually run with.
@@ -279,14 +263,25 @@ class MatrixRegistry:
                     autoplan=self._provenance(entry, outcome),
                 )
         with self._lock:
-            self._admit(entry)
+            existing = self._entries.get(fingerprint)
+            if existing is None:
+                self._admit(entry)
+        if existing is not None:
+            # Lost a race with a concurrent registration of the same
+            # matrix (both passed the check above). The admitted entry
+            # serves everyone; this one is dropped *unclosed* — a shards
+            # executor shares the group's per-fingerprint record with
+            # the winner's.
+            _metrics.inc("serve.registry_rehits")
+            return existing
         _metrics.inc("serve.matrices_registered")
         _metrics.observe("autoplan.registration_seconds",
                          time.perf_counter() - t_start, path=path)
         return entry
 
     def _provenance(self, entry: RegistryEntry, outcome) -> dict | None:
-        """Envelope/corpus provenance for a freshly planned matrix."""
+        """Envelope/corpus provenance for a freshly planned matrix
+        (:meth:`retune` restamps it as a ``feedback`` sample)."""
         if outcome is None or outcome.features is None:
             return None
         source = "sweep" if outcome.path == "tune" else "predict"
@@ -300,9 +295,7 @@ class MatrixRegistry:
             "features": outcome.features.to_list(),
             "feature_version": outcome.features.version,
             "n_threads": entry.plan.n_threads,
-            "shards": (entry.shard_group.n_shards
-                       if entry.sharded and entry.shard_group is not None
-                       else 0),
+            "shards": entry.executor.describe()["shards"],
         }
 
     # -------------------------------------------------- background retune
@@ -327,42 +320,57 @@ class MatrixRegistry:
         )
         overridden = outcome.label != predicted_label
         if overridden:
-            # Materialize outside the lock; swap under it.
+            # Materialize outside the lock; swap under it. Shard-backed
+            # entries keep their executor (the slabs are plain CSR,
+            # whatever the plan); the rest execute the new structure.
             matrix = outcome.plan.materialize(coo)
-            with self._lock:
-                live = self._entries.get(fingerprint)
-                if live is entry:
-                    self._total_bytes -= entry.footprint_bytes
-                    entry.plan = outcome.plan
-                    entry.matrix = matrix
-                    entry.footprint_bytes = matrix.footprint_bytes()
-                    entry.plan_path = "tune"
-                    self._total_bytes += entry.footprint_bytes
-                    _metrics.gauge("serve.registry_bytes",
-                                   self._total_bytes)
+            executor = entry.executor
+            if not executor.describe()["sharded"]:
+                executor = InProcessExecutor(matrix, outcome.plan.backend)
+            if self.swap(entry, plan=outcome.plan, executor=executor,
+                         matrix=matrix):
+                entry.plan_path = "tune"
             _metrics.inc("autoplan.predictions", outcome="override")
         else:
             _metrics.inc("autoplan.retunes_confirmed")
         entry.predicted = False
         entry.autoplan_label = outcome.label
-        if self.plan_cache is not None and outcome.features is not None:
-            self.plan_cache.store(fingerprint, outcome.plan, autoplan={
-                "source": "feedback",
-                "label": outcome.label,
-                "fmt": outcome.fmt,
-                "confidence": entry.autoplan_confidence,
-                "weight": outcome.margin,
-                "tuning_seconds": outcome.tuning_seconds,
-                "features": outcome.features.to_list(),
-                "feature_version": outcome.features.version,
-                "n_threads": entry.plan.n_threads,
-                "shards": (entry.shard_group.n_shards
-                           if entry.sharded
-                           and entry.shard_group is not None else 0),
-                "predicted_label": predicted_label,
-                "overridden": overridden,
-            })
+        autoplan = self._provenance(entry, outcome)
+        if self.plan_cache is not None and autoplan is not None:
+            autoplan.update(
+                source="feedback",
+                confidence=entry.autoplan_confidence,  # the prediction's
+                predicted_label=predicted_label,
+                overridden=overridden,
+            )
+            self.plan_cache.store(fingerprint, outcome.plan,
+                                  autoplan=autoplan)
         return overridden
+
+    def swap(self, entry: RegistryEntry, *, plan: SpmvPlan, executor,
+             matrix: SparseFormat | None = None) -> bool:
+        """Change how a live entry executes: new plan and executor,
+        plus a new structure (re-accounted against the memory budget)
+        when ``matrix`` is given.
+
+        Identity-checked under the lock: returns False and changes
+        nothing when ``entry`` was evicted or re-registered since the
+        caller looked it up (re-tunes and online tuning run for a
+        while off the request path). A batch that already read the old
+        executor finishes on it.
+        """
+        with self._lock:
+            if self._entries.get(entry.fingerprint) is not entry:
+                return False
+            if matrix is not None:
+                self._total_bytes -= entry.footprint_bytes
+                entry.matrix = matrix
+                entry.footprint_bytes = matrix.footprint_bytes()
+                self._total_bytes += entry.footprint_bytes
+                _metrics.gauge("serve.registry_bytes", self._total_bytes)
+            entry.plan = plan
+            entry.executor = executor
+            return True
 
     def _admit(self, entry: RegistryEntry) -> None:
         """Insert under the memory budget, evicting LRU entries.
@@ -373,8 +381,7 @@ class MatrixRegistry:
                    > self.capacity_bytes):
                 _, victim = self._entries.popitem(last=False)
                 self._total_bytes -= victim.footprint_bytes
-                if victim.sharded and victim.shard_group is not None:
-                    victim.shard_group.unregister(victim.fingerprint)
+                victim.executor.close()
                 _metrics.inc("serve.registry_evictions")
         self._entries[entry.fingerprint] = entry
         self._total_bytes += entry.footprint_bytes

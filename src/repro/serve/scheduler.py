@@ -15,9 +15,11 @@ flusher thread). Admission control is a bound on the total number of
 queued-but-undispatched requests; past it, :meth:`submit` raises
 :class:`~repro.errors.ServeAdmissionError` (HTTP 429 upstream).
 
-Single-request batches execute through the exact ``spmv`` kernel, so a
-solver issuing dependent matvecs through the service gets bit-for-bit
-the numbers the direct library path produces.
+A batch runs on ``entry.executor`` (:mod:`repro.serve.executor`) — the
+scheduler does not know whether that is in-process, threaded or a shard
+group. Single-request batches go through the executor's exact ``spmv``,
+so a solver issuing dependent matvecs through the service gets
+bit-for-bit the numbers the direct library path produces.
 
 Counters/histograms: ``serve.requests``, ``serve.batches``,
 ``serve.kernel_invocations``, ``serve.batched_requests``,
@@ -43,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ServeAdmissionError, ServeError
-from ..kernels.registry import spmm_backend, spmv_backend
 from ..observe import context as _context
 from ..observe import metrics as _metrics
 from ..observe.perf.attribution import sample_kernel as _sample_kernel
@@ -181,48 +182,32 @@ class BatchScheduler:
     def _execute(self, group: _Group) -> None:
         entry, requests = group.entry, group.requests
         k = len(requests)
-        sharded = entry.sharded and entry.shard_group is not None
-        # Plans carry their execution backend; compiled-path batches
-        # are counted separately so /metrics shows where flops run.
-        # (entry.plan may be None for ad-hoc entries — treat as numpy.)
-        backend = entry.plan.backend if entry.plan is not None \
-            else "numpy"
         t_exec = time.perf_counter()
         gather_s = 0.0
         member_traces = sorted({r.ctx.trace_id for r in requests
                                 if r.ctx is not None and r.ctx.sampled})
         try:
+            # Read once: a tuner promotion may swap entry.executor while
+            # this batch runs, and the batch must be counted as what ran.
+            executor = entry.executor
+            info = executor.describe()
+            backend, sharded = info["backend"], info["sharded"]
             with _span("serve.batch", fingerprint=entry.fingerprint,
                        batch_size=k, sharded=sharded, backend=backend,
                        traces=member_traces):
-                if sharded:
-                    # Shard-backed matrix: the batch executes on the
-                    # persistent workers (slabs already resident in
-                    # shared memory; only x/y vectors move).
-                    dist = entry.shard_group
-                    if k == 1:
-                        ys = [dist.spmv(entry.fingerprint,
-                                        requests[0].x)]
-                    else:
-                        x_block = np.stack([r.x for r in requests],
-                                           axis=1)
-                        y_block = dist.spmm(entry.fingerprint, x_block)
-                        t_g = time.perf_counter()
-                        ys = [np.ascontiguousarray(y_block[:, j])
-                              for j in range(k)]
-                        gather_s = time.perf_counter() - t_g
-                    _metrics.inc("serve.sharded_batches")
-                elif k == 1:
-                    ys = [self._run_one(entry, requests[0].x, backend)]
+                if k == 1:
+                    ys = [executor.spmv(requests[0].x)]
                 else:
                     x_block = np.stack([r.x for r in requests], axis=1)
-                    y_block = self._run_block(entry, x_block, backend)
+                    y_block = executor.spmm(x_block)
                     t_g = time.perf_counter()
                     ys = [np.ascontiguousarray(y_block[:, j])
                           for j in range(k)]
                     gather_s = time.perf_counter() - t_g
-                if backend == "c" and not sharded:
-                    _metrics.inc("serve.c_backend_batches")
+                # Per-tier batch counters (sharded / threaded /
+                # compiled), so /metrics shows where flops run.
+                for name in info["batch_counters"]:
+                    _metrics.inc(name)
             _metrics.inc("serve.batches")
             _metrics.inc("serve.kernel_invocations")
             _metrics.inc("serve.batched_requests", k)
@@ -231,7 +216,7 @@ class BatchScheduler:
             compute_s = max(t_done - t_exec - gather_s, 0.0)
             if self.watchdog is not None:
                 self._feed_watchdog(entry, backend, k, compute_s)
-            if self.online_tuner is not None and not sharded:
+            if self.online_tuner is not None:
                 try:
                     self.online_tuner.note_batch(entry)
                 except Exception:  # noqa: BLE001 - tuning is best effort
@@ -262,32 +247,6 @@ class BatchScheduler:
                 self._n_inflight -= 1
                 self._cv.notify_all()
 
-    def _run_one(self, entry, x: np.ndarray, backend: str) -> np.ndarray:
-        """One in-process SpMV, honoring an online-tuner thread
-        promotion when the entry materialized to a plain CSR view."""
-        nt = getattr(entry, "exec_threads", 1)
-        if nt > 1:
-            csr = entry.csr_view()
-            if csr is not None:
-                from ..parallel.threaded import threaded_spmv
-
-                _metrics.inc("serve.threaded_batches")
-                return threaded_spmv(csr, x, n_threads=nt)
-        return spmv_backend(entry.matrix, x, backend=backend)
-
-    def _run_block(self, entry, x_block: np.ndarray,
-                   backend: str) -> np.ndarray:
-        """One in-process SpMM batch; see :meth:`_run_one`."""
-        nt = getattr(entry, "exec_threads", 1)
-        if nt > 1:
-            csr = entry.csr_view()
-            if csr is not None:
-                from ..parallel.threaded import threaded_spmm
-
-                _metrics.inc("serve.threaded_batches")
-                return threaded_spmm(csr, x_block, n_threads=nt)
-        return spmm_backend(entry.matrix, x_block, backend=backend)
-
     def _feed_watchdog(self, entry, backend: str, k: int,
                        compute_s: float) -> None:
         """Feed the perf watchdog one attributed batch.
@@ -305,7 +264,7 @@ class BatchScheduler:
             sample = _sample_kernel(matrix, compute_s, k=k,
                                     backend=backend)
             self.watchdog.observe(
-                entry.fingerprint, f"{sample.fmt}/{backend}",
+                entry.fingerprint, entry.watchdog_key,
                 sample.gflops, sample.fraction,
             )
         except Exception:  # pragma: no cover - watchdog is best effort

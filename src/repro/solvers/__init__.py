@@ -9,11 +9,13 @@ into end-to-end apps.
 """
 
 from .cg import CGResult, conjugate_gradient
+from .operator import FingerprintOperator
 from .pagerank import pagerank, transition_matrix
 from .power_method import power_method
 
 __all__ = [
     "CGResult",
+    "FingerprintOperator",
     "conjugate_gradient",
     "pagerank",
     "power_method",

@@ -55,7 +55,7 @@ def pagerank(
     column-stochasticized internally; dangling pages distribute
     uniformly. When ``operator`` is given it must compute
     ``P^T · r`` for the matrix :func:`transition_matrix` returns (e.g.
-    a tuned serve-layer :class:`~repro.serve.client.MatrixOperator`);
+    a serve-layer :class:`~repro.solvers.operator.FingerprintOperator`);
     otherwise a CSR materialization of ``P^T`` is built here.
 
     Returns ``(scores, iterations)``; scores sum to 1.

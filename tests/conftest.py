@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import glob
+import threading
 
 import numpy as np
 import pytest
@@ -42,6 +43,36 @@ def random_coo(
         c = rng.integers(0, n, size=nnz)
     v = rng.standard_normal(len(r))
     return COOMatrix((m, n), r, c, v)
+
+
+def register_racing(registry, coo: COOMatrix, n: int = 4) -> list:
+    """``n`` threads call ``registry.register(coo)`` at once; returns
+    what each got back. A barrier inside planning holds every thread
+    until all have passed the registry's existence check, so the
+    check-then-admit race happens on every run, not only under load."""
+    planning = threading.Barrier(n)
+    real_plan = registry.engine.plan
+
+    def plan(*args, **kwargs):
+        try:
+            planning.wait(timeout=2.0)
+        except threading.BrokenBarrierError:
+            pass    # registrations were serialized: also race-free
+        return real_plan(*args, **kwargs)
+
+    registry.engine.plan = plan
+    got: list = [None] * n
+
+    def run(i: int) -> None:
+        got[i] = registry.register(coo)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in threads)
+    return got
 
 
 @pytest.fixture

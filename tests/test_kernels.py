@@ -81,7 +81,7 @@ class TestGenerator:
 class TestRegistry:
     def test_builtins_present(self):
         names = available_kernels()
-        for k in ["format_native", "generated_unrolled", "reference",
+        for k in ["format_numpy", "generated_unrolled", "reference",
                   "segmented_scan"]:
             assert k in names
 
@@ -90,7 +90,7 @@ class TestRegistry:
         csr = coo_to_csr(coo)
         x = rng.standard_normal(20)
         expected = coo.toarray() @ x
-        for name in ["format_native", "reference", "segmented_scan"]:
+        for name in ["format_numpy", "reference", "segmented_scan"]:
             np.testing.assert_allclose(
                 get_kernel(name)(csr, x), expected, rtol=1e-12
             )
@@ -101,7 +101,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(KernelError):
-            register_kernel("format_native", lambda m, x, y=None: x)
+            register_kernel("format_numpy", lambda m, x, y=None: x)
 
     def test_decorator_form(self):
         @register_kernel("test_only_kernel")

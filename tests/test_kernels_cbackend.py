@@ -14,7 +14,6 @@ from repro.kernels import (
     BACKENDS,
     available_kernels,
     get_kernel,
-    register_kernel,
     resolve_backend,
     spmm_backend,
     spmv_backend,
@@ -322,27 +321,17 @@ class TestThreaded:
 
 
 # ----------------------------------------------------------------------
-# Satellite: deprecated "format_native" alias
+# Kernel names for the two backends (the deprecated alias is removed)
 # ----------------------------------------------------------------------
 class TestDeprecatedAlias:
     def test_new_name_registered(self):
         names = available_kernels()
         assert "format_numpy" in names
-        assert "format_native" in names      # alias stays listed
-
-    def test_alias_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="format_numpy"):
-            fn = get_kernel("format_native")
-        assert fn is get_kernel("format_numpy")
 
     def test_new_name_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             get_kernel("format_numpy")
-
-    def test_alias_name_cannot_be_reused(self):
-        with pytest.raises(KernelError):
-            register_kernel("format_native", lambda m, x, y=None: x)
 
     @needs_cc
     def test_format_c_kernel_registered(self):

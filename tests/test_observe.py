@@ -127,14 +127,14 @@ class TestMetrics:
         reg.inc("plan.calls", 2)
         reg.inc("heuristic.format_chosen", 3, fmt="bcsr")
         reg.gauge("bench.sweep_progress", 0.5, machine="AMD X2")
-        reg.observe("native.worker_seconds", 0.1)
-        reg.observe("native.worker_seconds", 0.3)
+        reg.observe("threaded.worker_seconds", 0.1)
+        reg.observe("threaded.worker_seconds", 0.3)
         assert reg.counter("plan.calls") == 3
         assert reg.counter("heuristic.format_chosen", fmt="bcsr") == 3
         assert reg.counter("heuristic.format_chosen", fmt="csr") == 0
         assert reg.gauge_value("bench.sweep_progress",
                                machine="AMD X2") == 0.5
-        h = reg.histogram("native.worker_seconds")
+        h = reg.histogram("threaded.worker_seconds")
         assert h.count == 2 and h.min == 0.1 and h.max == 0.3
         assert h.mean == pytest.approx(0.2)
 
@@ -329,42 +329,6 @@ class TestBaselineInstrumentation:
         h = get_registry().histogram("petsc.comm_fraction")
         assert h.count == 1
         assert h.max == pytest.approx(res.comm_fraction)
-
-
-class TestNativeInstrumentation:
-    def test_worker_seconds_recorded(self):
-        import multiprocessing as mp
-
-        from repro.formats import coo_to_csr
-        from repro.parallel.native import native_parallel_spmv
-        from tests.conftest import random_coo
-
-        if "fork" not in mp.get_all_start_methods():
-            pytest.skip("no fork on this platform")
-        import numpy as np
-
-        coo = random_coo(400, 400, 0.05, seed=3)
-        csr = coo_to_csr(coo)
-        x = np.ones(csr.ncols)
-        y = native_parallel_spmv(csr, x, n_workers=2,
-                                 min_nnz_per_worker=1)
-        np.testing.assert_allclose(y, csr.spmv(x), rtol=1e-12)
-        reg = get_registry()
-        assert reg.counter("native.calls") == 1
-        assert reg.histogram("native.worker_seconds").count == 2
-        assert reg.gauge_value("native.last_imbalance") >= 1.0
-
-    def test_serial_fallback_counted(self):
-        import numpy as np
-
-        from repro.formats import coo_to_csr
-        from tests.conftest import random_coo
-        from repro.parallel.native import native_parallel_spmv
-
-        coo = random_coo(50, 50, 0.1, seed=4)
-        csr = coo_to_csr(coo)
-        native_parallel_spmv(csr, np.ones(50))  # too small: serial
-        assert get_registry().counter("native.serial_fallbacks") == 1
 
 
 class TestPrometheusRendering:

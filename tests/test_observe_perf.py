@@ -412,7 +412,7 @@ class TestServeIntegration:
             client.close()
 
     def test_synthetic_slowdown_trips_watchdog(self, monkeypatch):
-        from repro.serve import scheduler as sched_mod
+        from repro.serve import executor as exec_mod
         from repro.serve.client import ServeClient
 
         client = ServeClient(perf_watch=TEST_CEILINGS)
@@ -427,13 +427,13 @@ class TestServeIntegration:
                 client.spmv(fp, x)
             assert not wd.events, "no regression before the slowdown"
             # sleep-injected kernel wrapper: ~50x slowdown
-            real_spmv = sched_mod.spmv_backend
+            real_spmv = exec_mod.spmv_backend
 
             def throttled(matrix, x, y=None, *, backend="numpy"):
                 time.sleep(0.05)
                 return real_spmv(matrix, x, y, backend=backend)
 
-            monkeypatch.setattr(sched_mod, "spmv_backend", throttled)
+            monkeypatch.setattr(exec_mod, "spmv_backend", throttled)
             for _ in range(4):
                 client.spmv(fp, x)
             assert wd.events, "sustained slowdown never fired"

@@ -1,4 +1,4 @@
-"""Partitioning, NUMA assignment, segmented scan, native backend."""
+"""Partitioning, NUMA assignment, segmented scan."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.formats import COOMatrix, coo_to_csr
 from repro.machines import PlacementPolicy, get_machine
 from repro.parallel import (
     assign_numa,
-    native_parallel_spmv,
     partition_cols_balanced,
     partition_rows_balanced,
     partition_rows_equal,
@@ -202,66 +201,3 @@ class TestSegmentedScan:
         with pytest.raises(PartitionError):
             segmented_scan_spmv(csr, np.ones(csr.ncols), n_parts=0)
 
-
-class TestNative:
-    def test_matches_serial_small(self, rng):
-        # Small input degrades to serial — result must still be right.
-        coo = random_coo(200, 200, 0.05, seed=6)
-        csr = coo_to_csr(coo)
-        x = rng.standard_normal(200)
-        got = native_parallel_spmv(csr, x)
-        np.testing.assert_allclose(got, csr.spmv(x), rtol=1e-12)
-
-    def test_matches_serial_forced_parallel(self, rng):
-        coo = random_coo(2000, 2000, 0.05, seed=7)
-        csr = coo_to_csr(coo)
-        x = rng.standard_normal(2000)
-        got = native_parallel_spmv(csr, x, n_workers=3,
-                                   min_nnz_per_worker=1)
-        np.testing.assert_allclose(got, csr.spmv(x), rtol=1e-12)
-
-    def test_wrong_x_shape(self, rng):
-        coo = random_coo(50, 60, 0.1, seed=8)
-        csr = coo_to_csr(coo)
-        with pytest.raises(ValueError):
-            native_parallel_spmv(csr, np.ones(59))
-
-    def test_concurrent_calls_different_matrices(self, rng):
-        # Regression: _WORK is module-global; before the install/fork
-        # critical section took a lock, a concurrent call could fork
-        # workers that snapshot the *other* call's matrix and vector.
-        import threading
-
-        a = random_coo(1500, 1500, 0.05, seed=10)
-        b = random_coo(1200, 1300, 0.06, seed=11)
-        csr_a, csr_b = coo_to_csr(a), coo_to_csr(b)
-        xa = rng.standard_normal(1500)
-        xb = rng.standard_normal(1300)
-        want_a, want_b = csr_a.spmv(xa), csr_b.spmv(xb)
-
-        results: dict[str, list] = {"a": [], "b": []}
-        errors: list[BaseException] = []
-
-        def run(key, csr, x, n_iters=4):
-            try:
-                for _ in range(n_iters):
-                    results[key].append(
-                        native_parallel_spmv(csr, x, n_workers=2,
-                                             min_nnz_per_worker=1)
-                    )
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=run, args=("a", csr_a, xa)),
-            threading.Thread(target=run, args=("b", csr_b, xb)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        for got in results["a"]:
-            np.testing.assert_allclose(got, want_a, rtol=1e-12)
-        for got in results["b"]:
-            np.testing.assert_allclose(got, want_b, rtol=1e-12)

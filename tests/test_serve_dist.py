@@ -8,7 +8,8 @@ import pytest
 
 from repro.observe.metrics import get_registry
 from repro.serve import ServeClient
-from tests.conftest import random_coo
+from repro.serve.executor import InProcessExecutor, ShardsExecutor
+from tests.conftest import random_coo, register_racing
 
 
 @pytest.fixture
@@ -26,10 +27,25 @@ class TestThresholdRouting:
     def test_zero_threshold_shards_everything(self, client):
         coo = random_coo(100, 100, 0.05, seed=40)
         entry = client.register(coo)
-        assert entry.sharded
-        assert entry.shard_group is client.shard_group
+        assert isinstance(entry.executor, ShardsExecutor)
+        assert entry.executor.group is client.shard_group
         assert entry.describe()["sharded"]
         assert get_registry().counter("serve.matrices_sharded") >= 1
+
+    def test_concurrent_register_keeps_shard_record(self, client):
+        """The loser of a registration race must not close the shard
+        record it shares (by fingerprint) with the admitted entry."""
+        coo = random_coo(100, 100, 0.05, seed=39)
+        got = register_racing(client.registry, coo)
+        assert len(client.registry) == 1
+        assert all(e is got[0] for e in got)
+        assert client.registry.total_bytes == got[0].footprint_bytes
+        assert client.shard_group.describe()["matrices"] == 1
+        x = np.ones(100)
+        np.testing.assert_allclose(
+            client.spmv(got[0].fingerprint, x), coo.toarray() @ x,
+            rtol=1e-10,
+        )
 
     def test_high_threshold_keeps_matrix_local(self):
         with ServeClient("AMD X2", n_threads=1, n_workers=2,
@@ -37,7 +53,8 @@ class TestThresholdRouting:
                          shard_threshold_bytes=1 << 40) as c:
             coo = random_coo(60, 60, 0.1, seed=41)
             entry = c.register(coo)
-            assert not entry.sharded
+            assert isinstance(entry.executor, InProcessExecutor)
+            assert not entry.describe()["sharded"]
             x = np.ones(60)
             np.testing.assert_allclose(
                 c.spmv(entry.fingerprint, x), coo.toarray() @ x,

@@ -9,7 +9,7 @@ from repro.errors import ServeError
 from repro.machines import get_machine
 from repro.observe.metrics import get_registry
 from repro.serve import MatrixRegistry
-from tests.conftest import random_coo
+from tests.conftest import random_coo, register_racing
 
 
 @pytest.fixture
@@ -62,6 +62,17 @@ class TestRegister:
         assert e1 is e2
         assert len(r) == 1
         assert reg.counter("serve.registry_rehits") == before + 1
+
+    def test_concurrent_register_admits_once(self, machine):
+        """Regression: racing registrations of one matrix each passed
+        the existence check and each admitted, so the byte total (and
+        the ``serve.registry_bytes`` gauge) counted the footprint once
+        per caller and LRU eviction fired early."""
+        r = MatrixRegistry(machine, n_threads=1)
+        got = register_racing(r, random_coo(120, 120, 0.05, seed=20))
+        assert len(r) == 1
+        assert all(e is got[0] for e in got)
+        assert r.total_bytes == got[0].footprint_bytes
 
     def test_unknown_fingerprint(self, machine):
         r = MatrixRegistry(machine)

@@ -11,7 +11,6 @@ from repro.errors import ServeAdmissionError, ServeError
 from repro.machines import get_machine
 from repro.observe.metrics import get_registry
 from repro.serve import BatchScheduler, MatrixRegistry, WorkerPool
-from repro.serve.registry import RegistryEntry
 from tests.conftest import random_coo
 
 
@@ -134,27 +133,6 @@ class TestAdmission:
         with pytest.raises(ServeError, match="closed"):
             sched.submit(entry, rng.standard_normal(entry.ncols))
         pool.shutdown()
-
-
-class TestFailureRelay:
-    def test_kernel_exception_reaches_every_future(self):
-        class BrokenMatrix:
-            def spmv(self, x, y=None):
-                raise RuntimeError("kernel exploded")
-
-        broken = RegistryEntry(
-            fingerprint="broken", shape=(3, 3), nnz=0, plan=None,
-            matrix=BrokenMatrix(), footprint_bytes=0,
-            from_plan_cache=False,
-        )
-        pool, sched = make_scheduler(max_batch=1)
-        try:
-            fut = sched.submit(broken, np.ones(3))
-            with pytest.raises(RuntimeError, match="exploded"):
-                fut.result(timeout=10)
-        finally:
-            sched.close()
-            pool.shutdown()
 
 
 class TestWorkerPool:

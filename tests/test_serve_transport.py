@@ -106,13 +106,3 @@ def test_debug_spans_route(served, rng):
     assert all(e["trace_id"] == ctx.trace_id for e in events)
     assert {"serve.request"} <= {e["name"] for e in events}
     conn.close()
-
-
-def test_server_module_reexports_for_compat():
-    """Old import sites keep working after the transport/routes split."""
-    from repro.serve import server
-
-    assert server._MAX_BODY_BYTES == MAX_BODY_BYTES
-    for name in ("Request", "Response", "Router", "ServeHTTPServer",
-                 "start_server", "stop_server", "MAX_BODY_BYTES"):
-        assert hasattr(server, name), name
