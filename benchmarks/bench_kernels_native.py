@@ -2,9 +2,8 @@
 
 Unlike the table/figure benches (which regenerate the paper's simulated
 results), these measure the library's actual kernels with
-pytest-benchmark: format comparison, the generated unrolled kernels vs
-generic einsum, index widths, the segmented scan, and the compiled C
-backend vs NumPy.
+pytest-benchmark: format comparison, index widths, the segmented scan,
+and the compiled C backend vs NumPy.
 
 Run directly (``python benchmarks/bench_kernels_native.py --json
 BENCH_5.json``) for the CI perf snapshot: a NumPy-vs-C comparison on
@@ -20,7 +19,6 @@ import pytest
 from repro.formats import IndexWidth, coo_to_csr, to_bcoo, to_bcsr, \
     to_sellcs
 from repro.kernels.cbackend import c_backend_available, spmv_c
-from repro.kernels.generator import spmv_generated
 from repro.matrices import generate
 from repro.parallel.scan import segmented_scan_spmv
 
@@ -56,12 +54,6 @@ def test_native_bcsr_2x2(benchmark, fem):
     coo, x = fem
     b = to_bcsr(coo, 2, 2)
     benchmark(b.spmv, x)
-
-
-def test_native_bcsr_2x2_generated(benchmark, fem):
-    coo, x = fem
-    b = to_bcsr(coo, 2, 2)
-    benchmark(spmv_generated, b, x)
 
 
 def test_native_bcoo_2x2(benchmark, fem):
@@ -142,8 +134,6 @@ def test_native_results_agree(fem):
     expected = coo_to_csr(coo).spmv(x)
     b = to_bcsr(coo, 2, 2)
     np.testing.assert_allclose(b.spmv(x), expected, rtol=1e-10)
-    np.testing.assert_allclose(spmv_generated(b, x), expected,
-                               rtol=1e-10)
     if c_backend_available():
         np.testing.assert_allclose(spmv_c(coo_to_csr(coo), x),
                                    expected, rtol=1e-10)

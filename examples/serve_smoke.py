@@ -9,8 +9,11 @@ The CI serve-smoke job runs this end to end:
 3. fire concurrent batched SpMV requests through the in-process client
    and verify coalescing happened (fewer kernel invocations than
    requests) and every answer is correct,
-4. check ``/healthz`` and ``/metrics``,
-5. re-register in a second client to prove the persistent plan cache
+4. POST once on a raw socket the way curl sends a large body —
+   lowercase header names, ``Expect: 100-continue``, body held back
+   until the interim response — and require ``200`` within 0.5 s,
+5. check ``/healthz`` and ``/metrics``,
+6. re-register in a second client to prove the persistent plan cache
    hit, then drain and stop cleanly.
 
 Exits 0 on success, 1 (with a traceback) on any failure.
@@ -19,7 +22,9 @@ Run: ``PYTHONPATH=src python examples/serve_smoke.py``
 """
 
 import json
+import socket
 import tempfile
+import time
 import urllib.request
 
 import numpy as np
@@ -37,6 +42,35 @@ def http_json(url: str, body: dict | None = None) -> dict:
     )
     with urllib.request.urlopen(req, timeout=30) as r:
         return r.status, r.read().decode()
+
+
+def curl_style_post(port: int, path: str, body: bytes):
+    """POST with lowercase headers and ``Expect: 100-continue``: the
+    body is sent on ``100 Continue`` or, like curl, after a 1 s expect
+    timeout. Returns (status, response body, seconds)."""
+    t0 = time.perf_counter()
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+        s.sendall(f"POST {path} HTTP/1.1\r\nhost: smoke\r\n"
+                  f"content-type: application/json\r\n"
+                  f"content-length: {len(body)}\r\n"
+                  f"expect: 100-continue\r\n"
+                  f"connection: close\r\n\r\n".encode())
+        s.settimeout(1.0)
+        data = b""
+        try:
+            while b"\r\n\r\n" not in data:
+                data += s.recv(65536)
+        except socket.timeout:
+            pass
+        if data.startswith(b"HTTP/1.1 100 "):
+            data = data.partition(b"\r\n\r\n")[2]
+        s.settimeout(30)
+        s.sendall(body)
+        while chunk := s.recv(65536):      # server closes when done
+            data += chunk
+    head, _, payload = data.partition(b"\r\n\r\n")
+    return (int(head.split()[1]), payload.decode(),
+            time.perf_counter() - t0)
 
 
 def main() -> None:
@@ -86,6 +120,19 @@ def main() -> None:
             np.asarray(json.loads(body)["y"]), dense @ x,
             rtol=1e-9, atol=1e-12,
         )
+
+        # And once the way curl users hit it.
+        status, body, seconds = curl_style_post(
+            httpd.port, "/v1/spmv",
+            json.dumps({"fingerprint": fp, "x": x.tolist()}).encode())
+        assert status == 200, body
+        assert seconds < 0.5, f"Expect: 100-continue stalled {seconds:.2f}s"
+        np.testing.assert_allclose(
+            np.asarray(json.loads(body)["y"]), dense @ x,
+            rtol=1e-9, atol=1e-12,
+        )
+        print(f"curl-style POST (lowercase headers, Expect) ok in "
+              f"{seconds * 1e3:.0f} ms")
 
         status, body = http_json(f"{base}/healthz")
         health = json.loads(body)

@@ -7,6 +7,9 @@ library remains usable on matrices with tens of millions of nonzeros.
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
 from typing import Iterable
 
 import numpy as np
@@ -135,3 +138,49 @@ def human_bytes(n: float) -> str:
             return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
         n /= 1024.0
     raise AssertionError("unreachable")
+
+
+# ----------------------------------------------------------------------
+# On-disk artifacts
+# ----------------------------------------------------------------------
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Publish ``text`` at ``path`` so readers see the old content or
+    the new, never a torn file.
+
+    The temporary file is created with a unique name in the target
+    directory (same filesystem, so the final ``os.replace`` is atomic):
+    concurrent writers — threads or processes — never share it, and it
+    is removed if anything fails before the rename.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".",
+        prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def write_json_atomic(path: str | os.PathLike, doc, *,
+                      indent: int | None = None) -> None:
+    """:func:`write_text_atomic` of ``doc`` serialized as JSON."""
+    write_text_atomic(path, json.dumps(doc, indent=indent))
+
+
+def read_json(path: str | os.PathLike) -> dict | None:
+    """The JSON object stored at ``path``; ``None`` when the file is
+    missing, unreadable, not JSON, or not an object. Stamp validation
+    (versions, host, fingerprint) is the caller's."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) else None

@@ -12,14 +12,15 @@ that *looks like* one we already tuned skips the sweep entirely:
 * :mod:`.model` — dependency-free k-NN classifier with confidence;
 * :mod:`.sweep` — the measured tuning sweep (labels the corpus);
 * :mod:`.predictor` — predict-first planning with sweep fallback;
-* :mod:`.train` — offline retraining with a stratified holdout report;
-* :mod:`.online` — hill-climbing re-tuner fed by live serve traffic.
+* :mod:`.train` — offline retraining with a stratified holdout report.
+
+The hill-climbing re-tuner fed by live serve traffic is part of the
+serve tier: :mod:`repro.serve.tuner`.
 """
 
 from .corpus import CORPUS_VERSION, CorpusSample, PlanCorpus
 from .features import FEATURE_VERSION, FeatureVector, extract_features
 from .model import MODEL_VERSION, PlanModel
-from .online import OnlineTuner
 from .predictor import (
     DEFAULT_CONFIDENCE_THRESHOLD,
     AutoPlanner,
@@ -38,7 +39,6 @@ __all__ = [
     "FEATURE_VERSION",
     "FeatureVector",
     "MODEL_VERSION",
-    "OnlineTuner",
     "PlanCorpus",
     "PlanModel",
     "PlanOutcome",

@@ -20,11 +20,11 @@ mismatch or corruption rather than raising.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from .._util import read_json, write_json_atomic
 from .features import FEATURE_VERSION
 
 #: Bump when the artifact schema changes.
@@ -117,20 +117,14 @@ class PlanModel:
     def save(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict()), encoding="utf-8")
-        tmp.replace(path)
+        write_json_atomic(path, self.to_dict())
         return path
 
     @classmethod
     def load(cls, path: str | Path) -> "PlanModel | None":
         """Load an artifact; None on missing/corrupt/version-mismatch."""
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(doc, dict):
+        doc = read_json(path)
+        if doc is None:
             return None
         if doc.get("model_version") != MODEL_VERSION:
             return None

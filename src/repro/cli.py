@@ -166,8 +166,8 @@ def _cmd_stats(args) -> int:
     """Bottleneck attribution over the Figure-1 ladder of one matrix:
     where does modeled time go (memory vs compute vs latency), per
     configuration — plus the engine's own counters for the run."""
-    from .observe.attribution import BottleneckAttribution
     from .observe.metrics import get_registry
+    from .simulator.bottleneck import BottleneckAttribution
     from .simulator.cpu import KernelVariant
 
     coo = _load_or_generate(args)
@@ -278,8 +278,28 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _run_forever(banner: str, address: str, closer) -> int:
+    """Block until Ctrl-C or SIGTERM, then run ``closer``."""
+    import signal
+    import threading
+
+    # The READY line is the spawn contract: parents (the smoke
+    # test, operators' scripts) parse it to learn the bound port.
+    print(f"READY {address}", flush=True)
+    print(banner, file=sys.stderr)
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda *a: stop.set())
+    try:
+        stop.wait()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        closer()
+    return 0
+
+
 def _cmd_serve(args) -> int:
-    from .serve import ServeClient, ServeHTTPServer
+    from .serve import ServeClient, start_server, stop_server
 
     client = ServeClient(
         machine=args.machine,
@@ -302,50 +322,28 @@ def _cmd_serve(args) -> int:
         perf_watch=args.perf_watch,
         profile_dir=args.profile_dir,
     )
-    httpd = ServeHTTPServer((args.host, args.port), client)
-    print(
+    httpd = start_server(client, host=args.host, port=args.port)
+
+    def _close() -> None:
+        print("draining in-flight batches ...", file=sys.stderr)
+        stop_server(httpd)
+        client.close()
+
+    return _run_forever(
         f"serving SpMV for {args.machine!r} at "
         f"http://{args.host}:{httpd.port} "
         f"(plan cache: {args.plan_cache or 'off'}; Ctrl-C drains)",
-        file=sys.stderr,
-    )
-    try:
-        httpd.serve_forever()
-    except KeyboardInterrupt:
-        print("draining in-flight batches ...", file=sys.stderr)
-    finally:
-        httpd.server_close()
-        client.close()
-    return 0
+        httpd.address, _close)
 
 
 def _cmd_cluster(args) -> int:
     """Multi-node serving: run a node, a router, or the wire bench."""
-    import signal
-    import threading
-
     if args.action == "bench":
         from .cluster.bench import format_report, run_wire_bench
 
         report = run_wire_bench(n=args.n, iters=args.iters,
                                 seed=args.seed, machine=args.machine)
         print(format_report(report))
-        return 0
-
-    def _run_forever(front_name: str, address: str, closer) -> int:
-        # The READY line is the spawn contract: parents (the smoke
-        # test, operators' scripts) parse it to learn the bound port.
-        print(f"READY {address}", flush=True)
-        print(f"{front_name} at {address} (Ctrl-C stops)",
-              file=sys.stderr)
-        stop = threading.Event()
-        signal.signal(signal.SIGTERM, lambda *a: stop.set())
-        try:
-            stop.wait()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            closer()
         return 0
 
     if args.action == "node":
@@ -370,7 +368,9 @@ def _cmd_cluster(args) -> int:
             node.close()
             client.close()
 
-        return _run_forever("cluster node", node.address, _close)
+        return _run_forever(
+            f"cluster node at {node.address} (Ctrl-C stops)",
+            node.address, _close)
 
     # router
     from .cluster import start_router
@@ -390,7 +390,9 @@ def _cmd_cluster(args) -> int:
         health_interval_s=args.health_interval_ms / 1e3,
         hot_rps=args.hot_rps,
     )
-    return _run_forever("cluster router", router.address, router.close)
+    return _run_forever(
+        f"cluster router at {router.address} (Ctrl-C stops)",
+        router.address, router.close)
 
 
 def _cmd_perf(args) -> int:

@@ -1,11 +1,10 @@
 """Selectors-based async front end: many sockets, one thread.
 
-The stdlib front end (:mod:`repro.serve.transport`) spends a thread
-per connection — fine for a handful of solver clients, wrong for a
-cluster node holding thousands of idle router/peer connections. This
-front end multiplexes them all on one event-loop thread with
-:mod:`selectors`: non-blocking accept, buffered reads, incremental
-frame/request parsing, buffered writes with write-interest toggling.
+The one network front end of the serve and cluster tiers. A cluster
+node holds thousands of idle router/peer connections, so all of them
+are multiplexed on one event-loop thread with :mod:`selectors`:
+non-blocking accept, buffered reads, incremental frame/request
+parsing, buffered writes with write-interest toggling.
 
 Both protocols share one port. The first bytes of a connection decide:
 ``b"RW"`` means binary wire frames (:mod:`repro.cluster.wire`),
@@ -22,10 +21,13 @@ loop never blocks on app work — completed futures re-enter through a
 thread-safe completion queue and a wakeup socketpair, exactly one
 syscall per batch of completions.
 
-Request-size discipline matches the threading transport: a declared
-``Content-Length`` (or wire payload length) beyond the limit is
-rejected — ``413`` / an ``ERROR`` frame — before the body is
-buffered, and the connection is closed.
+Request-size discipline: a declared ``Content-Length`` (or wire
+payload length) beyond the limit is rejected — ``413`` / an ``ERROR``
+frame — before the body is buffered, and the connection is closed, so
+a client streaming a huge body never balloons this process's RSS. A
+missing or invalid length on ``POST`` is a ``400``. A client that
+sent ``Expect: 100-continue`` gets its ``100 Continue`` only once the
+head has passed those checks.
 
 ``cluster.wire_bytes{dir=in|out}`` counts every byte through the
 loop; ``cluster.connections`` gauges the live socket count.
@@ -41,8 +43,7 @@ from concurrent.futures import Future
 
 from ..errors import WireError
 from ..observe import metrics as _metrics
-from ..serve.routes import Request, Response
-from ..serve.transport import MAX_BODY_BYTES
+from ..serve.routes import MAX_BODY_BYTES, Request, Response
 from . import wire
 
 _RECV_CHUNK = 256 * 1024
@@ -63,7 +64,8 @@ class _Conn:
         self.mode: str | None = None       # None | "wire" | "http"
         self.assembler: wire.FrameAssembler | None = None
         self.close_after = False
-        self.http_head: dict | None = None  # parsed, awaiting body
+        # (Request without its body, declared length) awaiting body
+        self.http_head: tuple[Request, int] | None = None
         self.keep_alive = True
 
 
@@ -298,16 +300,13 @@ class AsyncFrontEnd:
                     return
                 if not self._parse_http_head(conn, end):
                     return
-            head = conn.http_head
-            if len(conn.inbuf) < head["length"]:
+            req, length = conn.http_head
+            if len(conn.inbuf) < length:
                 return
-            body = bytes(conn.inbuf[:head["length"]])
-            del conn.inbuf[:head["length"]]
+            req.body = bytes(conn.inbuf[:length])
+            del conn.inbuf[:length]
             conn.http_head = None
-            self._dispatch_http(
-                conn,
-                Request(head["method"], head["path"], head["headers"],
-                        body))
+            self._dispatch_http(conn, req)
             if conn.close_after or conn.sock.fileno() == -1:
                 return
 
@@ -329,8 +328,11 @@ class AsyncFrontEnd:
             name, sep, value = line.partition(":")
             if sep:
                 headers[name.strip()] = value.strip()
+        # Header names are case-insensitive on the wire: every lookup
+        # goes through Request.header, here as in the handlers.
+        req = Request(method, path, headers)
         try:
-            length = int(headers.get("Content-Length", 0))
+            length = int(req.header("Content-Length", "0"))
         except ValueError:
             length = -1
         if length > self.max_body_bytes:
@@ -349,11 +351,18 @@ class AsyncFrontEnd:
                                     "Content-Length"),
                 close=True)
             return False
+        http10 = version.upper() == "HTTP/1.0"
         conn.keep_alive = (
-            version.upper() != "HTTP/1.0"
-            and headers.get("Connection", "").lower() != "close")
-        conn.http_head = {"method": method, "path": path,
-                          "headers": headers, "length": max(length, 0)}
+            not http10
+            and req.header("Connection", "").lower() != "close")
+        conn.http_head = (req, max(length, 0))
+        if (not http10
+                and req.header("Expect", "").lower() == "100-continue"):
+            # The client is holding the body back until told the head
+            # is acceptable; an oversize or missing length has already
+            # been refused above without this.
+            self._send_parts(
+                conn, [b"HTTP/1.1 100 Continue\r\n\r\n"], False)
         return True
 
     def _dispatch_http(self, conn: _Conn, req: Request) -> None:

@@ -1,25 +1,20 @@
-"""SpMV kernels and the kernel generator.
+"""SpMV kernels.
 
 The paper drove its optimization search with "a Perl-based code
 generator that produces the SpMV kernel, using the subset of
 optimizations appropriate for each underlying system". The analogue
-here is :mod:`repro.kernels.generator`: it emits specialized Python
-source for a given (format, r, c) variant — fully unrolled tile
-arithmetic instead of generic einsum — compiles it with ``exec`` and
-caches the callable. :mod:`repro.kernels.cbackend` goes one step
-further and emits real C, compiled at runtime and dispatched GIL-free
-— select it with ``backend="c"`` / ``backend="auto"`` through
-:func:`spmv_backend` and friends. :mod:`repro.kernels.reference` holds
-the obviously-correct implementations everything is validated against.
+here is :mod:`repro.kernels.cbackend`: it emits C specialized per
+(format, r×c tile, index width, ISA rung), compiles it at runtime and
+dispatches it GIL-free — select it with ``backend="c"`` /
+``backend="auto"`` through :func:`spmv_backend` and friends; the
+default ``backend="numpy"`` runs each format's own NumPy ``spmv``.
+:mod:`repro.kernels.reference` holds the obviously-correct
+implementations everything is validated against.
 """
 
-from .generator import generate_kernel_source, get_generated_kernel
 from .reference import spmv_dense_reference, spmv_reference
 from .registry import (
     BACKENDS,
-    available_kernels,
-    get_kernel,
-    register_kernel,
     resolve_backend,
     spmm_backend,
     spmv_backend,
@@ -27,11 +22,6 @@ from .registry import (
 
 __all__ = [
     "BACKENDS",
-    "available_kernels",
-    "generate_kernel_source",
-    "get_generated_kernel",
-    "get_kernel",
-    "register_kernel",
     "resolve_backend",
     "spmm_backend",
     "spmv_backend",

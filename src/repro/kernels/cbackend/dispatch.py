@@ -79,8 +79,8 @@ def _spmv_c_format(matrix, x: np.ndarray, y: np.ndarray,
             0, matrix.n_slices, matrix.nrows,
         )
         return y
-    # Blocked formats compute on tile-padded vectors, exactly like the
-    # NumPy kernels (repro.kernels.generator.spmv_generated).
+    # Blocked formats compute on tile-padded vectors, exactly like
+    # their NumPy spmv (formats/bcsr.py, formats/bcoo.py).
     xp = np.zeros(matrix.n_bcols * matrix.c, dtype=np.float64)
     xp[: len(x)] = x
     yp = np.zeros(matrix.n_brows * matrix.r, dtype=np.float64)

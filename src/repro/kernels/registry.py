@@ -1,11 +1,4 @@
-"""Kernel registry: name → SpMV callable, plus backend selection.
-
-A thin dispatch layer so benchmarks and the engine can enumerate and
-select kernels uniformly. Each kernel takes ``(matrix, x, y=None)`` and
-returns ``y ← y + A·x``.
-
-Orthogonal to the *kernel* choice is the *backend* choice — which
-implementation substrate executes the multiply:
+"""Backend selection: which implementation substrate runs a multiply.
 
 ``numpy``
     The pure-NumPy kernels (always available, bit-stable default).
@@ -23,49 +16,13 @@ remains the default everywhere and the compiled path is opt-in.
 from __future__ import annotations
 
 import time
-from typing import Callable
-
-import numpy as np
 
 from ..errors import KernelError
-
-KernelFn = Callable[..., np.ndarray]
 
 #: Valid backend selectors, in documentation order.
 BACKENDS = ("numpy", "c", "auto")
 
-_REGISTRY: dict[str, KernelFn] = {}
 
-
-def register_kernel(name: str, fn: KernelFn | None = None):
-    """Register a kernel under ``name`` (usable as a decorator)."""
-    if fn is None:
-        def deco(f: KernelFn) -> KernelFn:
-            register_kernel(name, f)
-            return f
-        return deco
-    if name in _REGISTRY:
-        raise KernelError(f"kernel {name!r} already registered")
-    _REGISTRY[name] = fn
-    return fn
-
-
-def get_kernel(name: str) -> KernelFn:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KernelError(
-            f"unknown kernel {name!r}; available: {available_kernels()}"
-        ) from None
-
-
-def available_kernels() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
 def resolve_backend(backend: str) -> str:
     """Resolve a backend selector to a concrete backend.
 
@@ -137,54 +94,3 @@ def spmm_backend(matrix, x, y=None, *, backend: str = "numpy"):
     observe_kernel(matrix, time.perf_counter() - t0, k=k,
                    backend=resolved)
     return out
-
-
-# ----------------------------------------------------------------------
-# Built-in kernels
-# ----------------------------------------------------------------------
-def _format_spmv(matrix, x, y=None):
-    return matrix.spmv(x, y)
-
-
-register_kernel("format_numpy", _format_spmv)
-
-
-def _format_c(matrix, x, y=None):
-    from .cbackend import spmv_c
-
-    return spmv_c(matrix, x, y)
-
-
-register_kernel("format_c", _format_c)
-
-
-def _generated(matrix, x, y=None):
-    from .generator import spmv_generated
-
-    return spmv_generated(matrix, x, y)
-
-
-register_kernel("generated_unrolled", _generated)
-
-
-def _reference(matrix, x, y=None):
-    from .reference import spmv_reference
-
-    return spmv_reference(matrix.to_coo(), x, y)
-
-
-register_kernel("reference", _reference)
-
-
-def _segmented_scan(matrix, x, y=None, n_parts: int = 1):
-    from ..formats.csr import CSRMatrix
-    from ..parallel.scan import segmented_scan_spmv
-
-    if not isinstance(matrix, CSRMatrix):
-        from ..formats.convert import coo_to_csr
-
-        matrix = coo_to_csr(matrix.to_coo())
-    return segmented_scan_spmv(matrix, x, y, n_parts=n_parts)
-
-
-register_kernel("segmented_scan", _segmented_scan)

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, and bottleneck attribution.
+"""Observability: tracing, metrics, and roofline attribution.
 
 The paper's central output is an *explanation* of where SpMV time goes
 on each platform; this package makes the reproduction explain itself
@@ -11,10 +11,11 @@ the same way:
 * :mod:`.metrics` — a process-wide registry of counters, gauges, and
   histograms (``plan.blocks_created``,
   ``heuristic.format_chosen{fmt=...}``, ``bench.cache_hit``, ...).
-* :mod:`.attribution` — aggregates :class:`~repro.simulator.events.SimResult`
-  streams into per-machine/per-matrix bottleneck tables (memory vs
-  compute vs latency time shares, imbalance, cache residency) — the
-  paper's §6 narrative as data.
+
+The simulator's own explanation — per-machine/per-matrix bottleneck
+tables of memory vs compute vs latency time shares, the paper's §6
+narrative as data — lives with the simulator, in
+:mod:`repro.simulator.bottleneck`.
 
 The cross-process observability plane (v2) adds:
 
@@ -36,13 +37,6 @@ GFLOP/s regression watchdog that arms force-sampling, and an opt-in
 collapsed-stack sampling profiler.
 """
 
-from .attribution import (
-    AttributionRecord,
-    BottleneckAttribution,
-    BottleneckShares,
-    attribute,
-    bottleneck_shares,
-)
 from .context import TRACE_HEADER, TraceContext, from_header, new_trace
 from .flush import DeltaFlusher, diff_flat
 from .hub import TraceHub, get_hub, install_hub, uninstall_hub
@@ -79,9 +73,6 @@ from .trace import (
 )
 
 __all__ = [
-    "AttributionRecord",
-    "BottleneckAttribution",
-    "BottleneckShares",
     "DEFAULT_BUCKETS",
     "DeltaFlusher",
     "HistogramSummary",
@@ -99,8 +90,6 @@ __all__ = [
     "TraceContext",
     "TraceHub",
     "Tracer",
-    "attribute",
-    "bottleneck_shares",
     "collate",
     "diff_flat",
     "disable",

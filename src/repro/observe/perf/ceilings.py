@@ -25,7 +25,6 @@ a new host re-measures instead of trusting stale ceilings.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import threading
@@ -35,6 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..._util import read_json, write_json_atomic
 from .. import metrics as _metrics
 
 
@@ -320,10 +320,7 @@ def save_ceilings(ceilings: MachineCeilings,
         "measured_at": time.time(),
         "ceilings": ceilings.to_json(),
     }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(envelope, f, indent=2)
-    os.replace(tmp, path)
+    write_json_atomic(path, envelope, indent=2)
     return path
 
 
@@ -332,10 +329,8 @@ def load_ceilings(path: str | os.PathLike | None = None
     """Load a cached envelope; ``None`` when missing, corrupt,
     version-stale, or measured on a different host."""
     path = os.fspath(path) if path is not None else default_cache_path()
-    try:
-        with open(path, encoding="utf-8") as f:
-            envelope = json.load(f)
-    except (OSError, ValueError):
+    envelope = read_json(path)
+    if envelope is None:
         return None
     try:
         if envelope["ceilings_version"] != CEILINGS_VERSION:

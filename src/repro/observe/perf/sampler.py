@@ -25,6 +25,8 @@ import os
 import sys
 import threading
 
+from ..._util import write_text_atomic
+
 __all__ = [
     "StackSampler",
     "collate_stacks",
@@ -107,17 +109,10 @@ class StackSampler(threading.Thread):
         """Atomically write current counts to ``self.path``."""
         if not self.path:
             return
-        text = render_collapsed(self.counts())
-        tmp = f"{self.path}.tmp.{os.getpid()}"
         try:
-            with open(tmp, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, self.path)
+            write_text_atomic(self.path, render_collapsed(self.counts()))
         except OSError:  # pragma: no cover - disk-full etc.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass
 
     def stop(self) -> None:
         self._halt.set()

@@ -16,11 +16,14 @@ thousands of multiplies:
   multi-vector SpMM batches (size/deadline triggered) with bounded-
   queue admission control; runs each batch on the entry's executor.
 * :mod:`.worker` — instrumented thread pool sized to the machine model.
+* :mod:`.tuner` — hill-climbing re-tuner fed by the scheduler's batch
+  stream; promotes a faster executor through ``MatrixRegistry.swap``.
 * :mod:`.routes` — transport-independent request routing
   (``/v1/spmv``, ``/v1/matrices``, ``/healthz``, Prometheus
   ``/metrics``, the ``/v1/debug/*`` plane).
-* :mod:`.transport` — stdlib threading HTTP front end over the same
-  router (the async front end lives in :mod:`repro.cluster.aserver`).
+* :mod:`.transport` — ``start_server`` / ``stop_server``: the router
+  on one port, behind the one network front end
+  (:mod:`repro.cluster.aserver`).
 * :mod:`.client` — the in-process client; its ``operator(fp)`` handle
   satisfies the solver ``LinearOperator`` protocol.
 
@@ -35,7 +38,7 @@ from .plancache import PlanCache, plans_equal
 from .registry import MatrixRegistry, RegistryEntry
 from .routes import Request, Response, Router
 from .scheduler import BatchScheduler
-from .transport import ServeHTTPServer, start_server, stop_server
+from .transport import start_server, stop_server
 from .worker import WorkerPool
 
 __all__ = [
@@ -47,7 +50,6 @@ __all__ = [
     "Response",
     "Router",
     "ServeClient",
-    "ServeHTTPServer",
     "WorkerPool",
     "plans_equal",
     "start_server",

@@ -42,6 +42,7 @@ from ..solvers.operator import FingerprintOperator
 from .plancache import PlanCache
 from .registry import MatrixRegistry, RegistryEntry
 from .scheduler import BatchScheduler
+from .tuner import OnlineTuner
 from .worker import WorkerPool
 
 
@@ -180,8 +181,6 @@ class ServeClient:
         # registration needed).
         self.online_tuner = None
         if online_tune:
-            from ..autoplan.online import OnlineTuner
-
             self.online_tuner = OnlineTuner(
                 self.registry, self.scheduler, self.watchdog,
                 hot_threshold=online_hot_threshold,

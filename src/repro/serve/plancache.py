@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
+from .._util import read_json, write_json_atomic
 from ..core.plan import SpmvPlan
 from ..errors import ServeError
 from ..observe import metrics as _metrics
@@ -86,15 +87,12 @@ class PlanCache:
                 _metrics.inc("serve.plan_cache_miss")
                 s.set(outcome="miss")
                 return None
-            try:
-                with open(path) as f:
-                    envelope = json.load(f)
-            except (json.JSONDecodeError, OSError):
+            envelope = read_json(path)
+            if envelope is None:
                 _metrics.inc("serve.plan_cache_stale")
                 s.set(outcome="unreadable")
                 return None
-            if (not isinstance(envelope, dict)
-                    or envelope.get("model_version") != __version__
+            if (envelope.get("model_version") != __version__
                     or envelope.get("machine") != machine_name
                     or envelope.get("fingerprint") != fingerprint
                     or "plan" not in envelope):
@@ -133,10 +131,7 @@ class PlanCache:
             }
             if autoplan is not None:
                 envelope["autoplan"] = autoplan
-            tmp = path.with_suffix(".json.tmp")
-            with open(tmp, "w") as f:
-                json.dump(envelope, f, indent=1)
-            os.replace(tmp, path)
+            write_json_atomic(path, envelope, indent=1)
             _metrics.inc("serve.plan_cache_store")
         if (self.corpus is not None and autoplan is not None
                 and autoplan.get("source") in ("sweep", "feedback")
@@ -172,9 +167,8 @@ class PlanCache:
                    "machine": "?", "fingerprint": path.stem,
                    "model_version": "?", "n_blocks": 0, "n_threads": 0,
                    "fresh": False}
-            try:
-                with open(path) as f:
-                    envelope = json.load(f)
+            envelope = read_json(path)
+            if envelope is not None:
                 row["machine"] = envelope.get("machine", "?")
                 row["model_version"] = envelope.get("model_version", "?")
                 plan = envelope.get("plan", {})
@@ -184,8 +178,6 @@ class PlanCache:
                 row["fresh"] = (
                     envelope.get("model_version") == __version__
                 )
-            except (json.JSONDecodeError, OSError):
-                pass
             out.append(row)
         return out
 
@@ -206,10 +198,8 @@ class PlanCache:
             if not self.root.exists():
                 return 0
             for path in sorted(self.root.glob("*/*.json")):
-                try:
-                    with open(path) as src:
-                        envelope = json.load(src)
-                except (json.JSONDecodeError, OSError):
+                envelope = read_json(path)
+                if envelope is None:
                     continue
                 ap = envelope.get("autoplan")
                 if not isinstance(ap, dict) or not ap.get("features"):

@@ -237,7 +237,6 @@ class MatrixRegistry:
                 # in-process format.
                 self.shard_group.register(coo, fingerprint=fingerprint)
                 executor = ShardsExecutor(self.shard_group, fingerprint)
-                _metrics.inc("serve.matrices_sharded")
                 s.set(sharded=True)
             else:
                 executor = InProcessExecutor(matrix, plan.backend)
@@ -275,6 +274,8 @@ class MatrixRegistry:
             _metrics.inc("serve.registry_rehits")
             return existing
         _metrics.inc("serve.matrices_registered")
+        if isinstance(executor, ShardsExecutor):
+            _metrics.inc("serve.matrices_sharded")
         _metrics.observe("autoplan.registration_seconds",
                          time.perf_counter() - t_start, path=path)
         return entry

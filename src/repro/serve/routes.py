@@ -1,14 +1,12 @@
 """Transport-independent request routing for the SpMV service.
 
-The PR-9 split: :mod:`.transport` owns sockets and HTTP framing,
-this module owns *what the service does* with a request. A
+The front end (:mod:`repro.cluster.aserver`) owns sockets and HTTP
+framing, this module owns *what the service does* with a request. A
 :class:`Request` is a plain value (method, path, headers, body) and
 :class:`Router.handle` maps it to a :class:`Response` — so the same
-handlers serve the stdlib threading front end
-(:class:`repro.serve.transport.ServeHTTPServer`), the selectors-based
-async front end (:mod:`repro.cluster.aserver`), and the cluster
-router's JSON fallback path, without any of them duplicating error
-mapping or route dispatch.
+handlers serve a single-host server (:func:`repro.serve.start_server`),
+a cluster node, and the cluster router's JSON fallback path, without
+any of them duplicating error mapping or route dispatch.
 
 Routes
 ------
@@ -71,6 +69,10 @@ _NULL_CM = contextlib.nullcontext()
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: Hard bound on a declared request body. The front end checks it
+#: against ``Content-Length`` before any byte of the body is read.
+MAX_BODY_BYTES = 256 * 2**20
+
 
 @dataclass
 class Request:
@@ -121,7 +123,7 @@ class Response:
 
 def error_response(exc: ReproError) -> Response:
     """The service-wide exception→status mapping (shared by every
-    front end: threading HTTP, async HTTP, binary error frames)."""
+    path: HTTP responses and binary error frames)."""
     if isinstance(exc, ServeAdmissionError):
         return Response.error(429, str(exc), {"Retry-After": "1"})
     if isinstance(exc, ServeError):
@@ -290,6 +292,7 @@ def matrix_from_body(body: dict) -> COOMatrix:
 
 
 __all__ = [
+    "MAX_BODY_BYTES",
     "PROMETHEUS_CONTENT_TYPE",
     "Request",
     "Response",

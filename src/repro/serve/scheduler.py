@@ -94,7 +94,7 @@ class BatchScheduler:
         self.max_queue = max_queue
         self.slo = slo
         self.watchdog = watchdog
-        #: Optional :class:`~repro.autoplan.online.OnlineTuner` attached
+        #: Optional :class:`~repro.serve.tuner.OnlineTuner` attached
         #: by the serve client; fed one call per executed batch.
         self.online_tuner = None
         self._cv = threading.Condition()

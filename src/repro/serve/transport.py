@@ -1,135 +1,34 @@
-"""Stdlib HTTP transport for the SpMV service.
+"""Single-host HTTP service: one :class:`ServeClient` on one port.
 
-The other half of the PR-9 split: this module owns connections and
-HTTP framing (one thread per connection via ``ThreadingHTTPServer``);
-every decoded request is handed to :class:`repro.serve.routes.Router`,
-which owns routing and error mapping. The selectors-based async front
-end (:mod:`repro.cluster.aserver`) drives the very same router from an
-event loop instead.
-
-Request-size discipline: ``Content-Length`` is validated *before* the
-body is read. An oversized declared length is answered ``413 Payload
-Too Large`` with nothing consumed from the socket (the connection is
-closed, so an attacker streaming a huge body never balloons this
-process's RSS), and a missing/invalid length on POST is a ``400``.
-
-Shutdown via :func:`stop_server` (or the CLI's Ctrl-C handler) stops
-accepting, then drains in-flight batches before returning.
+There is one network front end in the tree — the selectors loop in
+:mod:`repro.cluster.aserver`, which owns HTTP framing and the body
+bound (:data:`MAX_BODY_BYTES`). A single-host server is simply what a
+cluster node already is, so :func:`start_server` starts one.
 """
 
 from __future__ import annotations
 
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 from .client import ServeClient
-from .routes import Request, Response, Router
-
-#: Hard bound on a declared request body. Checked against
-#: ``Content-Length`` before any byte of the body is read.
-MAX_BODY_BYTES = 256 * 2**20
+from .routes import MAX_BODY_BYTES
 
 
-class ServeHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one :class:`ServeClient`."""
-
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], client: ServeClient):
-        super().__init__(address, _Handler)
-        self.client = client
-        self.router = Router(client)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    # Quiet: the service reports through metrics/traces, not stderr.
-    def log_message(self, fmt, *args) -> None:  # noqa: A003
-        pass
-
-    @property
-    def router(self) -> Router:
-        return self.server.router  # type: ignore[attr-defined]
-
-    def _write(self, resp: Response) -> None:
-        self.send_response(resp.status)
-        self.send_header("Content-Type", resp.content_type)
-        self.send_header("Content-Length", str(len(resp.body)))
-        for k, v in resp.headers.items():
-            self.send_header(k, v)
-        self.end_headers()
-        self.wfile.write(resp.body)
-
-    def _read_body(self) -> bytes | None:
-        """Validate ``Content-Length`` *before* reading. Returns the
-        body, or ``None`` after an error response was already sent."""
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length > MAX_BODY_BYTES:
-            # Nothing was read: close the connection instead of
-            # draining (or worse, buffering) a body this large.
-            self.close_connection = True
-            self._write(Response.error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit",
-                {"Connection": "close"},
-            ))
-            return None
-        if length <= 0:
-            self._write(Response.error(
-                400, "missing or invalid Content-Length"))
-            return None
-        return self.rfile.read(length)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._write(self.router.handle(
-            Request("GET", self.path, dict(self.headers.items()))))
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        body = self._read_body()
-        if body is None:
-            return
-        self._write(self.router.handle(
-            Request("POST", self.path, dict(self.headers.items()),
-                    body)))
-
-
-# ----------------------------------------------------------------------
 def start_server(client: ServeClient, *, host: str = "127.0.0.1",
-                 port: int = 0) -> ServeHTTPServer:
-    """Bind and serve in a daemon thread; ``port=0`` picks a free port.
-    Returns the server (its ``.port`` is the bound port)."""
-    httpd = ServeHTTPServer((host, port), client)
-    thread = threading.Thread(
-        target=httpd.serve_forever, name="serve-http", daemon=True
-    )
-    thread.start()
-    httpd._serve_thread = thread  # type: ignore[attr-defined]
-    return httpd
+                 port: int = 0):
+    """Bind and serve on a background loop thread; ``port=0`` picks a
+    free port. Returns the started :class:`~repro.cluster.ClusterNode`
+    (its ``.port`` is the bound port, ``.client`` the service)."""
+    # Imported here: repro.cluster sits above repro.serve (its modules
+    # import serve.routes and serve.client at import time).
+    from ..cluster.node import start_node
+
+    return start_node(client, host=host, port=port)
 
 
-def stop_server(httpd: ServeHTTPServer, *, drain: bool = True) -> None:
+def stop_server(httpd, *, drain: bool = True) -> None:
     """Graceful stop: close the listener, then drain the service."""
-    httpd.shutdown()
-    httpd.server_close()
-    thread = getattr(httpd, "_serve_thread", None)
-    if thread is not None:
-        thread.join(timeout=5.0)
+    httpd.close()
     if drain:
         httpd.client.drain()
 
 
-__all__ = [
-    "MAX_BODY_BYTES",
-    "ServeHTTPServer",
-    "start_server",
-    "stop_server",
-]
+__all__ = ["MAX_BODY_BYTES", "start_server", "stop_server"]

@@ -3,7 +3,7 @@
 Plan-time tuning (the sweep, the predictor) decides from a cold start;
 this module closes the remaining gap: once a matrix is *hot* — enough
 batches have flowed through the scheduler — a background hill-climb
-times the entry's live executor (:mod:`repro.serve.executor`) against
+times the entry's live executor (:mod:`.executor`) against
 its neighbors and promotes a measurably better one through
 :meth:`~repro.serve.registry.MatrixRegistry.swap`, the same path the
 predicted-plan re-tune uses. Two knobs move:
@@ -43,7 +43,7 @@ from ..errors import ServeError
 from ..kernels.cbackend import CBackendUnavailable, c_backend_available
 from ..observe import metrics as _metrics
 from ..observe.trace import span as _span
-from ..serve.executor import InProcessExecutor, ThreadedExecutor
+from .executor import InProcessExecutor, ThreadedExecutor
 
 #: Flops per stored nonzero (one multiply + one add).
 _FLOPS_PER_NNZ = 2.0

@@ -21,8 +21,17 @@ Components
 * :mod:`repro.simulator.traffic` — per-plan memory traffic accounting.
 * :mod:`repro.simulator.executor` — bottleneck composition into a
   simulated runtime and effective Gflop/s.
+* :mod:`repro.simulator.bottleneck` — memory/compute/latency time
+  shares per simulation, aggregated into per-(machine, matrix) tables.
 """
 
+from .bottleneck import (
+    AttributionRecord,
+    BottleneckAttribution,
+    BottleneckShares,
+    attribute,
+    bottleneck_shares,
+)
 from .cache import CacheSim, simulate_access_stream
 from .cache_analytic import vector_traffic
 from .cpu import KernelCosts, kernel_cycles
@@ -33,13 +42,18 @@ from .tlb import tlb_misses
 from .traffic import BlockProfile, PlanProfile, profile_plan
 
 __all__ = [
+    "AttributionRecord",
     "BandwidthReport",
     "BlockProfile",
+    "BottleneckAttribution",
+    "BottleneckShares",
     "CacheSim",
     "KernelCosts",
     "PlanProfile",
     "SimResult",
     "TrafficBreakdown",
+    "attribute",
+    "bottleneck_shares",
     "kernel_cycles",
     "profile_plan",
     "simulate_access_stream",

@@ -16,8 +16,9 @@ is attributed to **memory** (DRAM-bandwidth-limited) or **latency**
 the bandwidth model's own bottleneck classification.
 
 This module is duck-typed over result objects (anything with
-``compute_time_s``, ``memory_time_s``, ``bottleneck``, ... attributes)
-so it has no import dependency on the simulator.
+``compute_time_s``, ``memory_time_s``, ``bottleneck``, ... attributes).
+The *live* counterpart — achieved GFLOP/s against this host's measured
+roofline — is :mod:`repro.observe.perf.attribution`.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from .._util import VALUE_BYTES
 from ..errors import SimulationError
 from ..machines.model import Machine, PlacementPolicy
 from ..observe import metrics as _metrics
-from ..observe.attribution import bottleneck_shares
+from .bottleneck import bottleneck_shares
 from ..observe.trace import span as _span
 from .cpu import KernelVariant, kernel_cycles, optimized_variant
 from .events import SimResult

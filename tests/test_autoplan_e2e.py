@@ -10,6 +10,9 @@ registration.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -68,6 +71,20 @@ def trained_planner(tmp_path_factory):
     train_model(samples, k=3).save(planner.model_path)
     planner.reload()
     return planner
+
+
+def test_autoplan_does_not_import_serve():
+    """Layering: serve builds on autoplan (the planner, the corpus
+    tap), never the reverse — the online tuner, which acts through
+    ``MatrixRegistry.swap``, lives in ``repro.serve.tuner``."""
+    code = ("import sys, repro.autoplan; "
+            "print([m for m in sys.modules "
+            "if m.startswith('repro.serve')])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestPredictPath:

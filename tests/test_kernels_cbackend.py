@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-import warnings
-
 import numpy as np
 import pytest
 
@@ -12,8 +9,6 @@ from repro.errors import KernelError
 from repro.formats import COOMatrix, IndexWidth, coo_to_csr, to_bcoo, to_bcsr
 from repro.kernels import (
     BACKENDS,
-    available_kernels,
-    get_kernel,
     resolve_backend,
     spmm_backend,
     spmv_backend,
@@ -318,63 +313,3 @@ class TestThreaded:
         with pytest.raises(PartitionError):
             threaded_spmv(csr, np.ones(100), n_threads=3,
                           partition=part, min_nnz_per_thread=1)
-
-
-# ----------------------------------------------------------------------
-# Kernel names for the two backends (the deprecated alias is removed)
-# ----------------------------------------------------------------------
-class TestDeprecatedAlias:
-    def test_new_name_registered(self):
-        names = available_kernels()
-        assert "format_numpy" in names
-
-    def test_new_name_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            get_kernel("format_numpy")
-
-    @needs_cc
-    def test_format_c_kernel_registered(self):
-        coo = random_coo(30, 30, 0.1, seed=21)
-        csr = coo_to_csr(coo)
-        x = np.random.default_rng(22).standard_normal(30)
-        _assert_parity(get_kernel("format_c")(csr, x),
-                       spmv_reference(coo, x))
-
-
-# ----------------------------------------------------------------------
-# Satellite: generator cache thread-safety regression
-# ----------------------------------------------------------------------
-class TestGeneratorCacheThreadSafety:
-    def test_concurrent_compile_and_insert(self):
-        from repro.kernels import generator
-
-        with generator._CACHE_LOCK:
-            generator._CACHE.clear()
-        n_threads = 16
-        barrier = threading.Barrier(n_threads)
-        results: list = [None] * n_threads
-        errors: list = []
-
-        def worker(i: int) -> None:
-            try:
-                barrier.wait()
-                # Every thread races the same small variant set, so the
-                # unlocked check-compile-insert would interleave.
-                results[i] = generator.get_generated_kernel(
-                    "bcsr", 1 + i % 2, 1 + i % 3
-                )
-            except Exception as exc:  # pragma: no cover - regression
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        for i in range(n_threads):
-            assert results[i] is generator.get_generated_kernel(
-                "bcsr", 1 + i % 2, 1 + i % 3
-            )

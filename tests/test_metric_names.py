@@ -67,7 +67,7 @@ DOCUMENTED = {
     # learned plan selection (autoplan/, fed by registry.register)
     "autoplan.predictions": "counter",
     "autoplan.registration_seconds": "histogram",
-    # online autotuning (autoplan/online.py, fed by the scheduler)
+    # online autotuning (serve/tuner.py, fed by the scheduler)
     "autoplan.online_promotions": "counter",
     # kernel dispatch (kernels/registry.py + cbackend/loader.py):
     # every spmv/spmm records which ISA variant actually ran
@@ -143,7 +143,7 @@ def smoke_registry():
         # precedent as serve.rejected above). Works with or without a
         # compiler — a no-better-candidate verdict still counts under
         # outcome="kept".
-        from repro.autoplan.online import OnlineTuner
+        from repro.serve.tuner import OnlineTuner
         from repro.machines.registry import get_machine
         from repro.serve.registry import MatrixRegistry
 

@@ -9,17 +9,16 @@ import pytest
 from repro.core import OptimizationLevel, SpmvEngine
 from repro.machines import get_machine
 from repro.matrices import generate
-from repro.observe import (
-    BottleneckAttribution,
-    NULL_SPAN,
-    Tracer,
-    attribute,
-    bottleneck_shares,
-)
+from repro.observe import NULL_SPAN, Tracer
 from repro.observe import metrics as metrics_mod
 from repro.observe import trace as trace_mod
 from repro.observe.metrics import MetricsRegistry, get_registry
 from repro.observe.trace import read_trace
+from repro.simulator import (
+    BottleneckAttribution,
+    attribute,
+    bottleneck_shares,
+)
 
 
 @pytest.fixture(autouse=True)

@@ -36,7 +36,10 @@ class TestThresholdRouting:
         """The loser of a registration race must not close the shard
         record it shares (by fingerprint) with the admitted entry."""
         coo = random_coo(100, 100, 0.05, seed=39)
+        before = get_registry().counter("serve.matrices_sharded")
         got = register_racing(client.registry, coo)
+        assert get_registry().counter("serve.matrices_sharded") \
+            == before + 1          # the admitted entry, not the losers
         assert len(client.registry) == 1
         assert all(e is got[0] for e in got)
         assert client.registry.total_bytes == got[0].footprint_bytes

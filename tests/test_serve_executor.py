@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.autoplan.online import OnlineTuner
+from repro.serve.tuner import OnlineTuner
 from repro.dist import ShardGroup
 from repro.errors import ServeError
 from repro.formats import COOMatrix, coo_to_csr, to_bcsr

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ServeError
 from repro.machines import get_machine
 from repro.observe.metrics import get_registry
-from repro.serve import MatrixRegistry
+from repro.serve import MatrixRegistry, PlanCache
 from tests.conftest import random_coo, register_racing
 
 
@@ -73,6 +73,22 @@ class TestRegister:
         assert len(r) == 1
         assert all(e is got[0] for e in got)
         assert r.total_bytes == got[0].footprint_bytes
+
+    def test_concurrent_register_with_plan_cache(self, machine, tmp_path):
+        """Regression: every racer stores the plan it tuned, and the
+        envelope used to be staged at one fixed ``<fp>.json.tmp`` — the
+        second ``os.replace`` found the file gone and ``register()``
+        raised ``FileNotFoundError``."""
+        r = MatrixRegistry(machine, n_threads=1,
+                           plan_cache=PlanCache(tmp_path))
+        coo = random_coo(120, 120, 0.05, seed=21)
+        got = register_racing(r, coo, n=8)
+        assert all(e is got[0] for e in got)   # None if a racer raised
+        assert [p.name for p in tmp_path.glob("*/*")] \
+            == [f"{got[0].fingerprint}.json"]  # no staging file left
+        warm = MatrixRegistry(machine, n_threads=1,
+                              plan_cache=PlanCache(tmp_path))
+        assert warm.register(coo).from_plan_cache
 
     def test_unknown_fingerprint(self, machine):
         r = MatrixRegistry(machine)

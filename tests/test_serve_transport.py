@@ -1,15 +1,19 @@
-"""Transport-layer contracts after the server split.
+"""HTTP framing contracts of the front end behind ``start_server``.
 
-The satellite fix under test: an oversized ``Content-Length`` must be
-rejected with 413 *before* the body is read — the old handler slurped
-``rfile.read()`` first and size-checked after, so a hostile client
-could make the server buffer an arbitrary body.
+An oversized ``Content-Length`` must be rejected with 413 *before* the
+body is read, so a hostile client cannot make the server buffer an
+arbitrary body; header names are case-insensitive; and a client that
+sent ``Expect: 100-continue`` is told to go ahead instead of being left
+to its expect timeout (1 s in curl, which sends the header on its own
+for bodies over 1 MB).
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +89,80 @@ def test_normal_request_still_works(served, rng):
     y = np.asarray(json.loads(resp.read())["y"])
     assert np.array_equal(y, served.client.spmv(fp, x))
     conn.close()
+
+
+def _spmv_body(served, rng, seed):
+    coo = random_coo(20, 20, 0.15, seed=seed)
+    fp = served.client.register(coo).fingerprint
+    x = rng.standard_normal(20)
+    body = json.dumps({"fingerprint": fp, "x": x.tolist()}).encode()
+    return body, served.client.spmv(fp, x)
+
+
+def _read_response(sock) -> tuple[bytes, bytes]:
+    """Read one response off a raw socket: (head, body)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-head: {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            while len(body) < int(value):
+                chunk = sock.recv(65536)
+                assert chunk, "connection closed mid-body"
+                body += chunk
+    return head, body
+
+
+def test_expect_100_continue_is_answered_before_the_body(served, rng):
+    body, expected = _spmv_body(served, rng, seed=23)
+    with socket.create_connection(("127.0.0.1", served.port),
+                                  timeout=5) as sock:
+        t0 = time.perf_counter()
+        sock.sendall(b"POST /v1/spmv HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: %d\r\n"
+                     b"Expect: 100-continue\r\n\r\n" % len(body))
+        # The body is held back, as curl does: only the interim
+        # response can release it.
+        interim, rest = _read_response(sock)
+        assert time.perf_counter() - t0 < 0.2
+        assert interim == b"HTTP/1.1 100 Continue" and rest == b""
+        sock.sendall(body)
+        head, payload = _read_response(sock)
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert np.array_equal(np.asarray(json.loads(payload)["y"]), expected)
+
+
+def test_expect_with_oversized_length_gets_413_and_no_100(served):
+    with socket.create_connection(("127.0.0.1", served.port),
+                                  timeout=5) as sock:
+        sock.sendall(b"POST /v1/spmv HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: %d\r\n"
+                     b"Expect: 100-continue\r\n\r\n"
+                     % (MAX_BODY_BYTES + 1))
+        data = b""
+        while chunk := sock.recv(65536):   # server closes after 413
+            data += chunk
+    assert data.startswith(b"HTTP/1.1 413 ")
+    assert b"100 Continue" not in data
+
+
+def test_lowercase_header_names(served, rng):
+    """What most non-Python HTTP stacks (and HTTP/2 gateways) emit."""
+    body, expected = _spmv_body(served, rng, seed=24)
+    with socket.create_connection(("127.0.0.1", served.port),
+                                  timeout=5) as sock:
+        sock.sendall(b"POST /v1/spmv HTTP/1.1\r\nhost: t\r\n"
+                     b"content-type: application/json\r\n"
+                     b"content-length: %d\r\n"
+                     b"connection: close\r\n\r\n" % len(body) + body)
+        head, payload = _read_response(sock)
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert b"Connection: close" in head
+    assert np.array_equal(np.asarray(json.loads(payload)["y"]), expected)
 
 
 def test_debug_spans_route(served, rng):
