@@ -221,9 +221,9 @@ def _short_row_snapshot(iters: int) -> dict:
     """SELL-C-σ (best ISA, full-σ sort) vs *scalar* compiled CSR on the
     short-row case — the v2 format's raison d'être."""
     from repro.formats import to_sellcs
-    from repro.kernels.cbackend.dispatch import _spmv_c_format
     from repro.kernels.cbackend.loader import get_best_c_kernel, \
         get_c_kernel
+    from repro.kernels.cbackend.program import BoundProgram
     from repro.kernels.reference import spmv_reference
 
     coo = generate(SHORT_ROW_CASE, scale=SCALE, seed=0)
@@ -238,13 +238,12 @@ def _short_row_snapshot(iters: int) -> dict:
     k_scalar = get_c_kernel("csr", 1, 1, csr.index_width, isa="scalar")
     k_sell = get_best_c_kernel("sellcs", SELLCS_CHUNK, 1,
                                sell.index_width)
-    t_csr = _clock(
-        lambda: _spmv_c_format(csr, x, np.zeros(coo.nrows), k_scalar),
-        iters)
-    t_sell = _clock(
-        lambda: _spmv_c_format(sell, x, np.zeros(coo.nrows), k_sell),
-        iters)
-    got = _spmv_c_format(sell, x, np.zeros(coo.nrows), k_sell)
+    # Pinned rungs, not the raced best: scalar CSR is the baseline.
+    p_csr = BoundProgram(csr, lambda leaf: k_scalar)
+    p_sell = BoundProgram(sell, lambda leaf: k_sell)
+    t_csr = _clock(lambda: p_csr.spmv(x, np.zeros(coo.nrows)), iters)
+    t_sell = _clock(lambda: p_sell.spmv(x, np.zeros(coo.nrows)), iters)
+    got = p_sell.spmv(x, np.zeros(coo.nrows))
     assert np.all(np.abs(got - expected) <= bound), \
         "compiled SELL-C-σ kernel diverged from spmv_reference"
     return {

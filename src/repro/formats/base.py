@@ -136,6 +136,14 @@ class SparseFormat(ABC):
                 raise ValueError("y must be float64 to accumulate in place")
         return x, y
 
+    def __getstate__(self) -> dict:
+        # The C backend caches its bound program (ctypes pointers,
+        # meaningful in this process only) on the matrix; a copy or a
+        # pickle re-binds on its own first compiled call.
+        state = self.__dict__.copy()
+        state.pop("_c_program", None)
+        return state
+
     def toarray(self) -> np.ndarray:
         """Densify (small matrices / tests only)."""
         return self.to_coo().toarray()

@@ -26,18 +26,26 @@ scalar is the guaranteed floor (and the only candidate under
 from __future__ import annotations
 
 import ctypes
+import os
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from ...errors import KernelError
 from ...formats.base import IndexWidth
+from ...formats.convert import coo_to_csr, to_bcoo, to_bcsr
+from ...formats.coo import COOMatrix
+from ...formats.sellcs import to_sellcs
 from ...observe import metrics as _metrics
+from ..reference import spmv_reference
+from . import build
 from .build import CBackendUnavailable, build_variant, \
     compiler_capabilities
 from .codegen import ISA_PREFERENCE, Variant
+from .program import BoundProgram
 
 #: Probe-validation tolerance (matches the test-suite parity bound).
 VALIDATION_RTOL = 1e-12
@@ -47,6 +55,8 @@ _loaded: dict[Variant, "CKernel"] = {}
 _broken: dict[Variant, str] = {}
 #: (fmt, r, c, width) -> best-ISA kernel resolved for this process.
 _best: dict[tuple, "CKernel"] = {}
+#: Bumped by :func:`reset_for_tests`; part of :func:`bind_token`.
+_generation = 0
 
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
@@ -92,10 +102,8 @@ def _bind(variant: Variant, path: str) -> CKernel:
     return CKernel(variant=variant, spmv=spmv, spmm=spmm, path=path)
 
 
-def _probe_matrix(variant: Variant, seed: int):
+def _probe_matrix(seed: int) -> COOMatrix:
     """Random COO probe with empty rows and at least one dense-ish row."""
-    from ...formats.coo import COOMatrix
-
     rng = np.random.default_rng(seed)
     m, n = 23, 19
     nnz = 60
@@ -106,34 +114,43 @@ def _probe_matrix(variant: Variant, seed: int):
     return COOMatrix((m, n), row, col, val)
 
 
+def _probe_seed(variant: Variant) -> int:
+    """The variant's validation seed: the same in every process (a
+    ``hash()`` of a str is salted per process), so a validation
+    failure can be reproduced from the variant name alone."""
+    return zlib.crc32(variant.name.encode()) % (2 ** 31)
+
+
+def _in_format(coo: COOMatrix, fmt: str, r: int, c: int,
+               index_width: IndexWidth, sigma: int | None = None):
+    """``coo`` converted to the storage a ``(fmt, r, c)`` variant runs."""
+    if fmt == "csr":
+        return coo_to_csr(coo, index_width=index_width)
+    if fmt == "sellcs":
+        return to_sellcs(coo, chunk=r, sigma=sigma,
+                         index_width=index_width)
+    conv = to_bcsr if fmt == "bcsr" else to_bcoo
+    return conv(coo, r, c, index_width=index_width)
+
+
+def _pinned(matrix, kernel: CKernel) -> BoundProgram:
+    """``matrix`` bound to exactly ``kernel``, whatever the race said."""
+    return BoundProgram(matrix, lambda leaf: kernel)
+
+
 def _validate(variant: Variant, kernel: CKernel) -> None:
     """Compare the compiled kernel with the trusted reference."""
-    from ...formats.convert import coo_to_csr, to_bcoo, to_bcsr
-    from ...formats.sellcs import to_sellcs
-    from ..reference import spmv_reference
-    from .dispatch import _spmv_c_format
-
-    seed = abs(hash((variant.fmt, variant.r, variant.c,
-                     int(variant.index_width), variant.isa))) % (2 ** 31)
-    coo = _probe_matrix(variant, seed)
-    if variant.fmt == "csr":
-        mat = coo_to_csr(coo, index_width=variant.index_width)
-    elif variant.fmt == "bcsr":
-        mat = to_bcsr(coo, variant.r, variant.c,
-                      index_width=variant.index_width)
-    elif variant.fmt == "sellcs":
-        # σ = nrows: full sort, so the probe exercises a non-trivial
-        # permutation round-trip through the scatter.
-        mat = to_sellcs(coo, chunk=variant.r, sigma=coo.nrows,
-                        index_width=variant.index_width)
-    else:
-        mat = to_bcoo(coo, variant.r, variant.c,
-                      index_width=variant.index_width)
+    seed = _probe_seed(variant)
+    coo = _probe_matrix(seed)
+    # sellcs: σ = nrows is a full sort, so the probe exercises a
+    # non-trivial permutation round-trip through the scatter.
+    mat = _in_format(coo, variant.fmt, variant.r, variant.c,
+                     variant.index_width, sigma=coo.nrows)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal(coo.ncols)
     y0 = rng.standard_normal(coo.nrows)
     expected = spmv_reference(coo, x, y0.copy())
-    got = _spmv_c_format(mat, np.ascontiguousarray(x), y0.copy(), kernel)
+    got = _pinned(mat, kernel).spmv(x, y0.copy())
     err = np.abs(got - expected)
     bound = VALIDATION_RTOL * np.maximum(np.abs(expected), 1.0)
     if not np.all(err <= bound):
@@ -186,10 +203,6 @@ _RACE_REPS = 5
 
 def _race_matrix(fmt: str, r: int, c: int, index_width: IndexWidth):
     """Deterministic mid-size matrix in the candidate's own format."""
-    from ...formats.convert import coo_to_csr, to_bcoo, to_bcsr
-    from ...formats.coo import COOMatrix
-    from ...formats.sellcs import to_sellcs
-
     rng = np.random.default_rng(0x5EED)
     m = n = _RACE_ROWS                 # fits 16-bit indices
     coo = COOMatrix(
@@ -197,31 +210,24 @@ def _race_matrix(fmt: str, r: int, c: int, index_width: IndexWidth):
         rng.integers(0, n, _RACE_NNZ),
         rng.standard_normal(_RACE_NNZ),
     )
-    if fmt == "csr":
-        return coo_to_csr(coo, index_width=index_width)
-    if fmt == "sellcs":
-        return to_sellcs(coo, chunk=r, index_width=index_width)
-    if fmt == "bcsr":
-        return to_bcsr(coo, r, c, index_width=index_width)
-    return to_bcoo(coo, r, c, index_width=index_width)
+    return _in_format(coo, fmt, r, c, index_width)
 
 
 def _race(candidates: list[CKernel], fmt: str, r: int, c: int,
           index_width: IndexWidth) -> CKernel:
     """Fastest candidate on the probe matrix (best-of-N timing)."""
-    from .dispatch import _spmv_c_format
-
     mat = _race_matrix(fmt, r, c, index_width)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(mat.ncols)
     y = np.zeros(mat.nrows)
     best_kernel, best_t = candidates[0], float("inf")
     for kernel in candidates:
-        _spmv_c_format(mat, x, y, kernel)          # warm code + data
+        program = _pinned(mat, kernel)
+        program.spmv(x, y)                         # warm code + data
         t = float("inf")
         for _ in range(_RACE_REPS):
             t0 = time.perf_counter()
-            _spmv_c_format(mat, x, y, kernel)
+            program.spmv(x, y)
             t = min(t, time.perf_counter() - t0)
         _metrics.gauge("c_backend.race_seconds", t,
                        variant=kernel.variant.name)
@@ -278,11 +284,22 @@ def loaded_variants() -> list[Variant]:
         return sorted(_loaded, key=lambda v: v.name)
 
 
+def bind_token() -> tuple:
+    """What a bound program's kernel choices depend on: the loader
+    generation and the three environment knobs that decide whether and
+    which kernels build. A program bound under a different token is
+    stale."""
+    env = os.environ.get
+    return (_generation, env("REPRO_DISABLE_CC"), env("REPRO_CC"),
+            env("REPRO_CC_CAPS"))
+
+
 def reset_for_tests() -> None:
     """Drop in-process kernel state (tests toggling env knobs)."""
-    from . import build
+    global _generation
 
     with _lock:
+        _generation += 1
         _loaded.clear()
         _broken.clear()
         _best.clear()

@@ -25,6 +25,9 @@ import numpy as np
 
 from ..errors import PartitionError
 from ..formats.csr import CSRMatrix
+from ..formats.multivector import spmm as _np_spmm
+from ..kernels.cbackend.build import CBackendUnavailable
+from ..kernels.cbackend.dispatch import program_for
 from ..observe import context as _context
 from ..observe import metrics as _metrics
 from ..observe import trace as _trace
@@ -116,31 +119,29 @@ def _threaded(csr: CSRMatrix, x: np.ndarray, y: np.ndarray,
     validated): ``k is None`` is SpMV on vectors, otherwise the
     ``k``-wide fused SpMM on ``(n, k)`` blocks. With one slab or no
     compiler it runs the serial NumPy kernel instead."""
-    from ..formats.multivector import spmm as _np_spmm
-    from ..kernels.cbackend.dispatch import _kernel_for
-    from ..kernels.cbackend.build import compiler_available
-
     name = "threaded.spmv" if k is None else "threaded.spmm"
     width = {} if k is None else {"k": k}
     n = _plan_threads(csr, n_threads, min_nnz_per_thread)
-    kernel = None
-    if n > 1 and compiler_available():
-        kernel = _kernel_for(csr)
-    if kernel is None or n <= 1:
+    leaf = None
+    if n > 1:
+        try:
+            leaf = program_for(csr).leaves[0]
+        except CBackendUnavailable:
+            pass
+    if leaf is None:
         _metrics.inc("threaded.serial_fallbacks")
         with _span(name, threads=1, nnz=csr.nnz_stored):
             return csr.spmv(x, y) if k is None else _np_spmm(csr, x, y)
     part = _resolve_partition(csr, partition, n)
     xc = np.ascontiguousarray(x)
     yc = y if y.flags.c_contiguous else np.ascontiguousarray(y)
-    args = (csr.indptr.ctypes.data, csr.indices.ctypes.data,
-            csr.data.ctypes.data, xc.ctypes.data, yc.ctypes.data)
+    x_addr, y_addr = xc.ctypes.data, yc.ctypes.data
 
     def run_one(r0: int, r1: int) -> None:
         if k is None:
-            kernel.spmv(*args, r0, r1)
+            leaf.spmv(x_addr, y_addr, r0, r1)
         else:
-            kernel.spmm(*args, r0, r1, k)
+            leaf.spmm(x_addr, y_addr, k, r0, r1)
 
     with _span(name, threads=n, nnz=csr.nnz_stored, **width) as s:
         t0 = time.perf_counter()

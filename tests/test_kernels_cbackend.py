@@ -139,6 +139,17 @@ class TestBuildPipeline:
         with pytest.raises(KernelError):
             Variant("gcsr", 1, 1, IndexWidth.I32)
 
+    def test_probe_seed_is_the_same_in_every_process(self):
+        """crc32 of the variant name, not the per-process-salted
+        ``hash()``: a validation failure reproduces from the name."""
+        from repro.kernels.cbackend.loader import _probe_seed
+
+        assert _probe_seed(Variant("csr", 1, 1, IndexWidth.I32)) \
+            == 1886133984
+        assert _probe_seed(
+            Variant("bcoo", 2, 2, IndexWidth.I16, "prefetch")
+        ) == 1781058254
+
     @needs_cc
     def test_object_cached_on_disk(self):
         import os
