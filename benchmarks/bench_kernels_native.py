@@ -6,7 +6,7 @@ pytest-benchmark: format comparison, index widths, the segmented scan,
 and the compiled C backend vs NumPy.
 
 Run directly (``python benchmarks/bench_kernels_native.py --json
-BENCH_5.json``) for the CI perf snapshot: a NumPy-vs-C comparison on
+BENCH_10.json``) for the CI perf snapshot: a NumPy-vs-C comparison on
 the FEM-Cant case with a parity check against ``spmv_reference`` and
 an optional ``--min-speedup`` gate.
 """
@@ -167,8 +167,8 @@ SELLCS_CHUNK = 8
 
 
 def _snapshot(iters: int) -> dict:
-    """Time NumPy vs compiled SpMV on the FEM-Cant case (CSR for the
-    BENCH_8-comparable figure, plus the tuned register-blocked config)
+    """Time NumPy vs compiled SpMV on the FEM-Cant case (plain CSR,
+    plus the tuned register-blocked config)
     and the short-row SELL-C-σ-vs-scalar-CSR comparison, verifying
     every compiled result against the per-entry reference kernel."""
     from repro.kernels.reference import spmv_reference

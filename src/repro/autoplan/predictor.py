@@ -142,14 +142,11 @@ def plan_with_autoplan(
     mode: str = "auto",
     planner: AutoPlanner | None = None,
 ) -> PlanOutcome:
-    """Produce a plan via predict-first (``auto``), prediction-only
-    confidence gating (``predict``), or the full sweep (``tune``).
-
-    ``predict`` differs from ``auto`` only in intent: both fall back
-    to the sweep when no confident prediction exists, because a plan
-    must always be produced.
+    """Produce a plan predict-first (``auto``: the sweep runs only
+    when no confident prediction exists, because a plan must always be
+    produced) or by the full sweep (``tune``).
     """
-    if mode not in ("auto", "predict", "tune"):
+    if mode not in ("auto", "tune"):
         raise ValueError(f"unknown autoplan mode: {mode!r}")
 
     features: FeatureVector | None = None
@@ -161,7 +158,7 @@ def plan_with_autoplan(
     except Exception:
         metrics.inc("autoplan.predict_errors")
         fallback_reason = "feature_error"
-    if mode in ("auto", "predict"):
+    if mode == "auto":
         if features is not None and planner is not None:
             try:
                 pred = planner.predict(features)

@@ -21,14 +21,10 @@ plan-cache          Inspect, clear, or export the on-disk tuned-plan
 autoplan            Learned plan selection: ``train`` a model from a
                     corpus, ``predict`` a plan for one matrix, or
                     print the stratified-holdout accuracy ``report``.
-dist-bench          Shards × matrix sweep over the sharded-execution
-                    tier (per-shard imbalance, effective GFLOP/s).
-cluster             Multi-node serving tier: run a ``node`` (binary
-                    wire + HTTP on one port), a ``router``
-                    (consistent-hash placement, replica failover), or
-                    the JSON-vs-binary ``bench``.
-bench MATRIX        Wall-clock SpMV: NumPy vs the compiled C backend
-                    (and the threaded C path) on one matrix.
+cluster             Multi-node serving tier: run a ``node`` (``serve``
+                    under the cluster's defaults: binary wire + HTTP
+                    on one free port) or a ``router`` (consistent-hash
+                    placement, replica failover).
 kernels             List compiled C kernel variants and cache status.
 
 Every command accepts ``--trace FILE`` (JSONL spans, load with
@@ -45,6 +41,7 @@ from . import __version__
 from .analysis import format_table
 from .analysis.report import format_bar_chart
 from .core import OptimizationLevel, SpmvEngine
+from .errors import ClusterError
 from .machines import all_machines, get_machine, machine_names
 from .matrices import (
     compute_stats,
@@ -299,6 +296,8 @@ def _run_forever(banner: str, address: str, closer) -> int:
 
 
 def _cmd_serve(args) -> int:
+    """``repro serve`` and ``repro cluster node``: one service on one
+    port; only the ``--port`` default and the banner differ."""
     from .serve import ServeClient, start_server, stop_server
 
     client = ServeClient(
@@ -329,50 +328,21 @@ def _cmd_serve(args) -> int:
         stop_server(httpd)
         client.close()
 
-    return _run_forever(
-        f"serving SpMV for {args.machine!r} at "
-        f"http://{args.host}:{httpd.port} "
-        f"(plan cache: {args.plan_cache or 'off'}; Ctrl-C drains)",
-        httpd.address, _close)
+    if args.command == "cluster":
+        banner = f"cluster node at {httpd.address} (Ctrl-C stops)"
+    else:
+        banner = (f"serving SpMV for {args.machine!r} at "
+                  f"http://{args.host}:{httpd.port} "
+                  f"(plan cache: {args.plan_cache or 'off'}; "
+                  f"Ctrl-C drains)")
+    return _run_forever(banner, httpd.address, _close)
 
 
 def _cmd_cluster(args) -> int:
-    """Multi-node serving: run a node, a router, or the wire bench."""
-    if args.action == "bench":
-        from .cluster.bench import format_report, run_wire_bench
-
-        report = run_wire_bench(n=args.n, iters=args.iters,
-                                seed=args.seed, machine=args.machine)
-        print(format_report(report))
-        return 0
-
+    """Multi-node serving: run a node or a router."""
     if args.action == "node":
-        from .cluster import start_node
-        from .serve import ServeClient
+        return _cmd_serve(args)
 
-        client = ServeClient(
-            machine=args.machine,
-            n_threads=args.threads,
-            plan_cache_dir=args.plan_cache,
-            max_batch=args.max_batch,
-            max_queue=args.max_queue,
-            shards=args.shards,
-            shard_threshold_bytes=int(args.shard_threshold_mb * 1e6),
-            backend=args.backend,
-            trace_sample_rate=args.trace_sample_rate,
-            slo_ms=args.slo_ms,
-        )
-        node = start_node(client, host=args.host, port=args.port)
-
-        def _close() -> None:
-            node.close()
-            client.close()
-
-        return _run_forever(
-            f"cluster node at {node.address} (Ctrl-C stops)",
-            node.address, _close)
-
-    # router
     from .cluster import start_router
     from .dist.fault import RetryPolicy
 
@@ -422,15 +392,14 @@ def _cmd_perf(args) -> int:
         return 0
 
     if args.action == "report":
-        from urllib.error import HTTPError, URLError
-        from urllib.request import urlopen
+        from .cluster.client import http_fetch
 
         url = args.url.rstrip("/") + "/v1/debug/perf"
         try:
-            with urlopen(url, timeout=args.timeout) as resp:
-                report = _json.loads(resp.read())
-        except (HTTPError, URLError, OSError) as exc:
-            print(f"error: cannot fetch {url}: {exc}", file=sys.stderr)
+            report = http_fetch(url, timeout_s=args.timeout)
+        except ClusterError as exc:
+            print(f"error: cannot fetch {url}: {exc.__cause__}",
+                  file=sys.stderr)
             return 1
         if args.json:
             print(_json.dumps(report, indent=2))
@@ -502,8 +471,8 @@ def _cmd_trace(args) -> int:
     """Fetch and render a merged span tree (or the slow-request list)
     from a running ``repro serve`` instance."""
     import json as _json
-    from urllib.error import HTTPError, URLError
-    from urllib.request import urlopen
+
+    from .cluster.client import http_fetch
 
     base = args.url.rstrip("/")
     if args.slow:
@@ -514,14 +483,9 @@ def _cmd_trace(args) -> int:
         print("need a TRACE_ID (or --slow)", file=sys.stderr)
         return 2
     try:
-        with urlopen(url, timeout=args.timeout) as resp:
-            body = _json.load(resp)
-    except HTTPError as exc:
-        detail = exc.read().decode(errors="replace")
-        print(f"server answered {exc.code}: {detail}", file=sys.stderr)
-        return 1
-    except (URLError, OSError, ValueError) as exc:
-        print(f"cannot reach {url}: {exc}", file=sys.stderr)
+        body = http_fetch(url, timeout_s=args.timeout, who="server")
+    except ClusterError as exc:
+        print(exc, file=sys.stderr)
         return 1
     if args.json:
         print(_json.dumps(body, indent=2))
@@ -546,119 +510,6 @@ def _cmd_trace(args) -> int:
     print(f"trace {body.get('trace_id', args.trace_id)}")
     for line in _render_span_tree(spans):
         print(line)
-    return 0
-
-
-def _cmd_dist_bench(args) -> int:
-    """Shards × matrix sweep over the sharded-execution tier.
-
-    For each (matrix, shard count) pair: build a shard group, register
-    (one-time slab ship), then time repeated SpMV dispatches. Reported
-    imbalance is the nnz max/mean of the static partition — the
-    quantity the paper's balanced decomposition minimizes; effective
-    GFLOP/s uses the paper's ``2·nnz`` flops per multiply.
-    """
-    import time as _time
-
-    import numpy as np
-
-    from .dist import ShardGroup
-    from .parallel import partition_cols_balanced, partition_rows_balanced
-
-    try:
-        shard_counts = [int(s) for s in args.shards.split(",")]
-    except ValueError:
-        print(f"bad --shards list {args.shards!r} "
-              f"(expected e.g. 1,2,4)", file=sys.stderr)
-        return 2
-    names = args.matrices or ["FEM-Har", "Epidem", "Circuit"]
-    part_fn = (partition_rows_balanced if args.path == "row"
-               else partition_cols_balanced)
-    rows = []
-    for name in names:
-        coo = generate(name, scale=args.scale, seed=args.seed)
-        rng = np.random.default_rng(args.seed)
-        x = rng.standard_normal(coo.ncols)
-        for n in shard_counts:
-            dim = coo.nrows if args.path == "row" else coo.ncols
-            n_eff = max(1, min(n, dim))
-            imbalance = (part_fn(coo, n_eff).imbalance
-                         if n_eff > 1 else 1.0)
-            with ShardGroup(n, partition=args.path,
-                            backend=args.backend) as g:
-                fp = g.register(coo)
-                g.spmv(fp, x)     # warm: fault paths, page faults
-                t0 = _time.perf_counter()
-                for _ in range(args.iters):
-                    g.spmv(fp, x)
-                per_call = (_time.perf_counter() - t0) / args.iters
-                mode = "serial" if g.serial else args.path
-            gflops = 2.0 * coo.nnz_logical / per_call / 1e9
-            rows.append([
-                name, n, mode, f"{imbalance:.3f}",
-                f"{per_call * 1e3:.3f}", f"{gflops:.3f}",
-            ])
-    print(format_table(
-        ["matrix", "shards", "mode", "imbalance", "ms/SpMV", "GFLOP/s"],
-        rows,
-        title=f"sharded SpMV sweep (scale {args.scale}, "
-              f"{args.iters} iters, {args.path} partition)",
-    ))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    """Wall-clock SpMV: NumPy kernels vs the compiled backend."""
-    import time as _time
-
-    import numpy as np
-
-    from .formats import coo_to_csr
-    from .kernels.cbackend import c_backend_available
-    from .kernels.registry import resolve_backend, spmv_backend
-
-    coo = _load_or_generate(args)
-    csr = coo_to_csr(coo)
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal(coo.ncols)
-
-    def clock(fn) -> float:
-        fn()                                   # warm
-        t0 = _time.perf_counter()
-        for _ in range(args.iters):
-            fn()
-        return (_time.perf_counter() - t0) / args.iters
-
-    backend = resolve_backend(args.backend)
-    rows = []
-    t_np = clock(lambda: csr.spmv(x))
-    rows.append(["numpy", f"{t_np * 1e3:.3f}",
-                 f"{2.0 * coo.nnz_logical / t_np / 1e9:.3f}", "1.00"])
-    if backend == "c":
-        t_c = clock(lambda: spmv_backend(csr, x, backend="c"))
-        rows.append(["c", f"{t_c * 1e3:.3f}",
-                     f"{2.0 * coo.nnz_logical / t_c / 1e9:.3f}",
-                     f"{t_np / t_c:.2f}"])
-        if args.threads and args.threads > 1:
-            from .parallel import threaded_spmv
-
-            t_t = clock(lambda: threaded_spmv(
-                csr, x, n_threads=args.threads
-            ))
-            rows.append([f"c-threaded[{args.threads}]",
-                         f"{t_t * 1e3:.3f}",
-                         f"{2.0 * coo.nnz_logical / t_t / 1e9:.3f}",
-                         f"{t_np / t_t:.2f}"])
-    elif args.backend != "numpy":
-        print("(no C compiler available — compiled rows skipped)",
-              file=sys.stderr)
-    print(format_table(
-        ["backend", "ms/SpMV", "GFLOP/s", "speedup"], rows,
-        title=f"{args.matrix} wall-clock SpMV "
-              f"({coo.nrows}x{coo.ncols}, {coo.nnz_logical:,} nnz, "
-              f"{args.iters} iters; compiler "
-              f"{'yes' if c_backend_available() else 'no'})",
-    ))
     return 0
 
 
@@ -869,6 +720,65 @@ def _cmd_autoplan(args) -> int:
     return 0
 
 
+def _add_server_flags(sp, *, port: int) -> None:
+    """The flags of ``repro serve`` and ``repro cluster node``."""
+    sp.add_argument("--host", default="127.0.0.1")
+    sp.add_argument("--port", type=int, default=port,
+                    help="0 picks a free port (printed on the READY "
+                         "line)")
+    sp.add_argument("--machine", default="AMD X2",
+                    choices=machine_names())
+    sp.add_argument("--threads", type=int, default=None,
+                    help="plan thread count (default: machine cores)")
+    sp.add_argument("--plan-cache", metavar="DIR", default=None,
+                    help="persist tuned plans under DIR")
+    sp.add_argument("--capacity-mb", type=float, default=None,
+                    help="registry footprint bound (LRU eviction)")
+    sp.add_argument("--max-batch", type=int, default=8,
+                    help="max requests coalesced into one SpMM")
+    sp.add_argument("--flush-deadline-ms", type=float, default=2.0,
+                    help="max wait before a partial batch dispatches")
+    sp.add_argument("--max-queue", type=int, default=1024,
+                    help="admission bound (full queue answers 429)")
+    sp.add_argument("--workers", type=int, default=None,
+                    help="worker threads (default: machine cores)")
+    sp.add_argument("--shards", type=int, default=None,
+                    help="back large matrices with N persistent "
+                         "shard worker processes")
+    sp.add_argument("--shard-threshold-mb", type=float, default=4.0,
+                    help="matrix footprint (MB) above which a "
+                         "registered matrix is sharded")
+    sp.add_argument("--backend", choices=["numpy", "c", "auto"],
+                    default="numpy",
+                    help="execution backend (c = runtime-compiled "
+                         "kernels; auto falls back to numpy without "
+                         "a compiler)")
+    sp.add_argument("--trace-sample-rate", type=float, default=0.0,
+                    help="fraction of requests recording full span "
+                         "trees (0 disables; outliers force-sample "
+                         "regardless)")
+    sp.add_argument("--slo-ms", type=float, default=None,
+                    help="explicit latency SLO; slower requests are "
+                         "sampled and listed at /v1/debug/slow")
+    sp.add_argument("--plan-mode",
+                    choices=["heuristic", "auto", "tune"],
+                    default="heuristic",
+                    help="cold-registration planning: heuristic "
+                         "(one-pass), auto (learned model, sweep "
+                         "fallback), tune (always sweep)")
+    sp.add_argument("--autoplan-dir", metavar="DIR", default=None,
+                    help="autoplan corpus + model directory "
+                         "(default: the --plan-cache dir)")
+    sp.add_argument("--perf-watch", action="store_true",
+                    help="roofline attribution + regression watchdog "
+                         "(measures host ceilings on first run, "
+                         "cached; see /v1/debug/perf)")
+    sp.add_argument("--profile-dir", metavar="DIR", default=None,
+                    help="opt-in stack sampling profiler: collapsed-"
+                         "stack .stacks files for the parent and each "
+                         "shard land in DIR (repro perf flame DIR)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Tracing flags are shared by every subcommand (argparse "global"
     # options placed before the subcommand do not survive subparser
@@ -935,60 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("serve", help="run the batched SpMV service",
                         parents=[common])
-    sp.add_argument("--host", default="127.0.0.1")
-    sp.add_argument("--port", type=int, default=8377,
-                    help="0 picks a free port")
-    sp.add_argument("--machine", default="AMD X2",
-                    choices=machine_names())
-    sp.add_argument("--threads", type=int, default=None,
-                    help="plan thread count (default: machine cores)")
-    sp.add_argument("--plan-cache", metavar="DIR", default=None,
-                    help="persist tuned plans under DIR")
-    sp.add_argument("--capacity-mb", type=float, default=None,
-                    help="registry footprint bound (LRU eviction)")
-    sp.add_argument("--max-batch", type=int, default=8,
-                    help="max requests coalesced into one SpMM")
-    sp.add_argument("--flush-deadline-ms", type=float, default=2.0,
-                    help="max wait before a partial batch dispatches")
-    sp.add_argument("--max-queue", type=int, default=1024,
-                    help="admission bound (full queue answers 429)")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="worker threads (default: machine cores)")
-    sp.add_argument("--shards", type=int, default=None,
-                    help="back large matrices with N persistent "
-                         "shard worker processes")
-    sp.add_argument("--shard-threshold-mb", type=float, default=4.0,
-                    help="matrix footprint (MB) above which a "
-                         "registered matrix is sharded")
-    sp.add_argument("--backend", choices=["numpy", "c", "auto"],
-                    default="numpy",
-                    help="execution backend (c = runtime-compiled "
-                         "kernels; auto falls back to numpy without "
-                         "a compiler)")
-    sp.add_argument("--trace-sample-rate", type=float, default=0.0,
-                    help="fraction of requests recording full span "
-                         "trees (0 disables; outliers force-sample "
-                         "regardless)")
-    sp.add_argument("--slo-ms", type=float, default=None,
-                    help="explicit latency SLO; slower requests are "
-                         "sampled and listed at /v1/debug/slow")
-    sp.add_argument("--plan-mode",
-                    choices=["heuristic", "auto", "predict", "tune"],
-                    default="heuristic",
-                    help="cold-registration planning: heuristic "
-                         "(one-pass), auto/predict (learned model, "
-                         "sweep fallback), tune (always sweep)")
-    sp.add_argument("--autoplan-dir", metavar="DIR", default=None,
-                    help="autoplan corpus + model directory "
-                         "(default: the --plan-cache dir)")
-    sp.add_argument("--perf-watch", action="store_true",
-                    help="roofline attribution + regression watchdog "
-                         "(measures host ceilings on first run, "
-                         "cached; see /v1/debug/perf)")
-    sp.add_argument("--profile-dir", metavar="DIR", default=None,
-                    help="opt-in stack sampling profiler: collapsed-"
-                         "stack .stacks files for the parent and each "
-                         "shard land in DIR (repro perf flame DIR)")
+    _add_server_flags(sp, port=8377)
 
     sp = sub.add_parser(
         "trace",
@@ -1007,53 +864,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timeout", type=float, default=5.0)
 
     sp = sub.add_parser(
-        "dist-bench",
-        help="shards × matrix sweep over the sharded tier",
-        parents=[common],
-    )
-    sp.add_argument("matrices", nargs="*",
-                    help="suite names (default: FEM-Har Epidem Circuit)")
-    sp.add_argument("--shards", default="1,2,4",
-                    help="comma-separated shard counts to sweep")
-    sp.add_argument("--scale", type=float, default=0.1)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--iters", type=int, default=20,
-                    help="timed SpMV dispatches per configuration")
-    sp.add_argument("--path", choices=["row", "col"], default="row",
-                    help="decomposition: row slabs or column "
-                         "slabs + reduction")
-    sp.add_argument("--backend", choices=["numpy", "c", "auto"],
-                    default="numpy",
-                    help="execution backend inside the shards")
-
-    sp = sub.add_parser(
         "cluster",
-        help="multi-node serving: node / router / wire bench",
+        help="multi-node serving: node / router",
         parents=[common],
     )
-    sp.add_argument("action", choices=["node", "router", "bench"])
-    sp.add_argument("--host", default="127.0.0.1")
-    sp.add_argument("--port", type=int, default=0,
-                    help="0 picks a free port (printed on the READY "
-                         "line)")
-    sp.add_argument("--machine", default="AMD X2",
-                    choices=machine_names())
-    # node flags (mirroring `serve`)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="node: plan thread count")
-    sp.add_argument("--plan-cache", metavar="DIR", default=None,
-                    help="node: persist tuned plans under DIR")
-    sp.add_argument("--max-batch", type=int, default=8)
-    sp.add_argument("--max-queue", type=int, default=1024)
-    sp.add_argument("--shards", type=int, default=None,
-                    help="node: back large matrices with N shard "
-                         "worker processes")
-    sp.add_argument("--shard-threshold-mb", type=float, default=4.0)
-    sp.add_argument("--backend", choices=["numpy", "c", "auto"],
-                    default="numpy")
-    sp.add_argument("--trace-sample-rate", type=float, default=0.0)
-    sp.add_argument("--slo-ms", type=float, default=None)
-    # router flags
+    sp.add_argument("action", choices=["node", "router"])
+    _add_server_flags(sp, port=0)
     sp.add_argument("--nodes", default=None,
                     help="router: comma-separated node addresses "
                          "(host:port,host:port,...)")
@@ -1066,29 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hot-rps", type=float, default=None,
                     help="router: request rate above which a matrix "
                          "fans out to extra replicas")
-    # bench flags
-    sp.add_argument("--n", type=int, default=100_000,
-                    help="bench: vector length")
-    sp.add_argument("--iters", type=int, default=30,
-                    help="bench: timed round trips per path")
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser(
-        "bench",
-        help="wall-clock SpMV: numpy vs compiled C backend",
-        parents=[common],
-    )
-    sp.add_argument("matrix",
-                    help="suite name, .mtx file, or .npz file")
-    sp.add_argument("--scale", type=float, default=0.25)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--iters", type=int, default=50,
-                    help="timed SpMV calls per backend")
-    sp.add_argument("--backend", choices=["numpy", "c", "auto"],
-                    default="auto",
-                    help="which compiled rows to include")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="also time the threaded C path with N threads")
 
     sp = sub.add_parser(
         "kernels",
@@ -1182,9 +975,7 @@ _COMMANDS = {
     "plan-cache": _cmd_plan_cache,
     "autoplan": _cmd_autoplan,
     "perf": _cmd_perf,
-    "dist-bench": _cmd_dist_bench,
     "cluster": _cmd_cluster,
-    "bench": _cmd_bench,
     "kernels": _cmd_kernels,
 }
 

@@ -27,24 +27,37 @@ this package is that tier, layered over :mod:`repro.serve` and
   router→node→shard trace tree.
 * :mod:`.client` — ``ClusterClient``: persistent binary connection,
   solver-protocol operators, JSON cold path.
-* :mod:`.bench` — the JSON-vs-binary measurement core.
+* :mod:`.bench` — ``banded_matrix``, a test matrix the end-to-end
+  benchmark imports (the tier's measurements live in
+  ``benchmarks/e2e``, not here).
 
-CLI: ``repro cluster {node,router,bench}``.
+CLI: ``repro cluster {node,router}``.
 """
 
-from .aserver import AsyncFrontEnd
-from .client import ClusterClient
-from .node import ClusterNode, start_node
-from .placement import HashRing, Placement
-from .router import ClusterRouter, start_router
+from importlib import import_module
 
-__all__ = [
-    "AsyncFrontEnd",
-    "ClusterClient",
-    "ClusterNode",
-    "ClusterRouter",
-    "HashRing",
-    "Placement",
-    "start_node",
-    "start_router",
-]
+#: Public name -> submodule, resolved on first access so that importing
+#: a leaf (``.wire``, ``.placement``, ``.bench``) does not load the
+#: serve tier that ``.node`` and ``.router`` stand on.
+_EXPORTS = {
+    "AsyncFrontEnd": "aserver",
+    "ClusterClient": "client",
+    "ClusterNode": "node",
+    "ClusterRouter": "router",
+    "HashRing": "placement",
+    "Placement": "placement",
+    "start_node": "node",
+    "start_router": "router",
+}
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_EXPORTS)

@@ -1,29 +1,17 @@
-"""JSON-vs-binary wire benchmark core (shared by the CLI and
-``benchmarks/bench_wire.py``).
+"""A deterministic banded test matrix for the end-to-end benchmark.
 
-Measures the end-to-end request path the tier replaces: the same
-node, the same matrix, the same vectors — once over ``POST /v1/spmv``
-with a JSON body (persistent HTTP connection, so framing overhead
-doesn't pollute the comparison) and once over the binary wire
-protocol. Reports per-request payload bytes both ways and latency
-percentiles; the paper-level point is that a float64 in decimal JSON
-costs ~19 bytes and a parse, against 8 raw bytes and an
-``np.frombuffer``.
+``benchmarks/e2e/layers.py`` imports :func:`banded_matrix` from here.
+Nothing in this package times anything: every JSON-vs-wire-vs-shm
+quantity is a per-layer metric of ``benchmarks/e2e``
+(``serve.http_request_bytes``, ``cluster.request_bytes``,
+``cluster.roundtrip_ms``, ``serve.routes_ms``).
 """
 
 from __future__ import annotations
 
-import http.client
-import json
-import time
-
 import numpy as np
 
 from ..formats.coo import COOMatrix
-from ..serve.client import ServeClient
-from .client import ClusterClient
-from .node import ClusterNode
-from . import wire
 
 
 def banded_matrix(n: int, bandwidth: int = 5,
@@ -41,131 +29,4 @@ def banded_matrix(n: int, bandwidth: int = 5,
     return COOMatrix((n, n), row, col, val, dedupe=False)
 
 
-def _percentile(samples: list[float], q: float) -> float:
-    return float(np.percentile(np.asarray(samples), q))
-
-
-def run_wire_bench(*, n: int = 100_000, iters: int = 30,
-                   bandwidth: int = 5, seed: int = 0,
-                   machine: str = "AMD X2") -> dict:
-    """One in-process node; time JSON vs binary SpMV round trips."""
-    coo = banded_matrix(n, bandwidth=bandwidth, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal(n)
-
-    client = ServeClient(machine, n_threads=1, max_batch=1)
-    node = ClusterNode(client).start()
-    try:
-        fingerprint = client.register(coo).fingerprint
-
-        # --- JSON path: persistent HTTP connection to the node.
-        body = json.dumps({"fingerprint": fingerprint,
-                           "x": x.tolist()}).encode()
-        conn = http.client.HTTPConnection("127.0.0.1", node.port,
-                                          timeout=60.0)
-
-        def json_call() -> np.ndarray:
-            conn.request("POST", "/v1/spmv", body,
-                         {"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            data = resp.read()
-            if resp.status != 200:
-                raise RuntimeError(f"JSON spmv failed: {data!r}")
-            return np.asarray(json.loads(data)["y"])
-
-        # --- binary path: the cluster client on the same port.
-        cc = ClusterClient(f"127.0.0.1:{node.port}")
-        # --- same-host shm handoff: vectors never cross the socket.
-        cc_shm = ClusterClient(f"127.0.0.1:{node.port}", shm=True)
-        cc_shm._shapes[fingerprint] = coo.shape
-
-        def wire_call() -> np.ndarray:
-            return cc.spmv(fingerprint, x)
-
-        def shm_call() -> np.ndarray:
-            return cc_shm.spmv(fingerprint, x)
-
-        y_json = json_call()        # warm all paths (registry, conn,
-        y_wire = wire_call()        # shm segments)
-        y_shm = shm_call()
-        if not (np.array_equal(y_json, y_wire)
-                and np.array_equal(y_json, y_shm)):
-            raise RuntimeError("JSON/wire/shm paths disagree")
-
-        json_lat, wire_lat, shm_lat = [], [], []
-        for _ in range(iters):
-            t0 = time.perf_counter()
-            json_call()
-            json_lat.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            wire_call()
-            wire_lat.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            shm_call()
-            shm_lat.append(time.perf_counter() - t0)
-
-        conn.close()
-        cc.close()
-        cc_shm.close()
-
-        json_request_bytes = len(body)
-        wire_request_bytes = (
-            wire.PREAMBLE_BYTES
-            + len(json.dumps({"fingerprint": fingerprint,
-                              "n": n}).encode())
-            + 8 * n)
-        # shm frame: preamble + a header naming two segments, 0 payload
-        shm_header_bytes = len(json.dumps({
-            "fingerprint": fingerprint,
-            "shm_x": {"name": "repro-dist-0000000-00", "shape": [n],
-                      "dtype": "float64"},
-            "shm_y": {"name": "repro-dist-0000000-00", "shape": [n],
-                      "dtype": "float64"},
-        }).encode())
-        shm_request_bytes = wire.PREAMBLE_BYTES + shm_header_bytes
-        return {
-            "n": n,
-            "nnz": int(coo.nnz_logical),
-            "iters": iters,
-            "json_request_bytes": json_request_bytes,
-            "wire_request_bytes": wire_request_bytes,
-            "shm_request_bytes": shm_request_bytes,
-            "payload_ratio": json_request_bytes / wire_request_bytes,
-            "payload_ratio_shm": json_request_bytes / shm_request_bytes,
-            "json_p50_ms": _percentile(json_lat, 50) * 1e3,
-            "json_p90_ms": _percentile(json_lat, 90) * 1e3,
-            "wire_p50_ms": _percentile(wire_lat, 50) * 1e3,
-            "wire_p90_ms": _percentile(wire_lat, 90) * 1e3,
-            "shm_p50_ms": _percentile(shm_lat, 50) * 1e3,
-            "shm_p90_ms": _percentile(shm_lat, 90) * 1e3,
-            "p50_speedup": (_percentile(json_lat, 50)
-                            / _percentile(wire_lat, 50)),
-            "p50_speedup_shm": (_percentile(json_lat, 50)
-                                / _percentile(shm_lat, 50)),
-        }
-    finally:
-        node.close()
-        client.close()
-
-
-def format_report(report: dict) -> str:
-    return (
-        f"wire bench: n={report['n']:,} "
-        f"({report['nnz']:,} nnz, {report['iters']} iters)\n"
-        f"  request bytes  json {report['json_request_bytes']:>12,}"
-        f"   wire {report['wire_request_bytes']:>12,}"
-        f"   ratio {report['payload_ratio']:.2f}x\n"
-        f"  on-socket shm  {report['shm_request_bytes']:>17,}"
-        f" bytes            ratio {report['payload_ratio_shm']:.0f}x\n"
-        f"  p50 latency    json {report['json_p50_ms']:>9.3f} ms"
-        f"   wire {report['wire_p50_ms']:>9.3f} ms"
-        f"   speedup {report['p50_speedup']:.2f}x\n"
-        f"  p90 latency    json {report['json_p90_ms']:>9.3f} ms"
-        f"   wire {report['wire_p90_ms']:>9.3f} ms\n"
-        f"  shm  latency   p50  {report['shm_p50_ms']:>9.3f} ms"
-        f"   p90  {report['shm_p90_ms']:>9.3f} ms"
-        f"   speedup {report['p50_speedup_shm']:.2f}x"
-    )
-
-
-__all__ = ["banded_matrix", "format_report", "run_wire_bench"]
+__all__ = ["banded_matrix"]

@@ -45,6 +45,33 @@ from ..solvers.operator import FingerprintOperator
 from . import wire
 
 
+def http_fetch(url: str, *, method: str = "GET",
+               body: dict | None = None, timeout_s: float = 30.0,
+               who: str | None = None, parse=json.loads):
+    """The tier's one HTTP exchange (client, router and CLI all call
+    it): ``body`` goes out as JSON, the reply comes back through
+    ``parse``. An error status raises :class:`ClusterError` carrying
+    it, as ``"<who> answered <status>: <reply body>"`` (``who``
+    defaults to the URL); an unreachable peer or an unparseable reply
+    raises ``"cannot reach <url>: ..."`` with status 503. The urllib
+    exception stays reachable as ``__cause__``."""
+    data = json.dumps(body).encode() if body is not None else None
+    req = urllib.request.Request(
+        url, data=data, method=method,
+        headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+            return parse(resp.read())
+    except urllib.error.HTTPError as exc:
+        detail = exc.read().decode(errors="replace")
+        raise ClusterError(
+            f"{who or url} answered {exc.code}: {detail}",
+            status=exc.code) from exc
+    except (urllib.error.URLError, OSError, ValueError) as exc:
+        raise ClusterError(
+            f"cannot reach {url}: {exc}", status=503) from exc
+
+
 class ClusterClient:
     """Talks to one router (or node) address, ``"host:port"``."""
 
@@ -138,29 +165,11 @@ class ClusterClient:
 
     # ----------------------------------------------------- HTTP plane
     def _http(self, method: str, path: str,
-              body: dict | None = None) -> dict:
+              body: dict | None = None, parse=json.loads):
         self._check_open()
-        data = json.dumps(body).encode() if body is not None else None
-        req = urllib.request.Request(
-            f"http://{self.address}{path}", data=data, method=method,
-            headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(
-                    req, timeout=self.timeout_s) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode(errors="replace")
-            try:
-                detail = json.loads(detail).get("error", detail)
-            except (json.JSONDecodeError, AttributeError):
-                pass
-            raise ClusterError(
-                f"{self.address} answered {exc.code}: {detail}",
-                status=exc.code) from exc
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise ClusterError(
-                f"cannot reach {self.address}: {exc}",
-                status=503) from exc
+        return http_fetch(
+            f"http://{self.address}{path}", method=method, body=body,
+            timeout_s=self.timeout_s, who=self.address, parse=parse)
 
     # ---------------------------------------------------- registration
     def register(self, coo=None, *, generate: str | None = None,
@@ -273,17 +282,7 @@ class ClusterClient:
         return self._http("GET", "/healthz")
 
     def metrics_text(self) -> str:
-        self._check_open()
-        req = urllib.request.Request(
-            f"http://{self.address}/metrics")
-        try:
-            with urllib.request.urlopen(
-                    req, timeout=self.timeout_s) as resp:
-                return resp.read().decode()
-        except (urllib.error.URLError, OSError) as exc:
-            raise ClusterError(
-                f"cannot scrape {self.address}: {exc}",
-                status=503) from exc
+        return self._http("GET", "/metrics", parse=bytes.decode)
 
     def trace(self, trace_id: str) -> list[dict]:
         """The merged router→node→shard span tree for one trace."""
@@ -304,4 +303,4 @@ class ClusterClient:
         return kind == wire.KIND_PONG
 
 
-__all__ = ["ClusterClient"]
+__all__ = ["ClusterClient", "http_fetch"]

@@ -29,11 +29,11 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
-from ..errors import ClusterError, ReproError, WireError
+from ..errors import ClusterError, DistError, ReproError, WireError
 from ..observe import context as _context
 from ..observe import metrics as _metrics
 from ..serve.client import ServeClient
-from ..serve.routes import Request, Response, Router, error_response
+from ..serve.routes import Request, Router, error_response
 from .aserver import AsyncFrontEnd
 from . import wire
 
@@ -56,7 +56,7 @@ def _detach_foreign(seg) -> None:
     client already unlinked. The segment name embeds the creator's pid
     (``repro-dist-<pid>-<idx>``), so only drop the registration when
     the creator really is another process — an in-process node (tests,
-    the bench) shares the client's tracker, where the registration is
+    the benchmark) shares the client's tracker, where the registration is
     the owner's and must survive until its ``unlink()``.
     """
     seg.close()
@@ -70,14 +70,25 @@ def _detach_foreign(seg) -> None:
         pass  # tracker details are CPython-version-specific
 
 
-def _attach_copy(spec_dict: dict) -> np.ndarray:
-    """Read a caller-owned segment into a private array and detach."""
+def _attach(spec_dict: dict):
+    """Map a caller-owned segment: ``(view, handle)``. A segment this
+    host cannot map (the client runs elsewhere, or is gone) is the
+    node's failure, not the request's — 503 is what makes the client
+    resend the vectors inline."""
     from ..dist.shm import SegmentSpec, attach_array
 
     spec = SegmentSpec(name=str(spec_dict["name"]),
                        shape=tuple(spec_dict["shape"]),
                        dtype=str(spec_dict["dtype"]))
-    view, seg = attach_array(spec)
+    try:
+        return attach_array(spec)
+    except DistError as exc:
+        raise ClusterError(str(exc), status=503) from exc
+
+
+def _attach_copy(spec_dict: dict) -> np.ndarray:
+    """Read a caller-owned segment into a private array and detach."""
+    view, seg = _attach(spec_dict)
     try:
         return np.array(view, dtype=np.float64, copy=True)
     finally:
@@ -87,12 +98,7 @@ def _attach_copy(spec_dict: dict) -> np.ndarray:
 
 def _write_back(spec_dict: dict, y: np.ndarray) -> None:
     """Write y into the caller-owned result segment and detach."""
-    from ..dist.shm import SegmentSpec, attach_array
-
-    spec = SegmentSpec(name=str(spec_dict["name"]),
-                       shape=tuple(spec_dict["shape"]),
-                       dtype=str(spec_dict["dtype"]))
-    view, seg = attach_array(spec)
+    view, seg = _attach(spec_dict)
     try:
         view[...] = y
     finally:
@@ -168,20 +174,7 @@ class ClusterNode:
                 # instead of the front end's 500 fallback.
                 raise ClusterError(
                     str(exc), status=_status_of(exc)) from exc
-        if kind == wire.KIND_JSON:
-            return self._pool.submit(self._handle_json, header)
         raise WireError(f"node cannot serve frame kind {kind}")
-
-    def _handle_json(self, header: dict) -> tuple:
-        req = Request(str(header.get("method", "GET")),
-                      str(header.get("path", "/")),
-                      dict(header.get("headers", {})),
-                      str(header.get("body", "")).encode())
-        resp = self.router.handle(req)
-        return (wire.KIND_JSON,
-                {"status": resp.status,
-                 "content_type": resp.content_type,
-                 "body": resp.body.decode()}, b"")
 
     # -------------------------------------------------------- hot path
     def _handle_spmv(self, header: dict, payload: bytes) -> Future:

@@ -35,12 +35,9 @@ export — returns one tree spanning router→node→shard processes.
 from __future__ import annotations
 
 import contextlib
-import json
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -63,6 +60,7 @@ from ..serve.routes import (
     matrix_from_body,
 )
 from .aserver import AsyncFrontEnd
+from .client import http_fetch
 from .placement import Placement
 from . import wire
 
@@ -307,22 +305,9 @@ class ClusterRouter:
 
     def _http_json(self, addr: str, method: str, path: str,
                    body: dict | None = None) -> dict:
-        data = json.dumps(body).encode() if body is not None else None
-        req = urllib.request.Request(
-            f"http://{addr}{path}", data=data, method=method,
-            headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(
-                    req, timeout=self.timeout_s) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode(errors="replace")
-            raise ClusterError(
-                f"node {addr} answered {exc.code}: {detail}",
-                status=exc.code) from exc
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise ClusterError(
-                f"cannot reach node {addr}: {exc}", status=503) from exc
+        return http_fetch(
+            f"http://{addr}{path}", method=method, body=body,
+            timeout_s=self.timeout_s, who=f"node {addr}")
 
     # ------------------------------------------------------ forwarding
     def _candidates(self, fingerprint: str, hot: bool) -> list[str]:

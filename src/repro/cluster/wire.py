@@ -35,7 +35,9 @@ Frame kinds:
             y was written into the caller-owned segment).
 ``ERROR``   response: header ``{"error", "status"}``; no payload.
 ``PING``/``PONG``  health probes (empty header, no payload).
-``JSON``    generic JSON-bodied op (cold path: register, debug).
+
+Everything else (register, the debug plane) is plain HTTP on the same
+port.
 """
 
 from __future__ import annotations
@@ -63,10 +65,9 @@ KIND_RESULT = 2
 KIND_ERROR = 3
 KIND_PING = 4
 KIND_PONG = 5
-KIND_JSON = 6
 
 _KNOWN_KINDS = frozenset({
-    KIND_SPMV, KIND_RESULT, KIND_ERROR, KIND_PING, KIND_PONG, KIND_JSON,
+    KIND_SPMV, KIND_RESULT, KIND_ERROR, KIND_PING, KIND_PONG,
 })
 
 #: The payload element type, fixed by the protocol (not host order).
@@ -235,7 +236,6 @@ def error_frame(message: str, status: int = 400) -> list:
 __all__ = [
     "FrameAssembler",
     "KIND_ERROR",
-    "KIND_JSON",
     "KIND_PING",
     "KIND_PONG",
     "KIND_RESULT",

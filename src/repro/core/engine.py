@@ -122,8 +122,6 @@ class SpmvEngine:
         n_threads: int = 1,
         config: OptimizationConfig | None = None,
         backend: str = "numpy",
-        mode: str = "heuristic",
-        planner=None,
     ) -> SpmvPlan:
         """Produce an optimization plan (no heavy materialization).
 
@@ -131,21 +129,8 @@ class SpmvEngine:
         the paper's search-free heuristic tuning. ``backend`` selects
         the execution substrate the plan will run on (``numpy`` | ``c``
         | ``auto``); it does not change the planned data structure.
-
-        ``mode`` selects how the plan's degrees of freedom are fixed:
-        ``"heuristic"`` (default) is the paper's one-pass choice;
-        ``"auto"``/``"predict"`` consult the learned autoplan model
-        (``planner`` is an :class:`~repro.autoplan.AutoPlanner`) and
-        fall back to a measured sweep; ``"tune"`` always sweeps. The
-        non-heuristic modes delegate to :meth:`plan_auto` and return
-        only the plan — use :meth:`plan_auto` directly to keep the
-        provenance (path taken, confidence, sweep timings).
+        :meth:`plan_auto` is the learned / swept alternative.
         """
-        if mode != "heuristic":
-            return self.plan_auto(
-                coo, n_threads=n_threads, backend=backend, mode=mode,
-                planner=planner,
-            ).plan
         from ..kernels.registry import resolve_backend
 
         backend = resolve_backend(backend)

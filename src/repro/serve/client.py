@@ -74,119 +74,127 @@ class ServeClient:
         online_tune: bool = False,
         online_hot_threshold: int = 32,
     ):
-        if isinstance(machine, str):
-            machine = get_machine(machine)
-        self.machine = machine
-        # Roofline observability: resolve measured ceilings and install
-        # them process-wide *before* any shard fork below, so children
-        # inherit the host roofline and tag their computes with real
-        # fractions. perf_watch=True loads (or measures once and
-        # caches) this host's ceilings; passing a MachineCeilings uses
-        # it directly (tests, pre-measured fleets).
-        self.ceilings = None
-        if perf_watch:
-            if isinstance(perf_watch, MachineCeilings):
-                self.ceilings = perf_watch
-            else:
-                self.ceilings = _perf.get_ceilings()
-            _perf.configure(self.ceilings)
-        self.profile_dir = (
-            os.path.expanduser(os.fspath(profile_dir))
-            if profile_dir is not None else None
-        )
-        self._sampler = None
-        if self.profile_dir is not None:
-            os.makedirs(self.profile_dir, exist_ok=True)
-            self._sampler = _perf.start_sampler(
-                os.path.join(self.profile_dir, "serve-parent.stacks")
-            )
-        # Learned plan selection: with plan_mode "auto"/"predict", cold
-        # registrations try the model first (corpus + artifact live in
-        # autoplan_dir, defaulting to the plan-cache dir) and confident
-        # predictions skip the tuning sweep; a background re-tune then
-        # confirms or overrides the predicted plan (retune_predicted).
-        self.autoplanner = None
-        if autoplan_dir is None:
-            autoplan_dir = plan_cache_dir
-        if plan_mode != "heuristic" and autoplan_dir is not None:
-            from ..autoplan import AutoPlanner
-
-            self.autoplanner = AutoPlanner(
-                os.path.expanduser(os.fspath(autoplan_dir))
-            )
-        self.retune_predicted = retune_predicted
-        plan_cache = (
-            PlanCache(
-                os.path.expanduser(os.fspath(plan_cache_dir)),
-                corpus=(self.autoplanner.corpus
-                        if self.autoplanner is not None else None),
-            )
-            if plan_cache_dir is not None else None
-        )
-        # With `shards`, matrices whose materialized footprint reaches
-        # `shard_threshold_bytes` are backed by a persistent shard
-        # group (slabs pinned in shared memory, fault-tolerant
-        # workers); smaller matrices stay on the in-process path where
-        # dispatch overhead would dominate.
-        self.shard_group = None
-        if shards is not None and shards > 0:
-            from ..dist import ShardGroup
-            self.shard_group = ShardGroup(
-                shards, partition=shard_partition, k_cap=max_batch,
-                backend=backend, profile_dir=self.profile_dir,
-            )
-        self.registry = MatrixRegistry(
-            machine, n_threads=n_threads,
-            capacity_bytes=capacity_bytes, plan_cache=plan_cache,
-            shard_group=self.shard_group,
-            shard_threshold_bytes=shard_threshold_bytes,
-            backend=backend,
-            plan_mode=plan_mode,
-            autoplanner=self.autoplanner,
-        )
-        # Pool sized to the machine model being served: SpMV batches
-        # saturate its modeled core count, more threads just queue.
-        self.pool = WorkerPool(
-            n_workers if n_workers is not None else machine.n_cores
-        )
-        # Observability plane: the hub is the process-global sink for
-        # sampled spans (idempotent install — clients share it), the
-        # SLO tracker accounts every request's phase breakdown and
-        # arms force-sampling after outliers.
         if not (0.0 <= trace_sample_rate <= 1.0):
             raise ServeError(
                 f"trace_sample_rate must be in [0, 1], "
                 f"got {trace_sample_rate}"
             )
-        self.trace_sample_rate = trace_sample_rate
-        self.hub = install_hub()
-        self.slo = SloTracker(
-            slo_s=slo_ms / 1e3 if slo_ms is not None else None
-        )
-        # Regression watchdog: only active under perf_watch. It feeds
-        # on per-batch compute rates from the scheduler and arms the
-        # SLO tracker's force-sampling on a sustained drop.
-        self.watchdog = None
-        if perf_watch:
-            self.watchdog = PerfWatchdog(slo=self.slo)
-            _perf.configure(self.ceilings, watchdog=self.watchdog)
-        self.scheduler = BatchScheduler(
-            self.pool, max_batch=max_batch,
-            flush_deadline_s=flush_deadline_s, max_queue=max_queue,
-            slo=self.slo, watchdog=self.watchdog,
-        )
-        # Online autotuning: once a matrix has served enough batches,
-        # a background hill-climb re-times its backend / thread count
-        # from live traffic and promotes measured wins (no sweep at
-        # registration needed).
-        self.online_tuner = None
-        if online_tune:
-            self.online_tuner = OnlineTuner(
-                self.registry, self.scheduler, self.watchdog,
-                hot_threshold=online_hot_threshold,
-            )
-            self.scheduler.online_tuner = self.online_tuner
+        if isinstance(machine, str):
+            machine = get_machine(machine)
+        self.machine = machine
+        # What close() releases. The sampler, the shard group, the pool
+        # and the scheduler each start threads or processes, and the
+        # objects built between them validate their own arguments, so a
+        # constructor that raises half-way closes what already started.
         self._closed = False
+        self._sampler = self.shard_group = None
+        self.pool = self.scheduler = None
+        try:
+            # Roofline observability: resolve measured ceilings and install
+            # them process-wide *before* any shard fork below, so children
+            # inherit the host roofline and tag their computes with real
+            # fractions. perf_watch=True loads (or measures once and
+            # caches) this host's ceilings; passing a MachineCeilings uses
+            # it directly (tests, pre-measured fleets).
+            self.ceilings = None
+            if perf_watch:
+                if isinstance(perf_watch, MachineCeilings):
+                    self.ceilings = perf_watch
+                else:
+                    self.ceilings = _perf.get_ceilings()
+                _perf.configure(self.ceilings)
+            self.profile_dir = (
+                os.path.expanduser(os.fspath(profile_dir))
+                if profile_dir is not None else None
+            )
+            if self.profile_dir is not None:
+                os.makedirs(self.profile_dir, exist_ok=True)
+                self._sampler = _perf.start_sampler(
+                    os.path.join(self.profile_dir, "serve-parent.stacks")
+                )
+            # Learned plan selection: with plan_mode "auto", cold
+            # registrations try the model first (corpus + artifact live in
+            # autoplan_dir, defaulting to the plan-cache dir) and confident
+            # predictions skip the tuning sweep; a background re-tune then
+            # confirms or overrides the predicted plan (retune_predicted).
+            self.autoplanner = None
+            if autoplan_dir is None:
+                autoplan_dir = plan_cache_dir
+            if plan_mode != "heuristic" and autoplan_dir is not None:
+                from ..autoplan import AutoPlanner
+
+                self.autoplanner = AutoPlanner(
+                    os.path.expanduser(os.fspath(autoplan_dir))
+                )
+            self.retune_predicted = retune_predicted
+            plan_cache = (
+                PlanCache(
+                    os.path.expanduser(os.fspath(plan_cache_dir)),
+                    corpus=(self.autoplanner.corpus
+                            if self.autoplanner is not None else None),
+                )
+                if plan_cache_dir is not None else None
+            )
+            # With `shards`, matrices whose materialized footprint reaches
+            # `shard_threshold_bytes` are backed by a persistent shard
+            # group (slabs pinned in shared memory, fault-tolerant
+            # workers); smaller matrices stay on the in-process path where
+            # dispatch overhead would dominate.
+            if shards is not None and shards > 0:
+                from ..dist import ShardGroup
+                self.shard_group = ShardGroup(
+                    shards, partition=shard_partition, k_cap=max_batch,
+                    backend=backend, profile_dir=self.profile_dir,
+                )
+            self.registry = MatrixRegistry(
+                machine, n_threads=n_threads,
+                capacity_bytes=capacity_bytes, plan_cache=plan_cache,
+                shard_group=self.shard_group,
+                shard_threshold_bytes=shard_threshold_bytes,
+                backend=backend,
+                plan_mode=plan_mode,
+                autoplanner=self.autoplanner,
+            )
+            # Pool sized to the machine model being served: SpMV batches
+            # saturate its modeled core count, more threads just queue.
+            self.pool = WorkerPool(
+                n_workers if n_workers is not None else machine.n_cores
+            )
+            # Observability plane: the hub is the process-global sink for
+            # sampled spans (idempotent install — clients share it), the
+            # SLO tracker accounts every request's phase breakdown and
+            # arms force-sampling after outliers.
+            self.trace_sample_rate = trace_sample_rate
+            self.hub = install_hub()
+            self.slo = SloTracker(
+                slo_s=slo_ms / 1e3 if slo_ms is not None else None
+            )
+            # Regression watchdog: only active under perf_watch. It feeds
+            # on per-batch compute rates from the scheduler and arms the
+            # SLO tracker's force-sampling on a sustained drop.
+            self.watchdog = None
+            if perf_watch:
+                self.watchdog = PerfWatchdog(slo=self.slo)
+                _perf.configure(self.ceilings, watchdog=self.watchdog)
+            self.scheduler = BatchScheduler(
+                self.pool, max_batch=max_batch,
+                flush_deadline_s=flush_deadline_s, max_queue=max_queue,
+                slo=self.slo, watchdog=self.watchdog,
+            )
+            # Online autotuning: once a matrix has served enough batches,
+            # a background hill-climb re-times its backend / thread count
+            # from live traffic and promotes measured wins (no sweep at
+            # registration needed).
+            self.online_tuner = None
+            if online_tune:
+                self.online_tuner = OnlineTuner(
+                    self.registry, self.scheduler, self.watchdog,
+                    hot_threshold=online_hot_threshold,
+                )
+                self.scheduler.online_tuner = self.online_tuner
+        except BaseException:
+            self.close()
+            raise
 
     # ----------------------------------------------------- registration
     def register(self, coo: COOMatrix,
@@ -333,8 +341,10 @@ class ServeClient:
         if self._closed:
             return
         self._closed = True
-        self.scheduler.close()
-        self.pool.shutdown(drain=True)
+        if self.scheduler is not None:
+            self.scheduler.close()
+        if self.pool is not None:
+            self.pool.shutdown(drain=True)
         if self.shard_group is not None:
             self.shard_group.close()
         if self._sampler is not None:

@@ -120,7 +120,7 @@ class MatrixRegistry:
         plan_mode: str = "heuristic",
         autoplanner=None,
     ):
-        if plan_mode not in ("heuristic", "auto", "predict", "tune"):
+        if plan_mode not in ("heuristic", "auto", "tune"):
             raise ServeError(f"unknown plan_mode {plan_mode!r}")
 
         self.machine = machine
@@ -137,8 +137,8 @@ class MatrixRegistry:
         self.shard_group = shard_group
         self.shard_threshold_bytes = shard_threshold_bytes
         #: How cold registrations plan: "heuristic" is the paper's
-        #: one-pass choice; "auto"/"predict" consult the learned model
-        #: and fall back to the sweep; "tune" always sweeps.
+        #: one-pass choice; "auto" consults the learned model and
+        #: falls back to the sweep; "tune" always sweeps.
         self.plan_mode = plan_mode
         #: :class:`~repro.autoplan.AutoPlanner` for non-heuristic modes.
         self.autoplanner = autoplanner

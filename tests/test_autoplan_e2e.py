@@ -177,7 +177,7 @@ class TestFallback:
         engine = SpmvEngine(get_machine("AMD X2"))
         planner = AutoPlanner(tmp_path)   # empty dir: no artifact
         outcome = plan_with_autoplan(
-            engine, family_member(0), n_threads=1, mode="predict",
+            engine, family_member(0), n_threads=1, mode="auto",
             planner=planner,
         )
         assert outcome.path == "tune"

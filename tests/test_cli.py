@@ -182,27 +182,149 @@ class TestServeCLI:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "serve" in out and "plan-cache" in out
-        assert "dist-bench" in out
 
 
-class TestDistBenchCLI:
-    def test_dist_bench_row(self, capsys):
-        code, out = run(capsys, "dist-bench", "Circuit",
-                        "--shards", "1,2", "--scale", "0.03",
-                        "--iters", "2")
-        assert code == 0
-        assert "Circuit" in out
-        # One row per shard count; shards=1 runs the serial path.
-        assert "serial" in out
-        assert "row" in out
-        assert "GFLOP/s" in out
+def _subparsers(parser):
+    """name -> subparser of an argparse parser with subcommands."""
+    import argparse
 
-    def test_dist_bench_col_path(self, capsys):
-        code, out = run(capsys, "dist-bench", "Circuit",
-                        "--shards", "2", "--scale", "0.03",
-                        "--iters", "2", "--path", "col")
-        assert code == 0
-        assert "col" in out
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOneServerCommand:
+    """``repro cluster node`` is ``repro serve`` under another port
+    default: one flag declaration, one handler."""
+
+    @staticmethod
+    def _flags(sp):
+        return {
+            a.option_strings[0]: (tuple(a.option_strings), a.default,
+                                  a.type, a.choices, a.nargs)
+            for a in sp._actions if a.option_strings
+        }
+
+    def test_same_option_strings_apart_from_port_default(self):
+        from repro.cli import build_parser
+
+        subs = _subparsers(build_parser())
+        serve, cluster = self._flags(subs["serve"]), \
+            self._flags(subs["cluster"])
+        # `cluster` also carries the router's flags; everything `serve`
+        # accepts it accepts identically, except where --port starts.
+        assert set(serve) <= set(cluster)
+        assert serve.pop("--port")[1] == 8377
+        assert cluster["--port"][1] == 0
+        assert all(cluster[flag] == spec for flag, spec in serve.items())
+
+    def test_same_handler(self, monkeypatch):
+        from repro import cli
+
+        assert cli._COMMANDS["serve"] is cli._cmd_serve
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_serve",
+                            lambda args: seen.append(vars(args)) or 0)
+        shared = ["--threads", "1", "--capacity-mb", "64",
+                  "--flush-deadline-ms", "1.5", "--workers", "2",
+                  "--plan-mode", "tune", "--perf-watch",
+                  "--profile-dir", "p"]
+        assert main(["cluster", "node", *shared]) == 0
+        (node,) = seen      # `cluster node` went through _cmd_serve
+        served = vars(cli.build_parser().parse_args(["serve", *shared]))
+        assert served.pop("port") == 8377 and node.pop("port") == 0
+        assert served.pop("command") == "serve"
+        assert node.pop("command") == "cluster"
+        assert served["flush_deadline_ms"] == 1.5 and served["workers"] == 2
+        # every value _cmd_serve reads arrives the same either way
+        assert served == {k: node[k] for k in served}
+
+    def test_cluster_bench_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["predict", "bogus"])
+    def test_plan_mode_choices(self, mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--plan-mode", mode])
+        assert exc.value.code == 2
+
+
+class TestDocsNameTheCLI:
+    def test_design_cli_row_lists_every_subcommand(self):
+        """DESIGN.md's CLI row is the subcommand set, no more, no
+        less (it listed a deleted command and missed a live one)."""
+        import os
+        import re
+
+        from repro.cli import build_parser
+
+        design = os.path.join(os.path.dirname(__file__), "..",
+                              "DESIGN.md")
+        with open(design) as fh:
+            row = next(ln for ln in fh if ln.startswith("| CLI |"))
+        listed = re.search(r"python -m repro \{([^}]*)\}", row).group(1)
+        assert sorted(listed.split(",")) == \
+            sorted(_subparsers(build_parser()))
+
+
+class TestFetchCommands:
+    """``repro trace`` / ``repro perf report`` fetch through the
+    cluster client's ``http_fetch``; exit codes and stderr text are
+    what they were with their own urlopen blocks."""
+
+    @pytest.fixture
+    def server(self):
+        from repro.serve import ServeClient, start_server, stop_server
+
+        client = ServeClient("AMD X2", n_threads=1)
+        httpd = start_server(client)
+        yield f"http://{httpd.address}"
+        stop_server(httpd)
+        client.close()
+
+    @pytest.fixture
+    def dead_url(self):
+        import socket
+
+        with socket.socket() as s:      # bound, never listening
+            s.bind(("127.0.0.1", 0))
+            yield f"http://127.0.0.1:{s.getsockname()[1]}"
+
+    def test_trace_unknown_id(self, server, capsys):
+        assert main(["trace", "feedbeef", "--url", server]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("server answered 404: {")
+        assert "feedbeef" in err
+
+    def test_trace_unreachable(self, dead_url, capsys):
+        assert main(["trace", "abc", "--url", dead_url + "/"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"cannot reach {dead_url}/v1/debug/trace/abc: <urlopen error")
+
+    def test_trace_needs_an_id(self, capsys):
+        assert main(["trace"]) == 2
+
+    def test_trace_slow_and_perf_report(self, server, capsys):
+        code, out = run(capsys, "trace", "--slow", "--url", server)
+        assert code == 0 and "no slow requests" in out
+        code, out = run(capsys, "perf", "report", "--url", server)
+        assert code == 0 and "perf_watch: False" in out
+
+    def test_perf_report_unreachable(self, dead_url, capsys):
+        assert main(["perf", "report", "--url", dead_url]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot fetch {dead_url}/v1/debug/perf: "
+            f"<urlopen error")
+
+    def test_perf_report_http_error(self, server, capsys):
+        assert main(["perf", "report",
+                     "--url", server + "/no-such-prefix"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot fetch {server}/no-such-prefix/v1/debug/perf"
+            f": HTTP Error 404")
 
 
 class TestAutoplanCLI:

@@ -3,16 +3,26 @@
 The serving tier now has two client classes (``ServeClient``,
 ``ClusterClient``); both follow the same context-manager protocol:
 ``close()`` twice is a no-op, and any operation after ``close()``
-raises a clear error instead of hanging on a dead resource.
+raises a clear error instead of hanging on a dead resource; a
+constructor that rejects an argument leaves nothing running. Also the
+only tests of the same-host shared-memory handoff.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import glob
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterClient, ClusterNode
+from repro.cluster import ClusterClient, ClusterNode, wire
+from repro.cluster.bench import banded_matrix
+from repro.cluster.client import http_fetch
 from repro.errors import ClusterError, ReproError
+from repro.observe.metrics import get_registry
 from repro.serve.client import ServeClient
 
 from tests.conftest import random_coo
@@ -37,6 +47,96 @@ class TestServeClientClose:
         with ServeClient("AMD X2", n_threads=1) as client:
             pass
         client.close()  # after __exit__ already closed it
+
+    @pytest.mark.parametrize("bad", [
+        {"trace_sample_rate": 2.0},
+        {"max_batch": 0},
+        {"flush_deadline_s": -1.0},
+        {"max_queue": -1},
+        {"plan_mode": "no-such-mode"},
+        {"max_queue": -1, "shards": 2},
+    ], ids=lambda kw: ",".join(kw))
+    def test_rejected_argument_leaks_nothing(self, bad):
+        """Regression: the argument checks ran after the worker pool
+        (and, with ``shards=``, the forked shard group) had started,
+        so every rejected constructor left its threads behind."""
+        threads = threading.active_count()
+        children = len(multiprocessing.active_children())
+        with pytest.raises(ReproError):
+            ServeClient("AMD X2", n_threads=1, **bad)
+        assert threading.active_count() == threads
+        assert len(multiprocessing.active_children()) == children
+
+
+class TestSharedMemoryHandoff:
+    """``ClusterClient(shm=True)``: a same-host request names two
+    segments instead of carrying its vectors."""
+
+    N = 4096
+
+    @pytest.fixture
+    def shm_client(self, node):
+        with ClusterClient(node.address, shm=True) as cs:
+            fp = cs.register(banded_matrix(self.N))["fingerprint"]
+            yield cs, fp
+
+    @staticmethod
+    def _wire_bytes_in(call) -> float:
+        reg = get_registry()
+        before = reg.counter("cluster.wire_bytes", dir="in")
+        call()
+        return reg.counter("cluster.wire_bytes", dir="in") - before
+
+    def test_shm_inline_and_json_agree(self, node, shm_client, rng):
+        cs, fp = shm_client
+        x = rng.standard_normal(self.N)
+        y_shm = cs.spmv(fp, x)
+        with ClusterClient(node.address) as cc:
+            y_wire = cc.spmv(fp, x)
+        y_json = np.asarray(http_fetch(
+            f"http://{node.address}/v1/spmv", method="POST",
+            body={"fingerprint": fp, "x": x.tolist()})["y"])
+        assert fp in cs._segments       # the handoff really ran
+        assert np.array_equal(y_shm, y_wire)
+        assert np.array_equal(y_shm, y_json)
+
+    def test_vectors_stay_off_the_socket(self, node, shm_client, rng):
+        cs, fp = shm_client
+        x = rng.standard_normal(self.N)
+        with ClusterClient(node.address) as cc:
+            cs.spmv(fp, x)      # first calls connect and map segments
+            cc.spmv(fp, x)
+            shm = self._wire_bytes_in(lambda: cs.spmv(fp, x))
+            inline = self._wire_bytes_in(lambda: cc.spmv(fp, x))
+        assert 0 < shm < 1024
+        assert inline >= 8 * self.N
+
+    def test_node_that_cannot_attach_gets_the_vector_inline(
+            self, node, shm_client, rng):
+        cs, fp = shm_client
+        x = rng.standard_normal(self.N)
+        expected = cs.spmv(fp, x)
+        x_view, x_spec, y_view, y_spec = cs._segments[fp]
+        missing = dataclasses.replace(x_spec, name="repro-dist-0-0")
+        # what the node answers: its failure (>= 500), not the request's
+        kind, reply, _ = cs._roundtrip(wire.KIND_SPMV, {
+            "fingerprint": fp, "shm_x": dataclasses.asdict(missing)})
+        assert kind == wire.KIND_ERROR and reply["status"] >= 500
+        cs._segments[fp] = (x_view, missing, y_view, y_spec)
+        inline = self._wire_bytes_in(
+            lambda: np.testing.assert_array_equal(cs.spmv(fp, x),
+                                                  expected))
+        assert inline >= 8 * self.N     # refused handoff + inline resend
+        assert fp not in cs._segments   # fresh segments on the next call
+        assert np.array_equal(cs.spmv(fp, x), expected)
+
+    def test_close_unlinks_every_segment(self, node):
+        before = set(glob.glob("/dev/shm/repro-*"))
+        with ClusterClient(node.address, shm=True) as cs:
+            fp = cs.register(banded_matrix(256))["fingerprint"]
+            cs.spmv(fp, np.ones(256))
+            assert set(glob.glob("/dev/shm/repro-*")) - before
+        assert set(glob.glob("/dev/shm/repro-*")) == before
 
 
 class TestClusterClientLifecycle:

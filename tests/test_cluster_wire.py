@@ -106,8 +106,10 @@ class TestLimits:
                 self._preamble(magic=b"XX") + b"junk")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(WireError, match="kind"):
-            wire.FrameAssembler().feed(self._preamble(kind=99))
+        # 6 was the JSON-op kind no client ever sent; it is unknown now
+        for kind in (6, 99):
+            with pytest.raises(WireError, match="kind"):
+                wire.FrameAssembler().feed(self._preamble(kind=kind))
 
     def test_oversized_encode_rejected(self):
         class FakeHuge(bytes):
