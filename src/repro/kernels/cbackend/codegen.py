@@ -23,8 +23,13 @@ slices make the C-lane loop trivially vectorizable.
 
 CSR and SELL-C-σ kernels take a ``[r0, r1)`` row/slice range so the
 threaded execution path (:mod:`repro.parallel.threaded`) can run
-disjoint slabs of one shared destination vector concurrently, and
-export a fused multi-vector ``repro_spmm`` entry point.
+disjoint slabs of one shared destination vector concurrently. All four
+formats export a fused multi-vector ``repro_spmm`` entry point — the
+paper's multiple-vector optimization: the matrix streams once per chunk
+of :data:`SPMM_CHUNK` right-hand sides. The CSR, BCSR and BCOO fused
+kernels repeat each column's arithmetic in the scalar ``repro_spmv``
+order, so on the scalar and ``prefetch`` rungs column j of the fused
+result is bit-identical to the same variant's SpMV of column j.
 
 Floating-point contraction is disabled at build time
 (``-ffp-contract=off``), so results are reproducible across hosts with
@@ -38,6 +43,7 @@ associate additions differently).
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass
 
 from ...errors import KernelError
@@ -167,35 +173,77 @@ void repro_spmv(const int64_t *restrict indptr,
 }
 """
 
+#: Columns of X the fused SpMM keeps in registers at once: every
+#: ``repro_spmm`` walks X in chunks of this many columns while ``k``
+#: allows, held as ``SPMM_CHUNK // SPMM_VEC`` named ``vec_t``
+#: accumulators per row, then in ``SPMM_VEC``-wide chunks, then one
+#: column — so any ``k`` runs straight-line code with no runtime-width
+#: inner loop.
+SPMM_CHUNK = 8
+#: Doubles per ``vec_t``: the SSE2 / NEON width every rung can count on
+#: without ISA flags. A GNU C vector wider than the hardware is lowered
+#: through the stack, which would undo the point of the chunk.
+SPMM_VEC = 2
+
+_SPMM_PREAMBLE = """
+/* Fused SpMM: X is (ncols, k) and Y (nrows, k), row-major. Columns go
+ * in chunks, {W} wide while k allows, then {V} wide, then one, and the
+ * matrix streams once per chunk. Each column repeats repro_spmv's
+ * arithmetic in its exact order (vec_t lanes are independent columns,
+ * never summed together), so column j of Y is bit-identical to
+ * repro_spmv on column j of X. vec_t holds {V} doubles; VEC and ONE
+ * access {V} or one double at any double's address. */
+typedef double vec_t __attribute__((vector_size({V} * sizeof(double)),
+                                    aligned(sizeof(double)), may_alias));
+#define VEC(p) (*(vec_t *)(p))
+#define ONE(p) (*(double *)(p))
+"""
+
 _CSR_SPMM = """
 void repro_spmm(const int64_t *restrict indptr,
                 const idx_t *restrict col,
                 const double *restrict val,
                 const double *restrict x,
                 double *restrict y,
-                int64_t r0, int64_t r1, int64_t nvec)
+                int64_t r0, int64_t r1, int64_t k)
 {
-    /* X is (ncols, nvec) row-major, Y is (nrows, nvec): the matrix
-     * streams once for all nvec right-hand sides. */
     for (int64_t i = r0; i < r1; ++i) {
-        const int64_t lo = indptr[i], hi = indptr[i + 1];
-        double *restrict yr = y + i * nvec;
-        for (int64_t k = lo; k < hi; ++k) {
-            const double v = val[k];
-            const double *restrict xs = x + (int64_t)col[k] * nvec;
-{mm_pf}{mm_pragma}            for (int64_t j = 0; j < nvec; ++j)
-                yr[j] += v * xs[j];
-        }
+        const int64_t lo = indptr[i];
+        const int64_t n = indptr[i + 1] - lo;
+        const idx_t *restrict cp = col + lo;
+        const double *restrict vp = val + lo;
+        double *restrict yr = y + i * k;
+        int64_t j0 = 0;
+{chunks}
     }
 }
 """
 
-_CSR_SPMM_PF_LINES = """\
-            if (k + 1 < hi)
-                __builtin_prefetch(x + (int64_t)col[k + 1] * nvec, 0, 1);
+#: One chunk of row i: the scalar kernel's four-way accumulators, one
+#: lane per column.
+_CSR_CHUNK = """\
+{decl}
+int64_t e = 0;
+for (; e + 4 <= n; e += 4) {
+{pf}    const double *restrict x0 = x + (int64_t)cp[e] * k + j0;
+    const double *restrict x1 = x + (int64_t)cp[e + 1] * k + j0;
+    const double *restrict x2 = x + (int64_t)cp[e + 2] * k + j0;
+    const double *restrict x3 = x + (int64_t)cp[e + 3] * k + j0;
+{macs4}
+}
+for (; e < n; ++e) {
+    const double *restrict x0 = x + (int64_t)cp[e] * k + j0;
+{macs1}
+}
+{store}
 """
 
-_SIMD_PRAGMA_LINE = "            #pragma omp simd\n"
+_CSR_CHUNK_PF = """\
+    __builtin_prefetch(vp + e + {pf}, 0, 0);
+    __builtin_prefetch(cp + e + {pf}, 0, 0);
+    if (e + {pf} < n)
+        __builtin_prefetch(x + (int64_t)cp[e + {pf}] * k + j0, 0, 1);
+"""
 
 _BCSR_SPMV = """
 void repro_spmv(const int64_t *restrict browptr,
@@ -220,11 +268,35 @@ void repro_spmv(const int64_t *restrict browptr,
 }
 """
 
-_BCSR_TILE_PF = """\
-            if (t + 1 < hi) {
-                __builtin_prefetch(blocks + (t + 1) * {rc}, 0, 0);
-                __builtin_prefetch(x + (int64_t)bcol[t + 1] * {c}, 0, 1);
-            }
+_BCSR_SPMM = """
+void repro_spmm(const int64_t *restrict browptr,
+                const idx_t *restrict bcol,
+                const double *restrict blocks,
+                const double *restrict x,
+                double *restrict y,
+                int64_t br0, int64_t br1, int64_t k)
+{
+    /* X padded to n_bcols*{c} rows, Y to n_brows*{r}. */
+    for (int64_t bi = br0; bi < br1; ++bi) {
+        const int64_t lo = browptr[bi], hi = browptr[bi + 1];
+        double *restrict yr = y + bi * {r} * k;
+        int64_t j0 = 0;
+{chunks}
+    }
+}
+"""
+
+#: One chunk of tile row bi: acc{i}_* is repro_spmv's acc{i}, one lane
+#: per column, added to y once.
+_BCSR_CHUNK = """\
+{decl}
+for (int64_t t = lo; t < hi; ++t) {
+    const double *restrict b = blocks + t * {rc};
+    const double *restrict xs = x + (int64_t)bcol[t] * {c} * k + j0;
+{pf}{loads}
+{macs}
+}
+{store}
 """
 
 _BCOO_SPMV = """
@@ -245,11 +317,24 @@ void repro_spmv(const idx_t *restrict brow,
 }
 """
 
-_BCOO_TILE_PF = """\
-        if (t + 1 < ntiles) {
-            __builtin_prefetch(blocks + (t + 1) * {rc}, 0, 0);
-            __builtin_prefetch(x + (int64_t)bcol[t + 1] * {c}, 0, 1);
-        }
+_BCOO_SPMM = """
+void repro_spmm(const idx_t *restrict brow,
+                const idx_t *restrict bcol,
+                const double *restrict blocks,
+                const double *restrict x,
+                double *restrict y,
+                int64_t ntiles, int64_t k)
+{
+    /* X padded to n_bcols*{c} rows, Y to n_brows*{r}; per column the
+     * sums repro_spmv adds straight into y. */
+    for (int64_t t = 0; t < ntiles; ++t) {
+        const double *restrict b = blocks + t * {rc};
+        const double *restrict xs = x + (int64_t)bcol[t] * {c} * k;
+        double *restrict yr = y + (int64_t)brow[t] * {r} * k;
+{tile_pf}        int64_t j0 = 0;
+{chunks}
+    }
+}
 """
 
 _SELLCS_SPMV = """
@@ -374,30 +459,91 @@ class Variant:
         return f"{base}_{suffix}"
 
 
-def _unrolled_macs(r: int, c: int, target: str) -> str:
-    """The fully unrolled r×c tile multiply-accumulate block."""
+def _unrolled_macs(r: int, c: int, target: str, x: str = "xs[{j}]",
+                   indent: int = 12) -> str:
+    """The fully unrolled r×c tile multiply-accumulate block: row ``i``
+    is ``target`` ``b[i,0]·x_0 + … + b[i,c−1]·x_{c−1}``, left to right."""
     lines = []
     for i in range(r):
         terms = " + ".join(
-            f"b[{i * c + j}] * xs[{j}]" for j in range(c)
+            f"b[{i * c + j}] * {x.format(j=j)}" for j in range(c)
         )
-        lines.append(f"            {target.format(i=i)} {terms};")
+        lines.append(f"{' ' * indent}{target.format(i=i)} {terms};")
     return "\n".join(lines)
+
+
+def _tile_prefetch(indent: int, end: str, x_row: str) -> str:
+    """Prefetch the next tile's values and the x row it gathers from."""
+    pad = " " * indent
+    return (
+        f"{pad}if (t + 1 < {end}) {{\n"
+        f"{pad}    __builtin_prefetch(blocks + (t + 1) * {{rc}}, 0, 0);\n"
+        f"{pad}    __builtin_prefetch(x + (int64_t)bcol[t + 1] * {x_row}, "
+        f"0, 1);\n"
+        f"{pad}}}\n"
+    )
+
+
+class _Chunk:
+    """One column-chunk width of a fused SpMM: ``width`` columns held in
+    ``ctype`` values read and written through the ``at`` macro."""
+
+    def __init__(self, width: int, ctype: str, at: str, step: int):
+        self.width, self.ctype, self.at = width, ctype, at
+        #: ``(p, o)``: value index and its first column in the chunk.
+        self.lanes = [(p, p * step) for p in range(width // step)]
+
+    def each(self, line: str) -> str:
+        """``line`` once per value, ``{p}``/``{o}`` filled in."""
+        return "\n".join(line.replace("{p}", str(p)).replace("{o}", str(o))
+                         for p, o in self.lanes)
+
+    def decl(self, names: list[str]) -> str:
+        """Zeroed accumulators ``{name}_{p}``, one line per name."""
+        return "\n".join(
+            f"{self.ctype} " + ", ".join(
+                f"{name}_{p} = {{0.0}}" for p, _ in self.lanes) + ";"
+            for name in names)
+
+
+_CHUNKS = (_Chunk(SPMM_CHUNK, "vec_t", "VEC", SPMM_VEC),
+           _Chunk(SPMM_VEC, "vec_t", "VEC", SPMM_VEC),
+           _Chunk(1, "double", "ONE", 1))
+
+
+def _chunk_loops(body, indent: int) -> str:
+    """``body(chunk)`` inside one loop per chunk width, widest first;
+    the one-column loop runs at most once."""
+    loops = []
+    for ch in _CHUNKS:
+        inner = textwrap.indent(body(ch), "    ")
+        loops.append(f"for (; j0 + {ch.width} <= k; j0 += {ch.width}) {{\n"
+                     f"{inner}}}")
+    return textwrap.indent("\n".join(loops), " " * indent)
 
 
 def _csr_source(variant: Variant) -> str:
     spmv = {"scalar": _CSR_SPMV, "simd": _CSR_SPMV_SIMD,
             "prefetch": _CSR_SPMV_PF}[variant.isa]
-    spmm = _CSR_SPMM
-    spmm = spmm.replace(
-        "{mm_pf}",
-        _CSR_SPMM_PF_LINES if variant.isa == "prefetch" else "",
-    )
-    spmm = spmm.replace(
-        "{mm_pragma}",
-        _SIMD_PRAGMA_LINE if variant.isa == "simd" else "",
-    )
-    return (spmv + spmm).replace("{pf}", str(PREFETCH_DISTANCE))
+    pf = _CSR_CHUNK_PF if variant.isa == "prefetch" else ""
+
+    def body(ch: _Chunk) -> str:
+        at = ch.at
+        return (_CSR_CHUNK
+                .replace("{decl}", ch.decl(["a0", "a1", "a2", "a3"]))
+                .replace("{pf}", pf)
+                .replace("{macs4}", "\n".join(ch.each(
+                    f"    a{a}_{{p}} += vp[e + {a}] * {at}(x{a} + {{o}});")
+                    for a in range(4)))
+                .replace("{macs1}", ch.each(
+                    f"    a0_{{p}} += vp[e] * {at}(x0 + {{o}});"))
+                .replace("{store}", ch.each(
+                    f"{at}(yr + j0 + {{o}}) += (a0_{{p}} + a1_{{p}}) + "
+                    f"(a2_{{p}} + a3_{{p}});")))
+
+    spmm = _CSR_SPMM.replace("{chunks}", _chunk_loops(body, 8))
+    return (spmv + _SPMM_PREAMBLE + spmm).replace(
+        "{pf}", str(PREFETCH_DISTANCE))
 
 
 def _sellcs_source(variant: Variant) -> str:
@@ -413,6 +559,62 @@ def _sellcs_source(variant: Variant) -> str:
     return (spmv + spmm).replace("{C}", str(variant.r))
 
 
+def _x_loads(ch: _Chunk, c: int, offset: str) -> str:
+    """``x{j}_*``: the chunk's slice of x row ``j`` of the tile, at
+    ``xs`` plus ``offset`` columns."""
+    return "\n".join(ch.each(
+        f"const {ch.ctype} x{j}_{{p}} = "
+        f"{ch.at}(xs + {j} * k{offset} + {{o}});")
+        for j in range(c))
+
+
+def _bcsr_source(variant: Variant) -> str:
+    r, c, pf = variant.r, variant.c, variant.isa == "prefetch"
+    spmv = _BCSR_SPMV.replace("{acc_decl}", "\n".join(
+        f"        double acc{i} = 0.0;" for i in range(r)))
+    spmv = spmv.replace("{tile_pf}", _tile_prefetch(12, "hi", "{c}")
+                        if pf else "")
+    spmv = spmv.replace("{macs}", _unrolled_macs(r, c, "acc{i} +="))
+    spmv = spmv.replace("{acc_store}", "\n".join(
+        f"        yr[{i}] += acc{i};" for i in range(r)))
+
+    def body(ch: _Chunk) -> str:
+        return (_BCSR_CHUNK
+                .replace("{decl}", ch.decl([f"acc{i}" for i in range(r)]))
+                .replace("{pf}", _tile_prefetch(4, "hi", "{c} * k + j0")
+                         if pf else "")
+                .replace("{loads}", textwrap.indent(
+                    _x_loads(ch, c, ""), "    "))
+                .replace("{macs}", "\n".join(
+                    _unrolled_macs(r, c, f"acc{{i}}_{p} +=", f"x{{j}}_{p}",
+                                   indent=4) for p, _ in ch.lanes))
+                .replace("{store}", "\n".join(ch.each(
+                    f"{ch.at}(yr + {i} * k + j0 + {{o}}) += acc{i}_{{p}};")
+                    for i in range(r))))
+
+    spmm = _BCSR_SPMM.replace("{chunks}", _chunk_loops(body, 8))
+    return spmv + _SPMM_PREAMBLE + spmm
+
+
+def _bcoo_source(variant: Variant) -> str:
+    r, c, pf = variant.r, variant.c, variant.isa == "prefetch"
+    spmv = _BCOO_SPMV.replace("{tile_pf}", _tile_prefetch(8, "ntiles", "{c}")
+                              if pf else "")
+    spmv = spmv.replace("{macs}", _unrolled_macs(r, c, "yr[{i}] +=",
+                                                 indent=8))
+
+    def body(ch: _Chunk) -> str:
+        return _x_loads(ch, c, " + j0") + "\n" + "\n".join(
+            _unrolled_macs(r, c, f"{ch.at}(yr + {{i}} * k + j0 + {o}) +=",
+                           f"x{{j}}_{p}", indent=0)
+            for p, o in ch.lanes) + "\n"
+
+    spmm = _BCOO_SPMM.replace(
+        "{tile_pf}", _tile_prefetch(8, "ntiles", "{c} * k") if pf else "")
+    spmm = spmm.replace("{chunks}", _chunk_loops(body, 8))
+    return spmv + _SPMM_PREAMBLE + spmm
+
+
 def c_kernel_source(variant: Variant) -> str:
     """Return the complete C translation unit for one variant."""
     idx_t = "uint16_t" if variant.index_width is IndexWidth.I16 \
@@ -421,38 +623,10 @@ def c_kernel_source(variant: Variant) -> str:
         fmt=variant.fmt, r=variant.r, c=variant.c,
         bits=variant.bits, idx_t=idx_t, isa=variant.isa,
     )
+    body = {"csr": _csr_source, "sellcs": _sellcs_source,
+            "bcsr": _bcsr_source, "bcoo": _bcoo_source}[variant.fmt](variant)
     r, c = variant.r, variant.c
-    if variant.fmt == "csr":
-        return src + _csr_source(variant)
-    if variant.fmt == "sellcs":
-        return src + _sellcs_source(variant)
-    if variant.fmt == "bcsr":
-        acc_decl = "\n".join(
-            f"        double acc{i} = 0.0;" for i in range(r)
-        )
-        acc_store = "\n".join(
-            f"        yr[{i}] += acc{i};" for i in range(r)
-        )
-        body = _BCSR_SPMV.replace("{acc_decl}", acc_decl)
-        body = body.replace(
-            "{tile_pf}",
-            _BCSR_TILE_PF if variant.isa == "prefetch" else "",
-        )
-        body = body.replace(
-            "{macs}", _unrolled_macs(r, c, "acc{i} +=")
-        )
-        body = body.replace("{acc_store}", acc_store)
-    else:  # bcoo
-        body = _BCOO_SPMV.replace(
-            "{tile_pf}",
-            _BCOO_TILE_PF if variant.isa == "prefetch" else "",
-        )
-        body = body.replace(
-            "{macs}",
-            _unrolled_macs(r, c, "yr[{i}] +=").replace(
-                "            ", "        "
-            ),
-        )
-    body = body.replace("{rc}", str(r * c))
+    body = body.replace("{rc}", str(r * c)).replace("{W}", str(SPMM_CHUNK))
+    body = body.replace("{V}", str(SPMM_VEC))
     body = body.replace("{r}", str(r)).replace("{c}", str(c))
     return src + body

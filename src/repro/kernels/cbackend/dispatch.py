@@ -114,9 +114,11 @@ def spmm_c(matrix, x: np.ndarray,
            y: np.ndarray | None = None) -> np.ndarray:
     """``Y ← Y + A·X`` on the compiled path.
 
-    CSR and SELL-C-σ matrices (including such blocks of a cache-blocked
-    matrix) run the fused multi-vector kernel — one matrix sweep for
-    all k columns; other formats fall back to the NumPy SpMM.
+    CSR, SELL-C-σ, BCSR and BCOO matrices (including such blocks of a
+    cache-blocked matrix) run the fused multi-vector kernel — one C
+    call and one matrix sweep per leaf for all k columns; formats
+    without a compiled specialization (GCSR, raw COO) and broken
+    variants fall back to the NumPy SpMM.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != matrix.ncols:

@@ -5,10 +5,11 @@ call, so a loaded kernel runs truly concurrently with other Python
 threads — the property :mod:`repro.parallel.threaded` builds on.
 
 Every kernel is probed at load time: a randomized matrix (deterministic
-per variant, with deliberately empty rows) is pushed through the
-compiled code and compared against
+per variant, with deliberately empty rows) is pushed through both
+compiled entries — ``repro_spmv``, and the fused ``repro_spmm`` at a
+column count below one chunk and at one past it — and compared against
 :func:`repro.kernels.reference.spmv_reference` to 1e-12 relative
-tolerance. A kernel that fails the probe never becomes eligible for
+tolerance. A kernel that fails either probe never becomes eligible for
 dispatch — a miscompiled object degrades to the NumPy path instead of
 corrupting results.
 
@@ -44,7 +45,7 @@ from ..reference import spmv_reference
 from . import build
 from .build import CBackendUnavailable, build_variant, \
     compiler_capabilities
-from .codegen import ISA_PREFERENCE, Variant
+from .codegen import ISA_PREFERENCE, SPMM_CHUNK, Variant
 from .program import BoundProgram
 
 #: Probe-validation tolerance (matches the test-suite parity bound).
@@ -68,7 +69,7 @@ class CKernel:
 
     variant: Variant
     spmv: object                 #: ctypes function (format-specific)
-    spmm: object | None          #: fused multi-vector entry (csr/sellcs)
+    spmm: object                 #: fused multi-vector entry (all formats)
     path: str                    #: shared object on disk
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -77,28 +78,19 @@ class CKernel:
 
 def _bind(variant: Variant, path: str) -> CKernel:
     lib = ctypes.CDLL(path)
-    spmv = lib.repro_spmv
-    spmv.restype = None
-    if variant.fmt == "csr":
-        spmv.argtypes = [_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64]
-        spmm = lib.repro_spmm
-        spmm.restype = None
-        spmm.argtypes = [_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _I64]
+    if variant.fmt in ("csr", "bcsr"):        # ..., x, y, lo, hi
+        args = [_PTR] * 5 + [_I64] * 2
     elif variant.fmt == "sellcs":
         # The permutation round-trip runs inside the kernel: +perm
         # pointer, un-permuted y, and the real row count.
-        spmv.argtypes = [_PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                         _I64, _I64, _I64]
-        spmm = lib.repro_spmm
-        spmm.restype = None
-        spmm.argtypes = [_PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
-                         _I64, _I64, _I64, _I64]
-    elif variant.fmt == "bcsr":
-        spmv.argtypes = [_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64]
-        spmm = None
-    else:  # bcoo
-        spmv.argtypes = [_PTR, _PTR, _PTR, _PTR, _PTR, _I64]
-        spmm = None
+        args = [_PTR] * 6 + [_I64] * 3
+    else:                                     # bcoo: ..., x, y, ntiles
+        args = [_PTR] * 5 + [_I64]
+    spmv, spmm = lib.repro_spmv, lib.repro_spmm
+    spmv.restype = spmm.restype = None
+    spmv.argtypes = args
+    # The fused SpMM adds the column count k among the trailing int64s.
+    spmm.argtypes = args + [_I64]
     return CKernel(variant=variant, spmv=spmv, spmm=spmm, path=path)
 
 
@@ -138,26 +130,41 @@ def _pinned(matrix, kernel: CKernel) -> BoundProgram:
     return BoundProgram(matrix, lambda leaf: kernel)
 
 
+def _check(variant: Variant, entry: str, got: np.ndarray,
+           expected: np.ndarray) -> None:
+    err = np.abs(got - expected)
+    bound = VALIDATION_RTOL * np.maximum(np.abs(expected), 1.0)
+    if not np.all(err <= bound):
+        raise KernelError(
+            f"compiled kernel {variant.name} failed load-time "
+            f"validation of {entry} (max abs err {float(err.max()):.3e})"
+        )
+
+
 def _validate(variant: Variant, kernel: CKernel) -> None:
-    """Compare the compiled kernel with the trusted reference."""
+    """Compare both compiled entries with the trusted reference."""
     seed = _probe_seed(variant)
     coo = _probe_matrix(seed)
     # sellcs: σ = nrows is a full sort, so the probe exercises a
     # non-trivial permutation round-trip through the scatter.
     mat = _in_format(coo, variant.fmt, variant.r, variant.c,
                      variant.index_width, sigma=coo.nrows)
+    program = _pinned(mat, kernel)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal(coo.ncols)
     y0 = rng.standard_normal(coo.nrows)
-    expected = spmv_reference(coo, x, y0.copy())
-    got = _pinned(mat, kernel).spmv(x, y0.copy())
-    err = np.abs(got - expected)
-    bound = VALIDATION_RTOL * np.maximum(np.abs(expected), 1.0)
-    if not np.all(err <= bound):
-        raise KernelError(
-            f"compiled kernel {variant.name} failed load-time "
-            f"validation (max abs err {float(err.max()):.3e})"
-        )
+    _check(variant, "spmv", program.spmv(x, y0.copy()),
+           spmv_reference(coo, x, y0.copy()))
+    # k = 3 runs only the narrow chunks that cover k mod SPMM_CHUNK
+    # (a vector pair and one column); SPMM_CHUNK + 1 runs a full chunk
+    # and then one column.
+    for k in (3, SPMM_CHUNK + 1):
+        xk = rng.standard_normal((coo.ncols, k))
+        yk = rng.standard_normal((coo.nrows, k))
+        expected = yk.copy()
+        for j in range(k):
+            spmv_reference(coo, xk[:, j], expected[:, j])
+        _check(variant, f"spmm (k={k})", program.spmm(xk, yk), expected)
 
 
 def get_c_kernel(fmt: str, r: int, c: int, index_width: IndexWidth,

@@ -18,11 +18,14 @@ resolved here, once per matrix:
   sizes the zero-padded scratch that overhanging leaves need.
 
 A call is then a loop over pre-bound records with pointers straight
-into the caller's ``x`` and ``y``. Only a leaf whose tile grid
+into the caller's ``x`` and ``y`` — or, for the fused SpMM every
+compiled format exports, into the caller's row-major ``(n, k)`` blocks,
+one C call per leaf for all ``k`` columns. Only a leaf whose tile grid
 overhangs its extent (``n_bcols·c ≠ cols`` or ``n_brows·r ≠ rows``)
-goes through scratch — allocated once per call, never per block and
-never shared between calls — so a neighbouring block's NaN/Inf cannot
-meet a padding zero and nothing is read or written past a buffer end.
+goes through scratch (``k`` doubles per padded row for SpMM) —
+allocated once per call, never per block and never shared between
+calls — so a neighbouring block's NaN/Inf cannot meet a padding zero
+and nothing is read or written past a buffer end.
 
 Which kernel a leaf runs is the caller's policy, passed in as
 ``resolve``: dispatch resolves the raced best rung, the loader's
@@ -60,13 +63,14 @@ class BoundLeaf:
     """One concrete matrix marshalled for one loaded kernel.
 
     ``head`` are the matrix-array addresses in C argument order, the
-    vectors follow, then a ``[lo, hi)`` range over ``units`` (rows,
-    slices or tile rows — absent for BCOO, which takes its tile count)
-    and ``post``. ``x_pad``/``y_pad`` are the tile-padded vector
-    lengths when the tile grid overhangs the matrix, else 0.
+    vectors follow, then ``pre`` — a ``[0, units)`` range over rows,
+    slices or tile rows, or BCOO's bare tile count — then the fused
+    SpMM's column count ``k`` (SpMM only) and ``post``. ``x_pad`` /
+    ``y_pad`` are the tile-padded vector lengths when the tile grid
+    overhangs the matrix, else 0.
     """
 
-    __slots__ = ("kernel", "shape", "head", "units", "post", "keep",
+    __slots__ = ("kernel", "shape", "head", "pre", "post", "keep",
                  "x_pad", "y_pad", "spmv_tail")
 
     def __init__(self, kernel, shape, arrays, units, post=(),
@@ -77,10 +81,10 @@ class BoundLeaf:
         #: leaf is, whatever happens to the matrix's own attributes.
         self.keep = arrays
         self.head = tuple(a.ctypes.data for a in arrays)
-        self.units = units
+        self.pre = (0, units) if ranged else (units,)
         self.post = post
         self.x_pad, self.y_pad = x_pad, y_pad
-        self.spmv_tail = ((0, units) if ranged else (units,)) + post
+        self.spmv_tail = self.pre + post
 
     def spmv(self, x_addr: int, y_addr: int, lo: int, hi: int) -> None:
         """Rows/slices ``[lo, hi)`` of ``y ← y + A·x`` (range formats:
@@ -90,7 +94,7 @@ class BoundLeaf:
     def spmm(self, x_addr: int, y_addr: int, k: int,
              lo: int, hi: int) -> None:
         """Rows/slices ``[lo, hi)`` of the fused ``k``-wide SpMM on
-        row-major ``(n, k)`` blocks (csr, sellcs)."""
+        row-major ``(n, k)`` blocks (range formats)."""
         self.kernel.spmm(*self.head, x_addr, y_addr, lo, hi, k,
                          *self.post)
 
@@ -142,22 +146,46 @@ def bind_leaf(matrix, kernel) -> BoundLeaf:
 
 def _padded_step(leaf: BoundLeaf, r0: int, c0: int, xs: int, ys: int):
     """Run one overhanging leaf through its scratch segments: ``xs`` /
-    ``ys`` are its offsets (in doubles) into the per-call scratch, -1
-    for a side that needs none."""
+    ``ys`` are its offsets (in vector rows) into the per-call scratch,
+    -1 for a side that needs none. The same step serves SpMV on vectors
+    and the fused SpMM on row-major ``(n, k)`` blocks, whose scratch
+    rows are ``k`` wide."""
     rows, cols = leaf.shape
-    fn, head, tail = leaf.kernel.spmv, leaf.head, leaf.spmv_tail
+    head = leaf.head
 
     def run(x, y, scratch):
+        if x.ndim == 1:
+            k, fn, tail = 1, leaf.kernel.spmv, leaf.spmv_tail
+        else:
+            k = x.shape[1]
+            fn, tail = leaf.kernel.spmm, (*leaf.pre, k, *leaf.post)
         base = scratch.ctypes.data
         if xs >= 0:
-            scratch[xs:xs + cols] = x[c0:c0 + cols]
-            x_addr = base + 8 * xs
+            scratch[k * xs:k * (xs + cols)] = x[c0:c0 + cols].reshape(-1)
+            x_addr = base + 8 * k * xs
         else:
-            x_addr = x.ctypes.data + 8 * c0
-        y_addr = base + 8 * ys if ys >= 0 else y.ctypes.data + 8 * r0
+            x_addr = x.ctypes.data + 8 * k * c0
+        y_addr = base + 8 * k * ys if ys >= 0 \
+            else y.ctypes.data + 8 * k * r0
         fn(*head, x_addr, y_addr, *tail)
         if ys >= 0:
-            y[r0:r0 + rows] += scratch[ys:ys + rows]
+            block = y[r0:r0 + rows]
+            block += scratch[k * ys:k * (ys + rows)].reshape(block.shape)
+
+    return run
+
+
+def _numpy_step(sub, r0: int, c0: int):
+    """A leaf left on its NumPy kernels, on views of the caller's
+    vectors (SpMV) or ``(n, k)`` blocks (SpMM)."""
+    rows, cols = sub.shape
+
+    def run(x, y, scratch):
+        xb, yb = x[c0:c0 + cols], y[r0:r0 + rows]
+        if x.ndim == 1:
+            sub.spmv(xb, yb)
+        else:
+            _np_spmm(sub, xb, yb)
 
     return run
 
@@ -166,7 +194,7 @@ class BoundProgram:
     """A matrix's whole compiled call, resolved ahead of time.
 
     ``resolve(leaf_matrix)`` returns the loaded kernel a leaf runs, or
-    None to leave it on its NumPy kernel. ``token`` is whatever the
+    None to leave it on its NumPy kernels. ``token`` is whatever the
     binder wants to compare later to decide the program is stale.
 
     :meth:`spmv` / :meth:`spmm` take C-contiguous float64 arrays of
@@ -187,59 +215,49 @@ class BoundProgram:
         #: Compiled leaves in block order (None where a block stays on
         #: NumPy); a bare matrix has exactly one entry.
         self.leaves: list[BoundLeaf | None] = []
+        #: Scratch vector rows one call needs (times k for SpMM).
         self.scratch_len = 0
+        # Records are ``(fn, head, x offset, y offset, *ints, slow)``
+        # with byte offsets for one vector (SpMM scales them by k):
+        # ``slow`` is None on the pointer-only path and otherwise does
+        # the step itself from ``(x, y, scratch)``.
         self._spmv: list[tuple] = []
         self._spmm: list[tuple] = []
         spmv_counts: Counter = Counter()
         spmm_counts: Counter = Counter()
-        outcome = {True: "c_backend.calls", False: "c_backend.fallbacks"}
         for sub, r0, c0 in placed:
             kernel = resolve(sub)
             leaf = bind_leaf(sub, kernel) if kernel is not None else None
-            fused = leaf if leaf and kernel.spmm is not None else None
             self.leaves.append(leaf)
-            self._spmv.append(self._spmv_step(sub, leaf, r0, c0))
-            self._spmm.append(self._spmm_step(sub, fused, r0, c0))
+            if leaf is None:
+                slow = _numpy_step(sub, r0, c0)
+            elif leaf.x_pad or leaf.y_pad:
+                slow = _padded_step(leaf, r0, c0, self._reserve(leaf.x_pad),
+                                    self._reserve(leaf.y_pad))
+            else:
+                self._spmv.append((leaf.kernel.spmv, leaf.head, 8 * c0,
+                                   8 * r0, leaf.spmv_tail, None))
+                self._spmm.append((leaf.kernel.spmm, leaf.head, 8 * c0,
+                                   8 * r0, leaf.pre, leaf.post, None))
+                slow = None
+            if slow is not None:
+                self._spmv.append((None, (), 0, 0, (), slow))
+                self._spmm.append((None, (), 0, 0, (), (), slow))
+            outcome = "c_backend.calls" if leaf else "c_backend.fallbacks"
             fmt = sub.format_name
-            spmv_counts[outcome[leaf is not None], fmt] += 1
-            spmm_counts[outcome[fused is not None], f"{fmt}_spmm"] += 1
+            spmv_counts[outcome, fmt] += 1
+            spmm_counts[outcome, f"{fmt}_spmm"] += 1
         self.spmv_counts = [(name, n, fmt) for (name, fmt), n
                             in spmv_counts.items()]
         self.spmm_counts = [(name, n, fmt) for (name, fmt), n
                             in spmm_counts.items()]
 
-    # Records are ``(fn, head, x byte offset, y byte offset, tail,
-    # slow)``: ``slow`` is None on the pointer-only path and otherwise
-    # a callable that does the step with array copies.
-    def _spmv_step(self, sub, leaf, r0, c0) -> tuple:
-        rows, cols = sub.shape
-        if leaf is None:
-            def slow(x, y, scratch):
-                sub.spmv(x[c0:c0 + cols], y[r0:r0 + rows])
-        elif leaf.x_pad or leaf.y_pad:
-            xs = ys = -1
-            if leaf.x_pad:
-                xs, self.scratch_len = \
-                    self.scratch_len, self.scratch_len + leaf.x_pad
-            if leaf.y_pad:
-                ys, self.scratch_len = \
-                    self.scratch_len, self.scratch_len + leaf.y_pad
-            slow = _padded_step(leaf, r0, c0, xs, ys)
-        else:
-            return (leaf.kernel.spmv, leaf.head, 8 * c0, 8 * r0,
-                    leaf.spmv_tail, None)
-        return (None, (), 0, 0, (), slow)
-
-    def _spmm_step(self, sub, leaf, r0, c0) -> tuple:
-        if leaf is not None:
-            return (leaf.kernel.spmm, leaf.head, 8 * c0, 8 * r0,
-                    leaf.units, leaf.post, None)
-        rows, cols = sub.shape
-
-        def slow(x, y):
-            _np_spmm(sub, x[c0:c0 + cols], y[r0:r0 + rows])
-
-        return (None, (), 0, 0, 0, (), slow)
+    def _reserve(self, n: int) -> int:
+        """Offset of ``n`` fresh scratch rows, or -1 when ``n`` is 0."""
+        if not n:
+            return -1
+        offset, self.scratch_len = self.scratch_len, self.scratch_len + n
+        return offset
 
     def spmv(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``y ← y + A·x``; returns ``y``."""
@@ -254,12 +272,14 @@ class BoundProgram:
 
     def spmm(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``Y ← Y + A·X`` for row-major ``(n, k)`` blocks: one matrix
-        sweep for all ``k`` columns on leaves with a fused kernel."""
+        sweep for all ``k`` columns on every compiled leaf."""
         k = x.shape[1]
         xb, yb = x.ctypes.data, y.ctypes.data
-        for fn, head, xo, yo, units, post, slow in self._spmm:
+        scratch = np.zeros(self.scratch_len * k) if self.scratch_len \
+            else None
+        for fn, head, xo, yo, pre, post, slow in self._spmm:
             if slow is None:
-                fn(*head, xb + xo * k, yb + yo * k, 0, units, k, *post)
+                fn(*head, xb + xo * k, yb + yo * k, *pre, k, *post)
             else:
-                slow(x, y)
+                slow(x, y, scratch)
         return y

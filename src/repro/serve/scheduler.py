@@ -19,7 +19,13 @@ A batch runs on ``entry.executor`` (:mod:`repro.serve.executor`) — the
 scheduler does not know whether that is in-process, threaded or a shard
 group. Single-request batches go through the executor's exact ``spmv``,
 so a solver issuing dependent matvecs through the service gets
-bit-for-bit the numbers the direct library path produces.
+bit-for-bit the numbers the direct library path produces. On the
+compiled in-process path a coalesced batch keeps that promise too: the
+fused CSR, BCSR and BCOO kernels compute each column in its SpMV's
+exact order, so on the scalar and prefetch rungs a request's answer has
+the same bits whether it ran alone or in a batch of eight. Where a
+batch runs the NumPy SpMM or the simd rung's reassociating reductions,
+it matches the lone answer to rounding, not bits.
 
 Counters/histograms: ``serve.requests``, ``serve.batches``,
 ``serve.kernel_invocations``, ``serve.batched_requests``,

@@ -151,7 +151,7 @@ def test_mixed_plan_counts_every_block_once():
     before = {k: reg.counter(k[0], fmt=k[1]) for k in (
         ("c_backend.calls", "csr"), ("c_backend.calls", "bcoo"),
         ("c_backend.fallbacks", "gcsr"), ("c_backend.calls", "csr_spmm"),
-        ("c_backend.fallbacks", "bcoo_spmm"),
+        ("c_backend.calls", "bcoo_spmm"),
         ("c_backend.fallbacks", "gcsr_spmm"))}
     _assert_close(spmv_c(mat, x), spmv_reference(coo, x))
     xk = np.random.default_rng(7).standard_normal((coo.ncols, 3))
@@ -164,7 +164,7 @@ def test_mixed_plan_counts_every_block_once():
         ("c_backend.calls", "csr"): 1, ("c_backend.calls", "bcoo"): 2,
         ("c_backend.fallbacks", "gcsr"): 1,
         ("c_backend.calls", "csr_spmm"): 1,
-        ("c_backend.fallbacks", "bcoo_spmm"): 2,
+        ("c_backend.calls", "bcoo_spmm"): 2,
         ("c_backend.fallbacks", "gcsr_spmm"): 1}
 
 
@@ -186,6 +186,20 @@ class TestNoLeakThroughPadding:
         got = spmv_c(mat, x)
         assert np.isfinite(got).all()
         _assert_close(got, mat.spmv(x))
+
+    def test_x_row_outside_a_ragged_block_spmm(self, fmt, r, c, bad):
+        """The fused SpMM's ``(x_pad, k)`` scratch: row 19 of X is
+        nobody's, in every column."""
+        coo = random_coo(*SHAPE, 0.15, seed=27)
+        sub = coo.submatrix(0, 23, 0, 19)
+        mat = CacheBlockedMatrix(
+            SHAPE, [CacheBlock(0, 23, 0, 19, _leaf(sub, fmt, r, c))])
+        x = np.random.default_rng(28).standard_normal((40, 9))
+        x[19] = bad
+        got = spmm_c(mat, x)
+        assert np.isfinite(got).all()
+        for j in range(9):
+            _assert_close(got[:, j], mat.spmv(x[:, j]))
 
     def test_neighbouring_blocks_keep_numpys_nan_pattern(
             self, fmt, r, c, bad):
@@ -408,3 +422,108 @@ def test_bound_matrix_still_pickles():
     clone = pickle.loads(pickle.dumps(csr))
     assert "_c_program" not in vars(clone)
     np.testing.assert_array_equal(spmv_c(clone, x), y)
+
+
+# ----------------------------------------------------------------------
+# (viii) the fused SpMM: one sweep for k columns, each column exactly
+# the leaf's own compiled SpMV
+# ----------------------------------------------------------------------
+#: A 48x48 matrix cut at 24 is a whole number of tiles for every tile
+#: edge in 1..4; a cut at 23/19 overhangs all but 1x1 (scratch path).
+SPMM_CUTS = {"aligned": (24, 24), "ragged": (23, 19)}
+SPMM_KS = (2, 3, 8, 9)
+
+
+def _x_layouts(x: np.ndarray):
+    """``x`` as C-order, Fortran-order and column-strided arrays."""
+    strided = np.zeros((x.shape[0], 2 * x.shape[1]))
+    strided[:, ::2] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+            "strided": strided[:, ::2]}
+
+
+@pytest.mark.parametrize("width", [IndexWidth.I16, IndexWidth.I32])
+@pytest.mark.parametrize("r,c", [(r, c) for r in range(1, 5)
+                                 for c in range(1, 5)])
+@pytest.mark.parametrize("fmt", ["bcsr", "bcoo"])
+def test_blocked_spmm_grid(fmt, r, c, width):
+    """tile x width x extent x k x X layout: every column within 1e-12
+    of the reference and bit-identical to the same program's SpMV."""
+    coo = random_coo(48, 48, 0.15, seed=4 * r + c)
+    rng = np.random.default_rng(r * c)
+    for extent, (rc, cc) in SPMM_CUTS.items():
+        mat = _grid(coo, [rc], [cc],
+                    lambda sub, i, j: _leaf(sub, fmt, r, c, width))
+        for k in SPMM_KS:
+            x = rng.standard_normal((48, k))
+            y0 = rng.standard_normal((48, k))
+            expected = y0.copy()
+            for j in range(k):
+                spmv_reference(coo, x[:, j], expected[:, j])
+            lone = np.column_stack([spmv_c(mat, x[:, j], y0[:, j].copy())
+                                    for j in range(k)])
+            for layout, xl in _x_layouts(x).items():
+                got = spmm_c(mat, xl, y0.copy())
+                _assert_close(got, expected)
+                assert np.array_equal(got, lone), (extent, k, layout)
+
+
+def _rungs():
+    from repro.kernels.cbackend import compiler_capabilities
+
+    caps = compiler_capabilities()
+    return [isa for isa in ("scalar", "prefetch")
+            if isa == "scalar" or isa in caps]
+
+
+@pytest.mark.parametrize("fmt,r,c", [("csr", 1, 1), ("bcsr", 2, 2),
+                                     ("bcsr", 1, 2), ("bcoo", 2, 2),
+                                     ("bcoo", 4, 1)])
+def test_spmm_columns_are_the_spmv_bits(monkeypatch, fmt, r, c):
+    """On the scalar and prefetch rungs, column j of ``spmm_c`` is
+    ``spmv_c`` of column j, to the last bit."""
+    from repro.kernels.cbackend import get_c_kernel
+
+    coo = random_coo(*SHAPE, 0.2, seed=29)
+    x = np.random.default_rng(30).standard_normal((40, 9))
+    for isa in _rungs():
+        kernel = get_c_kernel(fmt, r, c, IndexWidth.I32, isa=isa)
+        monkeypatch.setattr(dispatch, "_best_kernel", lambda leaf: kernel)
+        mat = _grid(coo, [23], [19], lambda sub, i, j: _leaf(sub, fmt, r, c))
+        for k in SPMM_KS:
+            got = spmm_c(mat, x[:, :k])
+            for j in range(k):
+                assert np.array_equal(got[:, j], spmv_c(mat, x[:, j])), \
+                    (isa, k, j)
+
+
+def test_broken_spmm_is_blacklisted_like_a_broken_spmv(monkeypatch):
+    """A kernel whose fused entry computes nothing fails load-time
+    validation: the variant is blacklisted and SpMM runs on NumPy."""
+    from repro.formats.multivector import spmm as np_spmm
+    from repro.kernels.cbackend import loader
+
+    real_bind = loader._bind
+
+    def broken(variant, path):
+        return dataclasses.replace(real_bind(variant, path),
+                                   spmm=lambda *args: None)
+
+    coo = random_coo(30, 30, 0.2, seed=31)
+    mat = _leaf(coo, "bcsr", 2, 2)
+    x = np.random.default_rng(32).standard_normal((30, 4))
+    reg = get_registry()
+    failed = reg.counter("c_backend.validation_failures", fmt="bcsr")
+    fallbacks = reg.counter("c_backend.fallbacks", fmt="bcsr_spmm")
+    reset_for_tests()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(loader, "_bind", broken)
+            got = spmm_c(mat, x)
+    finally:
+        reset_for_tests()
+    assert reg.counter("c_backend.validation_failures", fmt="bcsr") \
+        > failed
+    assert reg.counter("c_backend.fallbacks", fmt="bcsr_spmm") \
+        == fallbacks + 1
+    np.testing.assert_array_equal(got, np_spmm(mat, x))

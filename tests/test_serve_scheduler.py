@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ServeAdmissionError, ServeError
+from repro.kernels.cbackend import c_backend_available
 from repro.machines import get_machine
+from repro.matrices import generate
 from repro.observe.metrics import get_registry
-from repro.serve import BatchScheduler, MatrixRegistry, WorkerPool
+from repro.serve import BatchScheduler, MatrixRegistry, ServeClient, WorkerPool
 from tests.conftest import random_coo
 
 
@@ -73,6 +75,43 @@ class TestCoalescing:
         finally:
             sched.close()
             pool.shutdown()
+
+
+@pytest.mark.skipif(not c_backend_available(),
+                    reason="C backend unavailable")
+def test_full_wave_on_a_blocked_plan_is_one_compiled_spmm(rng):
+    """A wave of max_batch requests on a cache-blocked BCSR plan (tile
+    grids overhanging their blocks included) runs as one compiled SpMM,
+    and every answer carries the bits a lone request gets."""
+    client = ServeClient(machine="AMD X2", backend="c", max_batch=8,
+                         flush_deadline_s=30.0)
+    reg = get_registry()
+
+    def fallbacks():
+        return sum(v for key, v in reg.snapshot()["counters"].items()
+                   if key.startswith("c_backend.fallbacks"))
+
+    try:
+        entry = client.register(generate("FEM-Cant", scale=0.02))
+        leaves = {b.matrix.format_name for b in entry.matrix.blocks}
+        assert len(entry.matrix.blocks) > 1
+        assert leaves <= {"bcsr", "bcoo"}
+        xs = [rng.standard_normal(entry.ncols) for _ in range(8)]
+        lone = []
+        for x in xs:
+            fut = client.submit(entry.fingerprint, x)
+            client.scheduler.flush()
+            lone.append(fut.result(timeout=10))
+        batches = reg.counter("serve.c_backend_batches")
+        missed = fallbacks()
+        futs = [client.submit(entry.fingerprint, x) for x in xs]
+        wave = [f.result(timeout=10) for f in futs]
+        assert reg.counter("serve.c_backend_batches") == batches + 1
+        assert fallbacks() == missed
+        for y, y_lone in zip(wave, lone):
+            np.testing.assert_array_equal(y, y_lone)
+    finally:
+        client.close()
 
 
 class TestDeadlineFlush:
