@@ -14,8 +14,9 @@ that *looks like* one we already tuned skips the sweep entirely:
 * :mod:`.predictor` — predict-first planning with sweep fallback;
 * :mod:`.train` — offline retraining with a stratified holdout report.
 
-The hill-climbing re-tuner fed by live serve traffic is part of the
-serve tier: :mod:`repro.serve.tuner`.
+The background re-tune that confirms or overrides a predicted plan on
+a live entry is part of the serve tier
+(:meth:`repro.serve.registry.MatrixRegistry.retune`).
 """
 
 from .corpus import CORPUS_VERSION, CorpusSample, PlanCorpus

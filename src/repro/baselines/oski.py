@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import ceil_div
 from ..core.engine import SpmvEngine
 from ..core.optimizer import OptimizationLevel
 from ..core.plan import OptimizationConfig, SpmvPlan
@@ -117,11 +116,9 @@ class OskiTuner:
         idx = np.concatenate([
             np.arange(a, b) for a, b in zip(lo, hi) if b > a
         ])
-        srow, scol = row[idx], coo.col[idx]
-        n_bcols = -(-coo.ncols // c)
-        key = (srow // r) * n_bcols + scol // c
-        ntiles = len(np.unique(key))
-        return ntiles * r * c / nnz_sampled
+        sample = COOMatrix(coo.shape, row[idx], coo.col[idx],
+                           coo.val[idx], dedupe=False)
+        return count_tiles(sample, r, c) * r * c / nnz_sampled
 
     def choose_blocking(self, coo: COOMatrix) -> tuple[int, int]:
         """SPARSITY heuristic: argmax profile / fill."""

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .._util import as_index, ceil_div
+from .._util import as_index, ceil_div, unique_count
 from ..errors import ConversionError
 from .base import IndexWidth, SparseFormat
 from .bcoo import BCOOMatrix
@@ -99,11 +99,8 @@ def _tile_assemble(
 def count_tiles(coo: COOMatrix, r: int, c: int) -> int:
     """Number of occupied r×c tiles — the one-pass statistic the paper's
     footprint heuristic needs, without materializing the blocks."""
-    if coo.nnz_logical == 0:
-        return 0
     n_bcols = ceil_div(coo.ncols, c)
-    key = (coo.row // r) * n_bcols + coo.col // c
-    return int(len(np.unique(key)))
+    return unique_count((coo.row // r) * n_bcols + coo.col // c)
 
 
 def to_bcsr(

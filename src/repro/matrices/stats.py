@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import ceil_div
+from .._util import unique_count
+from ..formats.convert import count_tiles
 from ..formats.coo import COOMatrix
 
 
@@ -120,10 +121,7 @@ def block_fill_ratio(coo: COOMatrix, r: int, c: int) -> float:
     nnz = coo.nnz_logical
     if nnz == 0:
         return 1.0
-    n_bcols = ceil_div(max(coo.ncols, 1), c)
-    key = (coo.row // r) * n_bcols + coo.col // c
-    ntiles = len(np.unique(key))
-    return ntiles * r * c / nnz
+    return count_tiles(coo, r, c) * r * c / nnz
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,7 @@ def nnz_per_row_per_cache_block(
     block = coo.col // max(cols_per_block, 1)
     key = coo.row * (int(block.max()) + 1 if len(block) else 1) + block
     # Each distinct (row, block) pair is one inner-loop instance.
-    n_segments = len(np.unique(key))
-    return coo.nnz_logical / n_segments
+    return coo.nnz_logical / unique_count(key)
 
 
 def spyplot_grid(coo: COOMatrix, grid: int = 64) -> np.ndarray:

@@ -18,7 +18,7 @@ from .partition import (
     partition_cols_balanced,
 )
 from .scan import segmented_scan_spmv
-from .threaded import threaded_spmm, threaded_spmv
+from .threaded import threaded_spmv
 
 __all__ = [
     "NumaAssignment",
@@ -30,6 +30,5 @@ __all__ = [
     "partition_rows_balanced",
     "partition_rows_equal",
     "segmented_scan_spmv",
-    "threaded_spmm",
     "threaded_spmv",
 ]

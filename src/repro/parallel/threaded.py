@@ -1,4 +1,4 @@
-"""Thread-pool SpMV/SpMM over the GIL-free compiled kernels.
+"""Thread-pool SpMV over the GIL-free compiled kernels.
 
 NumPy kernels hold the GIL, so threads over them only time-slice (the
 process-level answer is the persistent shard tier, :mod:`repro.dist`).
@@ -11,8 +11,8 @@ one shared destination.
 
 Row ranges come from the same nonzero-balanced partitioner the rest of
 the parallel tier uses (the paper's static load-balancing strategy).
-Without a compiler (``REPRO_DISABLE_CC=1``) both entry points degrade
-to the serial NumPy kernel, counted in ``threaded.serial_fallbacks``.
+Without a compiler (``REPRO_DISABLE_CC=1``) the call degrades to the
+serial NumPy kernel, counted in ``threaded.serial_fallbacks``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from ..errors import PartitionError
 from ..formats.csr import CSRMatrix
-from ..formats.multivector import spmm as _np_spmm
 from ..kernels.cbackend.build import CBackendUnavailable
 from ..kernels.cbackend.dispatch import program_for
 from ..observe import context as _context
@@ -111,49 +110,6 @@ def _record(secs: np.ndarray, s) -> None:
     s.set(imbalance=round(imbalance, 3))
 
 
-def _threaded(csr: CSRMatrix, x: np.ndarray, y: np.ndarray,
-              k: int | None, n_threads: int | None,
-              partition: RowPartition | None,
-              min_nnz_per_thread: int) -> np.ndarray:
-    """Shared driver behind both entry points (arguments already
-    validated): ``k is None`` is SpMV on vectors, otherwise the
-    ``k``-wide fused SpMM on ``(n, k)`` blocks. With one slab or no
-    compiler it runs the serial NumPy kernel instead."""
-    name = "threaded.spmv" if k is None else "threaded.spmm"
-    width = {} if k is None else {"k": k}
-    n = _plan_threads(csr, n_threads, min_nnz_per_thread)
-    leaf = None
-    if n > 1:
-        try:
-            leaf = program_for(csr).leaves[0]
-        except CBackendUnavailable:
-            pass
-    if leaf is None:
-        _metrics.inc("threaded.serial_fallbacks")
-        with _span(name, threads=1, nnz=csr.nnz_stored):
-            return csr.spmv(x, y) if k is None else _np_spmm(csr, x, y)
-    part = _resolve_partition(csr, partition, n)
-    xc = np.ascontiguousarray(x)
-    yc = y if y.flags.c_contiguous else np.ascontiguousarray(y)
-    x_addr, y_addr = xc.ctypes.data, yc.ctypes.data
-
-    def run_one(r0: int, r1: int) -> None:
-        if k is None:
-            leaf.spmv(x_addr, y_addr, r0, r1)
-        else:
-            leaf.spmm(x_addr, y_addr, k, r0, r1)
-
-    with _span(name, threads=n, nnz=csr.nnz_stored, **width) as s:
-        t0 = time.perf_counter()
-        secs = _run_ranges(part.ranges(), run_one, n)
-        _observe_kernel(csr, time.perf_counter() - t0,
-                        backend="threaded", **width)
-        _record(secs, s)
-    if yc is not y:
-        y[...] = yc
-    return y
-
-
 def threaded_spmv(
     csr: CSRMatrix,
     x: np.ndarray,
@@ -170,39 +126,34 @@ def threaded_spmv(
     optional pre-computed row partition with that many parts. Results
     match the serial compiled kernel bitwise — each row is summed by
     exactly one thread in the same order — and match ``csr.spmv`` to
-    ~1e-15.
+    ~1e-15. With one slab or no compiler it runs the serial NumPy
+    kernel instead.
     """
     x, y = csr._check_spmv_args(x, y)
-    return _threaded(csr, x, y, None, n_threads, partition,
-                     min_nnz_per_thread)
+    n = _plan_threads(csr, n_threads, min_nnz_per_thread)
+    leaf = None
+    if n > 1:
+        try:
+            leaf = program_for(csr).leaves[0]
+        except CBackendUnavailable:
+            pass
+    if leaf is None:
+        _metrics.inc("threaded.serial_fallbacks")
+        with _span("threaded.spmv", threads=1, nnz=csr.nnz_stored):
+            return csr.spmv(x, y)
+    part = _resolve_partition(csr, partition, n)
+    xc = np.ascontiguousarray(x)
+    yc = y if y.flags.c_contiguous else np.ascontiguousarray(y)
+    x_addr, y_addr = xc.ctypes.data, yc.ctypes.data
 
+    def run_one(r0: int, r1: int) -> None:
+        leaf.spmv(x_addr, y_addr, r0, r1)
 
-def threaded_spmm(
-    csr: CSRMatrix,
-    x: np.ndarray,
-    y: np.ndarray | None = None,
-    *,
-    n_threads: int | None = None,
-    partition: RowPartition | None = None,
-    min_nnz_per_thread: int = 25_000,
-) -> np.ndarray:
-    """``Y ← Y + A·X`` threaded over row slabs via the fused kernel.
-
-    ``X`` is ``(ncols, k)``; each thread streams its row slab once for
-    all ``k`` right-hand sides. Falls back to the serial NumPy SpMM
-    when the compiled backend is unavailable.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != csr.ncols:
-        raise ValueError(
-            f"X must have shape ({csr.ncols}, k), got {x.shape}"
-        )
-    k = x.shape[1]
-    if y is None:
-        y = np.zeros((csr.nrows, k), dtype=np.float64)
-    elif y.shape != (csr.nrows, k):
-        raise ValueError(
-            f"Y must have shape ({csr.nrows}, {k}), got {y.shape}"
-        )
-    return _threaded(csr, x, y, k, n_threads, partition,
-                     min_nnz_per_thread)
+    with _span("threaded.spmv", threads=n, nnz=csr.nnz_stored) as s:
+        t0 = time.perf_counter()
+        secs = _run_ranges(part.ranges(), run_one, n)
+        _observe_kernel(csr, time.perf_counter() - t0, backend="threaded")
+        _record(secs, s)
+    if yc is not y:
+        y[...] = yc
+    return y

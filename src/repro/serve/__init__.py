@@ -9,15 +9,13 @@ thousands of multiplies:
 * :mod:`.plancache` — lossless JSON plan serialization plus a
   version-stamped on-disk store keyed by
   ``(machine, fingerprint, repro.__version__)``.
-* :mod:`.executor` — how one registered matrix executes (in-process,
-  threaded, or on a shard group): chosen once at registration, held on
-  the registry entry, swapped by the tuners.
+* :mod:`.executor` — how one registered matrix executes (in-process or
+  on a shard group): chosen once at registration, held on the registry
+  entry, swapped only by a predicted plan's background re-tune.
 * :mod:`.scheduler` — coalesces concurrent same-matrix requests into
   multi-vector SpMM batches (size/deadline triggered) with bounded-
   queue admission control; runs each batch on the entry's executor.
 * :mod:`.worker` — instrumented thread pool sized to the machine model.
-* :mod:`.tuner` — hill-climbing re-tuner fed by the scheduler's batch
-  stream; promotes a faster executor through ``MatrixRegistry.swap``.
 * :mod:`.routes` — transport-independent request routing
   (``/v1/spmv``, ``/v1/matrices``, ``/healthz``, Prometheus
   ``/metrics``, the ``/v1/debug/*`` plane).

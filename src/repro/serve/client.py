@@ -42,7 +42,6 @@ from ..solvers.operator import FingerprintOperator
 from .plancache import PlanCache
 from .registry import MatrixRegistry, RegistryEntry
 from .scheduler import BatchScheduler
-from .tuner import OnlineTuner
 from .worker import WorkerPool
 
 
@@ -68,11 +67,8 @@ class ServeClient:
         slo_ms: float | None = None,
         plan_mode: str = "heuristic",
         autoplan_dir: str | os.PathLike | None = None,
-        retune_predicted: bool = True,
         perf_watch: "bool | MachineCeilings" = False,
         profile_dir: str | os.PathLike | None = None,
-        online_tune: bool = False,
-        online_hot_threshold: int = 32,
     ):
         if not (0.0 <= trace_sample_rate <= 1.0):
             raise ServeError(
@@ -116,7 +112,7 @@ class ServeClient:
             # registrations try the model first (corpus + artifact live in
             # autoplan_dir, defaulting to the plan-cache dir) and confident
             # predictions skip the tuning sweep; a background re-tune then
-            # confirms or overrides the predicted plan (retune_predicted).
+            # confirms or overrides the predicted plan.
             self.autoplanner = None
             if autoplan_dir is None:
                 autoplan_dir = plan_cache_dir
@@ -126,7 +122,6 @@ class ServeClient:
                 self.autoplanner = AutoPlanner(
                     os.path.expanduser(os.fspath(autoplan_dir))
                 )
-            self.retune_predicted = retune_predicted
             plan_cache = (
                 PlanCache(
                     os.path.expanduser(os.fspath(plan_cache_dir)),
@@ -181,17 +176,6 @@ class ServeClient:
                 flush_deadline_s=flush_deadline_s, max_queue=max_queue,
                 slo=self.slo, watchdog=self.watchdog,
             )
-            # Online autotuning: once a matrix has served enough batches,
-            # a background hill-climb re-times its backend / thread count
-            # from live traffic and promotes measured wins (no sweep at
-            # registration needed).
-            self.online_tuner = None
-            if online_tune:
-                self.online_tuner = OnlineTuner(
-                    self.registry, self.scheduler, self.watchdog,
-                    hot_threshold=online_hot_threshold,
-                )
-                self.scheduler.online_tuner = self.online_tuner
         except BaseException:
             self.close()
             raise
@@ -202,13 +186,15 @@ class ServeClient:
         """Tune (plan-cache-aware) and admit a matrix; idempotent.
 
         When the registry took the predict path, a background re-tune
-        is queued (unless ``retune_predicted=False``): it sweeps the
-        matrix off the request path, records whether the prediction
-        was right, and upgrades the live plan on an override. The
+        is queued: it sweeps the matrix off the request path, records
+        whether the prediction was right, and upgrades the live plan on
+        an override. A re-registration while it is queued or running
+        queues another, which finds the prediction already claimed
+        (:meth:`MatrixRegistry.retune`) and returns at once. The
         scheduler's drain discipline waits for it like any batch.
         """
         entry = self.registry.register(coo, n_threads=n_threads)
-        if entry.predicted and self.retune_predicted:
+        if entry.predicted:
             fingerprint = entry.fingerprint
             self.scheduler.submit_task(
                 lambda: self.registry.retune(fingerprint, coo)

@@ -20,9 +20,9 @@ matrices whose materialized footprint reaches ``shard_threshold_bytes``
 are additionally registered with the group — their slabs ship into
 shared memory once — and get a shards executor; everything else runs
 in-process. :meth:`MatrixRegistry.swap` is the one way a live entry's
-plan, structure or executor changes afterwards (background re-tune,
-online tuner). Eviction closes the executor, which for a shard-backed
-matrix frees its segments.
+plan, structure or executor changes afterwards, and the background
+re-tune of a predicted plan is its one caller. Eviction closes the
+executor, which for a shard-backed matrix frees its segments.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class RegistryEntry:
     #: How batches for this matrix execute (:mod:`repro.serve.executor`).
     executor: object = field(repr=False)
     hits: int = field(default=0)
-    #: True while the plan came from the autoplan predictor and has not
-    #: yet been confirmed or overridden by a background re-tune.
+    #: True while the plan came from the autoplan predictor and no
+    #: background re-tune has claimed it yet.
     predicted: bool = field(default=False)
     #: How the plan was produced: cached | heuristic | predict | tune.
     plan_path: str = field(default="heuristic")
@@ -80,12 +80,11 @@ class RegistryEntry:
     @property
     def watchdog_key(self) -> str:
         """``<format>/<backend>``: the perf-watchdog baseline series
-        this entry's batches feed (and the online tuner reads back)."""
+        this entry's batches feed."""
         return (f"{format_label(self.matrix)}/"
                 f"{self.executor.describe()['backend']}")
 
     def describe(self) -> dict:
-        execution = self.executor.describe()
         return {
             "fingerprint": self.fingerprint,
             "shape": list(self.shape),
@@ -95,12 +94,11 @@ class RegistryEntry:
             "backend": self.plan.backend,
             "plan_cache_hit": self.from_plan_cache,
             "hits": self.hits,
-            "sharded": execution["sharded"],
+            "sharded": self.executor.describe()["sharded"],
             "plan_path": self.plan_path,
             "predicted": self.predicted,
             "autoplan_label": self.autoplan_label,
             "autoplan_confidence": self.autoplan_confidence,
-            "exec_threads": execution["exec_threads"],
         }
 
 
@@ -309,11 +307,16 @@ class MatrixRegistry:
         swaps in the tuned plan on an override, and feeds the verdict
         back to the corpus as a ``feedback`` sample. Returns True when
         the predicted plan was overridden.
+
+        The re-tune claims the prediction under the lock, so one
+        prediction gets one sweep and one verdict however many
+        re-tunes were queued for it.
         """
         with self._lock:
             entry = self._entries.get(fingerprint)
-        if entry is None or not entry.predicted:
-            return False
+            if entry is None or not entry.predicted:
+                return False
+            entry.predicted = False
         predicted_label = entry.autoplan_label
         outcome = self.engine.plan_auto(
             coo, n_threads=entry.plan.n_threads, backend=self.backend,
@@ -334,7 +337,6 @@ class MatrixRegistry:
             _metrics.inc("autoplan.predictions", outcome="override")
         else:
             _metrics.inc("autoplan.retunes_confirmed")
-        entry.predicted = False
         entry.autoplan_label = outcome.label
         autoplan = self._provenance(entry, outcome)
         if self.plan_cache is not None and autoplan is not None:
@@ -356,9 +358,9 @@ class MatrixRegistry:
 
         Identity-checked under the lock: returns False and changes
         nothing when ``entry`` was evicted or re-registered since the
-        caller looked it up (re-tunes and online tuning run for a
-        while off the request path). A batch that already read the old
-        executor finishes on it.
+        caller looked it up (a re-tune runs for a while off the request
+        path). A batch that already read the old executor finishes on
+        it.
         """
         with self._lock:
             if self._entries.get(entry.fingerprint) is not entry:

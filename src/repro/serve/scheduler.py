@@ -16,8 +16,8 @@ queued-but-undispatched requests; past it, :meth:`submit` raises
 :class:`~repro.errors.ServeAdmissionError` (HTTP 429 upstream).
 
 A batch runs on ``entry.executor`` (:mod:`repro.serve.executor`) — the
-scheduler does not know whether that is in-process, threaded or a shard
-group. Single-request batches go through the executor's exact ``spmv``,
+scheduler does not know whether that is in-process or a shard group.
+Single-request batches go through the executor's exact ``spmv``,
 so a solver issuing dependent matvecs through the service gets
 bit-for-bit the numbers the direct library path produces. On the
 compiled in-process path a coalesced batch keeps that promise too: the
@@ -100,9 +100,6 @@ class BatchScheduler:
         self.max_queue = max_queue
         self.slo = slo
         self.watchdog = watchdog
-        #: Optional :class:`~repro.serve.tuner.OnlineTuner` attached
-        #: by the serve client; fed one call per executed batch.
-        self.online_tuner = None
         self._cv = threading.Condition()
         self._groups: dict[str, _Group] = {}
         self._n_queued = 0
@@ -193,8 +190,8 @@ class BatchScheduler:
         member_traces = sorted({r.ctx.trace_id for r in requests
                                 if r.ctx is not None and r.ctx.sampled})
         try:
-            # Read once: a tuner promotion may swap entry.executor while
-            # this batch runs, and the batch must be counted as what ran.
+            # Read once: a re-tune may swap entry.executor while this
+            # batch runs, and the batch must be counted as what ran.
             executor = entry.executor
             info = executor.describe()
             backend, sharded = info["backend"], info["sharded"]
@@ -210,8 +207,8 @@ class BatchScheduler:
                     ys = [np.ascontiguousarray(y_block[:, j])
                           for j in range(k)]
                     gather_s = time.perf_counter() - t_g
-                # Per-tier batch counters (sharded / threaded /
-                # compiled), so /metrics shows where flops run.
+                # Per-tier batch counters (sharded / compiled), so
+                # /metrics shows where flops run.
                 for name in info["batch_counters"]:
                     _metrics.inc(name)
             _metrics.inc("serve.batches")
@@ -222,11 +219,6 @@ class BatchScheduler:
             compute_s = max(t_done - t_exec - gather_s, 0.0)
             if self.watchdog is not None:
                 self._feed_watchdog(entry, backend, k, compute_s)
-            if self.online_tuner is not None:
-                try:
-                    self.online_tuner.note_batch(entry)
-                except Exception:  # noqa: BLE001 - tuning is best effort
-                    pass
             for req, y in zip(requests, ys):
                 req.future.set_result(y)
             if self.slo is not None:

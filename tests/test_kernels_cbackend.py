@@ -303,16 +303,6 @@ class TestThreaded:
         got = threaded_spmv(csr, x, n_threads=4, min_nnz_per_thread=1)
         _assert_parity(got, spmv_reference(coo, x))
 
-    def test_spmm_parity(self):
-        from repro.formats.multivector import spmm
-        from repro.parallel import threaded_spmm
-
-        coo = random_coo(120, 90, 0.1, seed=18)
-        csr = coo_to_csr(coo)
-        x = np.random.default_rng(19).standard_normal((90, 4))
-        got = threaded_spmm(csr, x, n_threads=3, min_nnz_per_thread=1)
-        _assert_parity(got, spmm(csr, x))
-
     def test_partition_mismatch_rejected(self):
         from repro.errors import PartitionError
         from repro.parallel import threaded_spmv

@@ -67,8 +67,6 @@ DOCUMENTED = {
     # learned plan selection (autoplan/, fed by registry.register)
     "autoplan.predictions": "counter",
     "autoplan.registration_seconds": "histogram",
-    # online autotuning (serve/tuner.py, fed by the scheduler)
-    "autoplan.online_promotions": "counter",
     # kernel dispatch (kernels/registry.py + cbackend/loader.py):
     # every spmv/spmm records which ISA variant actually ran
     "kernels.variant_selected": "counter",
@@ -138,24 +136,6 @@ def smoke_registry():
             sched.submit(client.registry.get(fp), x)
         sched.close()
         pool.shutdown()
-        # an online promotion verdict is an *event*: drive a tuner
-        # against a small non-sharded registry directly (same
-        # precedent as serve.rejected above). Works with or without a
-        # compiler — a no-better-candidate verdict still counts under
-        # outcome="kept".
-        from repro.serve.tuner import OnlineTuner
-        from repro.machines.registry import get_machine
-        from repro.serve.registry import MatrixRegistry
-
-        reg2 = MatrixRegistry(get_machine("AMD X2"), n_threads=1)
-        entry2 = reg2.register(coo)
-        pool2 = WorkerPool(1)
-        sched2 = BatchScheduler(pool2)
-        tuner = OnlineTuner(reg2, sched2, hot_threshold=1, iters=1)
-        tuner.note_batch(entry2)
-        sched2.drain()
-        sched2.close()
-        pool2.shutdown()
         # a regression is an *event*, not steady-state: drive a
         # watchdog directly (same precedent as serve.rejected above)
         wd = PerfWatchdog(slo=client.slo)

@@ -1,37 +1,30 @@
 """The execution seam: executor kinds, scheduler dispatch through
-``entry.executor``, and the online tuner that swaps executors.
+``entry.executor``, the identity-checked swap that changes it, and the
+threaded SpMV driver.
 
 Numeric contract (the repo's two tolerance classes): row-partitioned
-tiers are bit-identical to their serial kernel — threaded(c) to the
-in-process compiled CSR kernel, shards(row) to ``csr.spmv`` — and
+tiers are bit-identical to their serial kernel — ``threaded_spmv`` to
+the in-process compiled CSR kernel, shards(row) to ``csr.spmv`` — and
 everything else is within 1e-12 of ``spmv_reference``.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
-import os
 import threading
 
 import numpy as np
 import pytest
 
-from repro.serve.tuner import OnlineTuner
 from repro.dist import ShardGroup
-from repro.errors import ServeError
 from repro.formats import COOMatrix, coo_to_csr, to_bcsr
 from repro.kernels.cbackend import c_backend_available
 from repro.kernels.reference import spmv_reference
 from repro.machines import get_machine
 from repro.observe.metrics import get_registry
 from repro.parallel import threaded_spmv
-from repro.serve import BatchScheduler, MatrixRegistry, PlanCache, WorkerPool
-from repro.serve.executor import (
-    InProcessExecutor,
-    ShardsExecutor,
-    ThreadedExecutor,
-)
+from repro.serve import BatchScheduler, MatrixRegistry, WorkerPool
+from repro.serve.executor import InProcessExecutor, ShardsExecutor
 from repro.serve.registry import RegistryEntry
 from tests.conftest import random_coo
 
@@ -79,7 +72,6 @@ def _assert_close(got: np.ndarray, expected: np.ndarray) -> None:
     "inprocess-numpy",
     pytest.param("inprocess-c", marks=needs_cc),
     pytest.param("inprocess-bcsr-c", marks=needs_cc),
-    pytest.param("threaded", marks=needs_cc),
     pytest.param("shards-row", marks=needs_fork),
     pytest.param("shards-col", marks=needs_fork),
 ])
@@ -94,10 +86,6 @@ def executor(request):
             if kind == "shards-row" else None)
         yield ShardsExecutor(group, fp), exact
         group.close()
-    elif kind == "threaded":
-        serial = InProcessExecutor(CSR, "c")
-        yield (ThreadedExecutor(CSR, "c", 2),
-               (serial.spmv(X), serial.spmm(X_BLOCK)))
     elif kind == "inprocess-bcsr-c":
         yield InProcessExecutor(to_bcsr(COO, 2, 2), "c"), None
     else:
@@ -123,30 +111,9 @@ class TestExecutorKinds:
     def test_describe_keys(self, executor):
         ex, _ = executor
         d = ex.describe()
-        assert set(d) == {"backend", "sharded", "exec_threads",
-                          "shards", "batch_counters"}
+        assert set(d) == {"backend", "sharded", "shards",
+                          "batch_counters"}
         assert d["sharded"] == isinstance(ex, ShardsExecutor)
-
-    @needs_cc
-    def test_threaded_really_threads(self):
-        """The fixture matrix must clear threaded_spmv's per-thread
-        nonzero floor, or the bit-identity case above compares the
-        serial fallback with itself."""
-        reg = get_registry()
-        before = reg.counter("threaded.calls")
-        ThreadedExecutor(CSR, "c", 2).spmv(X)
-        assert reg.counter("threaded.calls") == before + 1
-
-    def test_threaded_needs_full_extent_csr(self):
-        with pytest.raises(ServeError, match="full-extent CSR"):
-            ThreadedExecutor(to_bcsr(COO, 2, 2), "numpy", 2)
-
-    def test_threaded_unwraps_single_block_plan(self):
-        reg = MatrixRegistry(get_machine("AMD X2"), n_threads=1)
-        entry = reg.register(COO)
-        assert entry.matrix is not CSR      # the plan's own wrapper
-        ex = ThreadedExecutor(entry.matrix, "numpy", 2)
-        _assert_close(ex.spmv(X), Y_REF)
 
     def test_shards_close_frees_the_record(self):
         with ShardGroup(1) as group:        # serial mode: no fork needed
@@ -177,22 +144,26 @@ def scheduler():
 
 
 class TestSchedulerDispatch:
-    def test_threaded_executor_counts_threaded_batches(self, scheduler):
-        entry = _entry(ThreadedExecutor(CSR, "numpy", 2))
-        reg = get_registry()
-        before = reg.counter("serve.threaded_batches")
-        _assert_close(scheduler.submit(entry, X).result(timeout=10),
-                      Y_REF)                       # k = 1: spmv
-        futs = [scheduler.submit(entry, X_BLOCK[:, j]) for j in range(K)]
-        for j, f in enumerate(futs):               # k = 3: one spmm
-            _assert_close(f.result(timeout=10), Y_BLOCK_REF[:, j])
-        assert reg.counter("serve.threaded_batches") == before + 2
+    def test_served_batches_bump_the_executor_counters(self, scheduler):
+        with ShardGroup(1, k_cap=K) as group:   # serial: no fork needed
+            entry = _entry(ShardsExecutor(group, group.register(COO)))
+            reg = get_registry()
+            before = reg.counter("serve.sharded_batches")
+            _assert_close(scheduler.submit(entry, X).result(timeout=10),
+                          Y_REF)                   # k = 1: spmv
+            futs = [scheduler.submit(entry, X_BLOCK[:, j])
+                    for j in range(K)]
+            for j, f in enumerate(futs):           # k = 3: one spmm
+                _assert_close(f.result(timeout=10), Y_BLOCK_REF[:, j])
+            assert reg.counter("serve.sharded_batches") == before + 2
 
-    def test_timing_a_candidate_is_not_a_batch(self):
-        reg = get_registry()
-        before = reg.counter("serve.threaded_batches")
-        ThreadedExecutor(CSR, "numpy", 2).spmv(X)
-        assert reg.counter("serve.threaded_batches") == before
+    def test_direct_call_is_not_a_batch(self):
+        with ShardGroup(1) as group:
+            ex = ShardsExecutor(group, group.register(COO))
+            reg = get_registry()
+            before = reg.counter("serve.sharded_batches")
+            ex.spmv(X)
+            assert reg.counter("serve.sharded_batches") == before
 
     def test_executor_exception_reaches_every_future(self, scheduler):
         class BrokenExecutor:
@@ -217,103 +188,65 @@ class TestSchedulerDispatch:
 
 
 # ----------------------------------------------------------------------
-# (c) the online tuner builds, times and swaps executors
+# (c) MatrixRegistry.swap is identity-checked
 # ----------------------------------------------------------------------
-class _InlineScheduler:
-    """``submit_task`` runs the tune on the calling thread."""
+class TestSwap:
+    def test_swap_replaces_plan_and_executor(self):
+        registry = MatrixRegistry(get_machine("AMD X2"), n_threads=1)
+        entry = registry.register(COO)
+        new = InProcessExecutor(entry.matrix, "numpy")
+        assert registry.swap(entry, plan=entry.plan, executor=new)
+        assert registry.get(entry.fingerprint).executor is new
 
-    def __init__(self):
-        self.tasks = 0
-
-    def submit_task(self, fn):
-        self.tasks += 1
-        fn()
-
-
-@pytest.fixture
-def tuned(tmp_path, monkeypatch):
-    """(registry, entry, tuner) for one hot in-process matrix on a
-    pretend four-core host; the tune runs inline on ``note_batch``."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    registry = MatrixRegistry(get_machine("AMD X2"), n_threads=1,
-                              plan_cache=PlanCache(tmp_path))
-    entry = registry.register(COO)
-    tuner = OnlineTuner(registry, _InlineScheduler(),
-                        hot_threshold=1, iters=1)
-    return registry, entry, tuner
-
-
-def _envelope(registry, entry) -> dict:
-    path = registry.plan_cache.path_for(registry.machine.name,
-                                        entry.fingerprint)
-    return json.loads(path.read_text())
-
-
-class TestOnlineTuner:
-    def test_promotion_swaps_executor_and_records_online(self, tuned):
-        registry, entry, tuner = tuned
+    def test_swap_after_eviction_changes_nothing(self):
+        registry = MatrixRegistry(get_machine("AMD X2"), n_threads=1)
+        entry = registry.register(COO)
         old = entry.executor
-        assert isinstance(old, InProcessExecutor)
-        # Deterministic verdict: the live executor is slow, every
-        # candidate fast (the first one timed wins the strict "<").
-        tuner._time = lambda ex, x: 1.0 if ex is old else 0.1
-        tuner.note_batch(entry)
-        verdict = tuner.history[entry.fingerprint][0]
-        assert verdict["promoted"] and verdict["gain"] == pytest.approx(10)
-        new = entry.executor
-        assert new is not old
-        d = new.describe()
-        assert verdict["best"] == f"{d['backend']}/t{d['exec_threads']}"
-        assert entry.plan.backend == d["backend"]
-        assert entry.describe()["exec_threads"] == d["exec_threads"]
-        assert _envelope(registry, entry)["autoplan"]["source"] == "online"
-        # and the promoted executor is what serves
-        _assert_close(new.spmv(X), Y_REF)
-
-    def test_evicted_while_timing_is_not_swapped(self, tuned):
-        registry, entry, tuner = tuned
         registry.capacity_bytes = entry.footprint_bytes
-        old = entry.executor
-
-        def time_and_evict(ex, x):
-            registry.register(random_coo(50, 50, 0.1, seed=30))
-            return 1.0 if ex is old else 0.1
-
-        tuner._time = time_and_evict
-        tuner.note_batch(entry)
+        registry.register(random_coo(50, 50, 0.1, seed=30))  # evicts
         assert entry.fingerprint not in registry
+        new = InProcessExecutor(entry.matrix, "numpy")
+        assert not registry.swap(entry, plan=entry.plan, executor=new)
         assert entry.executor is old
-        assert not tuner.history[entry.fingerprint][0]["promoted"]
-        assert "autoplan" not in _envelope(registry, entry)
 
-    def test_shards_backed_entry_is_skipped(self):
-        with ShardGroup(1) as group:        # serial mode: no fork needed
-            registry = MatrixRegistry(get_machine("AMD X2"), n_threads=1,
-                                      shard_group=group)
-            entry = registry.register(random_coo(60, 60, 0.1, seed=31))
-            assert isinstance(entry.executor, ShardsExecutor)
-            sched = _InlineScheduler()
-            tuner = OnlineTuner(registry, sched, hot_threshold=1)
-            tuner.note_batch(entry)
-            assert sched.tasks == 0 and tuner.history == {}
-
-    @pytest.mark.parametrize("cores, expect_t2", [(1, False), (4, True)])
-    def test_thread_candidates_capped_at_host_cores(
-            self, tuned, monkeypatch, cores, expect_t2):
-        """Regression: the hill-climb proposed ``threads * 2`` with no
-        upper bound, so timing noise could promote past the host."""
-        registry, entry, tuner = tuned
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        tuner.min_gain = float("inf")       # verdicts only, no swap
-        tuner.note_batch(entry)
-        timings = tuner.history[entry.fingerprint][0]["timings"]
-        assert any(k.endswith("/t2") for k in timings) == expect_t2
-        assert all(k.endswith(("/t1", "/t2")) for k in timings)
+    def test_swap_of_a_replaced_entry_changes_nothing(self):
+        """Evicted, then registered again: the caller's stale entry is
+        not the live one, so its swap must not touch either."""
+        registry = MatrixRegistry(get_machine("AMD X2"), n_threads=1)
+        stale = registry.register(COO)
+        registry.capacity_bytes = stale.footprint_bytes
+        registry.register(random_coo(50, 50, 0.1, seed=30))  # evicts
+        live = registry.register(COO)
+        assert live is not stale
+        live_executor = live.executor
+        assert not registry.swap(
+            stale, plan=stale.plan,
+            executor=InProcessExecutor(stale.matrix, "numpy"))
+        assert live.executor is live_executor
 
 
 # ----------------------------------------------------------------------
-# (d) serve worker threads call threaded_spmv concurrently
+# (d) threaded_spmv: bit-identical to the serial kernel, and reentrant
 # ----------------------------------------------------------------------
+@needs_cc
+def test_threaded_spmv_bit_identical_to_serial_c():
+    serial = InProcessExecutor(CSR, "c").spmv(X)
+    y = threaded_spmv(CSR, X, n_threads=2)
+    _assert_close(y, Y_REF)
+    assert np.array_equal(y, serial)
+
+
+@needs_cc
+def test_threaded_spmv_really_threads():
+    """The fixture matrix must clear threaded_spmv's per-thread
+    nonzero floor, or the bit-identity case above compares the serial
+    fallback with itself."""
+    reg = get_registry()
+    before = reg.counter("threaded.calls")
+    threaded_spmv(CSR, X, n_threads=2)
+    assert reg.counter("threaded.calls") == before + 1
+
+
 def test_concurrent_threaded_spmv_on_different_matrices(rng):
     """Two callers, two matrices, overlapping calls: neither may see
     the other's matrix, vector or destination."""

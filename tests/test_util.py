@@ -125,6 +125,18 @@ class TestMisc:
         assert unique_count(np.array([1, 1, 2, 3])) == 3
         assert unique_count(np.array([])) == 0
 
+    def test_unique_count_single_and_negative(self):
+        assert unique_count(np.array([7])) == 1
+        assert unique_count(np.array([-3, 5, -3, 0, -1, 5])) == 4
+        assert unique_count(np.full(10, -2)) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unique_count_matches_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5000))
+        a = rng.integers(-(10 ** int(rng.integers(1, 12))), 10 ** 6, n)
+        assert unique_count(a) == len(np.unique(a))
+
     def test_human_bytes(self):
         assert human_bytes(512) == "512 B"
         assert human_bytes(2048) == "2.0 KiB"
