@@ -20,6 +20,7 @@ from typing import Callable
 from dataclasses import replace
 
 from repro import __version__ as MODEL_VERSION
+from repro._util import read_json, write_json_atomic
 from repro.baselines import OskiTuner
 from repro.baselines.petsc import best_petsc
 from repro.core import OptimizationLevel, SpmvEngine
@@ -104,22 +105,14 @@ def _load_disk_cache(machine_name: str, scale: float) -> dict | None:
     ``{"model_version": repro.__version__, "data": {...}}``; a file
     whose stamp differs from the running model (or a pre-envelope
     legacy file) is treated as stale — simulator changes bump the
-    version, so stale numbers are never served silently.
+    version, so stale numbers are never served silently. A missing or
+    unreadable file is a miss.
     """
-    import json
-
-    path = _cache_path(machine_name, scale)
-    if not os.path.exists(path):
+    payload = read_json(_cache_path(machine_name, scale))
+    if payload is None:
         _metrics.inc("bench.cache_miss")
         return None
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except (json.JSONDecodeError, OSError):
-        _metrics.inc("bench.cache_miss")
-        return None
-    if (not isinstance(payload, dict)
-            or payload.get("model_version") != MODEL_VERSION
+    if (payload.get("model_version") != MODEL_VERSION
             or "data" not in payload):
         _metrics.inc("bench.cache_stale")
         return None
@@ -128,8 +121,7 @@ def _load_disk_cache(machine_name: str, scale: float) -> dict | None:
 
 
 def _save_disk_cache(machine_name: str, scale: float, data: dict) -> None:
-    import json
-
+    """Publish a sweep atomically: a failed write keeps the old file."""
     os.makedirs(_CACHE_DIR, exist_ok=True)
     envelope = {
         "model_version": MODEL_VERSION,
@@ -137,8 +129,7 @@ def _save_disk_cache(machine_name: str, scale: float, data: dict) -> None:
         "scale": scale,
         "data": data,
     }
-    with open(_cache_path(machine_name, scale), "w") as f:
-        json.dump(envelope, f, indent=1)
+    write_json_atomic(_cache_path(machine_name, scale), envelope, indent=1)
 
 
 def figure1_data(machine_name: str, scale: float | None = None,

@@ -6,7 +6,8 @@ The CI autoplan-smoke job runs this end to end:
 1. synthesize a 48-matrix suite across stencil / FEM / LP / graph /
    dense families (6 structural variants each),
 2. register half of it through a ``plan_mode="tune"`` registry so every
-   measured sweep feeds the training corpus via the plan cache,
+   measured sweep lands in the plan cache, whose tuned envelopes are
+   the training samples,
 3. train the k-NN model offline and print the stratified-holdout
    report,
 4. predict plans for the *unseen* half and score each selector by its
@@ -128,24 +129,23 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as root:
         planner = AutoPlanner(root)
+        cache = PlanCache(root)
         registry = MatrixRegistry(
             engine.machine, n_threads=N_THREADS, plan_mode="tune",
-            autoplanner=planner, backend=BACKEND,
-            plan_cache=PlanCache(Path(root) / "plans",
-                                 corpus=planner.corpus),
+            autoplanner=planner, backend=BACKEND, plan_cache=cache,
         )
 
-        # 1. tune half the suite; each sweep lands in the corpus
+        # 1. tune half the suite; each sweep is a tuned envelope
         for name, coo in train_half:
             entry = registry.register(coo)
             assert entry.plan_path == "tune", entry.plan_path
-        samples = planner.corpus.load()
+        samples = cache.samples()
         assert len(samples) == len(train_half), \
-            f"corpus has {len(samples)} samples, " \
+            f"plan cache has {len(samples)} samples, " \
             f"expected {len(train_half)}"
         sweeps = reg.counter("autoplan.sweeps")
         print(f"tuned {len(train_half)} matrices "
-              f"({sweeps} sweeps), corpus at {planner.corpus.path}")
+              f"({sweeps} sweeps), plan cache at {root}")
 
         # 2. offline training + holdout report
         report = holdout_report(samples, holdout_frac=0.25, seed=0, k=5)

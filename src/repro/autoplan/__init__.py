@@ -8,22 +8,23 @@ cheap O(nnz) structural features to the winning plan class, so a matrix
 that *looks like* one we already tuned skips the sweep entirely:
 
 * :mod:`.features` — versioned fixed-order feature extraction;
-* :mod:`.corpus` — JSONL training corpus harvested from the plan cache;
-* :mod:`.model` — dependency-free k-NN classifier with confidence;
-* :mod:`.sweep` — the measured tuning sweep (labels the corpus);
+* :mod:`.model` — the training sample and a dependency-free k-NN
+  classifier with confidence;
+* :mod:`.sweep` — the measured tuning sweep (labels the samples);
 * :mod:`.predictor` — predict-first planning with sweep fallback;
 * :mod:`.train` — offline retraining with a stratified holdout report.
 
-The background re-tune that confirms or overrides a predicted plan on
-a live entry is part of the serve tier
-(:meth:`repro.serve.registry.MatrixRegistry.retune`).
+Training samples are not stored here: every tuned plan-cache envelope
+carries one (:meth:`repro.serve.PlanCache.samples`), and the model
+artifact lives in the same directory. The background re-tune that
+confirms or overrides a predicted plan on a live entry is part of the
+serve tier (:meth:`repro.serve.registry.MatrixRegistry.retune`).
 """
 
-from .corpus import CORPUS_VERSION, CorpusSample, PlanCorpus
 from .features import FEATURE_VERSION, FeatureVector, extract_features
-from .model import MODEL_VERSION, PlanModel
+from .model import MODEL_VERSION, PlanModel, TrainingSample
 from .predictor import (
-    DEFAULT_CONFIDENCE_THRESHOLD,
+    CONFIDENCE_THRESHOLD,
     AutoPlanner,
     PlanOutcome,
     Prediction,
@@ -34,17 +35,15 @@ from .train import holdout_report, stratified_split, train_model
 
 __all__ = [
     "AutoPlanner",
-    "CORPUS_VERSION",
-    "CorpusSample",
-    "DEFAULT_CONFIDENCE_THRESHOLD",
+    "CONFIDENCE_THRESHOLD",
     "FEATURE_VERSION",
     "FeatureVector",
     "MODEL_VERSION",
-    "PlanCorpus",
     "PlanModel",
     "PlanOutcome",
     "Prediction",
     "SweepResult",
+    "TrainingSample",
     "config_for_label",
     "dominant_format",
     "extract_features",

@@ -1,7 +1,8 @@
 """O(nnz) structural feature extraction for plan prediction.
 
-The feature vector is *versioned and fixed-order*: the corpus, the
-model artifact, and the predictor all carry :data:`FEATURE_VERSION`,
+The feature vector is *versioned and fixed-order*: the plan-cache
+envelopes, the model artifact, and the predictor all carry
+:data:`FEATURE_VERSION`,
 and a mismatch anywhere invalidates the stale side. Every feature is
 finite for every degenerate matrix (empty, zero rows, a single row) —
 the underlying statistics in :mod:`repro.matrices.stats` guarantee it,

@@ -1,7 +1,7 @@
 """Dependency-free plan classifier: weighted k-NN over standardized
 features.
 
-k-NN is the right shape for this problem: the corpus is small
+k-NN is the right shape for this problem: the training set is small
 (hundreds of matrices, not millions), grows online, and the decision
 boundary follows the training distribution exactly — which also gives
 a natural out-of-distribution signal. Confidence is
@@ -20,6 +20,7 @@ mismatch or corruption rather than raising.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,22 @@ from .features import FEATURE_VERSION
 MODEL_VERSION = 1
 
 _EPS = 1e-9
+
+
+@dataclass(frozen=True)
+class TrainingSample:
+    """One labeled observation: features → winning plan knobs. The
+    plan cache's tuned envelopes are the only store of them
+    (:meth:`repro.serve.PlanCache.samples`)."""
+
+    #: Fixed-order feature values (see :data:`~.features.FEATURE_NAMES`).
+    features: tuple[float, ...]
+    #: Sweep candidate label that won (e.g. ``"bcsr-2x2"``, ``"csr"``).
+    label: str
+    #: Dominant materialized format, e.g. ``"bcsr-2x2-16bit"``.
+    fmt: str
+    #: Winning-vs-runner-up time margin (>= 1.0).
+    weight: float = 1.0
 
 
 class PlanModel:
@@ -52,10 +69,10 @@ class PlanModel:
         return 0 if self.X is None else int(self.X.shape[0])
 
     def fit(self, samples, k: int = 5) -> "PlanModel":
-        """Fit from an iterable of :class:`~.corpus.CorpusSample`."""
+        """Fit from an iterable of :class:`TrainingSample`."""
         samples = list(samples)
         if not samples:
-            raise ValueError("cannot fit a PlanModel on an empty corpus")
+            raise ValueError("cannot fit a PlanModel on no samples")
         raw = np.array([s.features for s in samples], dtype=np.float64)
         labels = [s.label for s in samples]
         self.classes = sorted(set(labels))

@@ -1,20 +1,22 @@
 """Predict-first planning with a measured-sweep safety net.
 
-:class:`AutoPlanner` owns the on-disk corpus and model artifact for one
-directory (by default the serve tier's plan-cache directory) and never
-lets a prediction failure reach the caller: any exception in feature
-extraction, model loading, or prediction degrades to the tuning sweep
-and is counted on ``autoplan.predict_errors``.
+:class:`AutoPlanner` owns the model artifact in one directory — the
+serve tier's plan-cache directory, whose tuned envelopes are the
+training samples — and never lets a prediction failure reach the
+caller: any exception in feature extraction, model loading, or
+prediction degrades to the tuning sweep and is counted on
+``autoplan.predict_errors``.
 
 The decision flow for ``mode="auto"``:
 
 1. extract features (O(nnz));
-2. if a trained model exists and its confidence clears the threshold,
-   build the plan from the predicted label in one heuristic pass —
-   ``autoplan.predictions{outcome=hit}``;
+2. if a trained model exists and its confidence clears
+   :data:`CONFIDENCE_THRESHOLD`, build the plan from the predicted
+   label in one heuristic pass — ``autoplan.predictions{outcome=hit}``;
 3. otherwise run the measured sweep —
-   ``autoplan.predictions{outcome=fallback}`` — and append the
-   sweep's verdict to the corpus so the *next* similar matrix hits.
+   ``autoplan.predictions{outcome=fallback}``; the plan cache stores
+   the sweep's verdict, so after the next ``autoplan train`` a similar
+   matrix hits.
 """
 
 from __future__ import annotations
@@ -24,16 +26,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..observe import metrics
-from .corpus import PlanCorpus
 from .features import FeatureVector, extract_features
 from .model import PlanModel
 from .sweep import config_for_label, dominant_format, run_sweep
 
 #: Below this confidence the predictor refuses and the sweep runs.
-DEFAULT_CONFIDENCE_THRESHOLD = 0.6
+CONFIDENCE_THRESHOLD = 0.6
 
 MODEL_FILENAME = "autoplan_model.json"
-CORPUS_FILENAME = "autoplan_corpus.jsonl"
 
 
 @dataclass(frozen=True)
@@ -62,27 +62,11 @@ class PlanOutcome:
 
 
 class AutoPlanner:
-    """Model + corpus handle rooted at a directory (or fully in-memory
-    disabled when ``root`` is None)."""
+    """Handle on the model artifact ``<root>/autoplan_model.json``."""
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        *,
-        model_path: str | Path | None = None,
-        corpus_path: str | Path | None = None,
-        confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
-    ):
-        self.root = Path(root) if root is not None else None
-        if model_path is None and self.root is not None:
-            model_path = self.root / MODEL_FILENAME
-        if corpus_path is None and self.root is not None:
-            corpus_path = self.root / CORPUS_FILENAME
-        self.model_path = Path(model_path) if model_path else None
-        self.corpus = (
-            PlanCorpus(corpus_path) if corpus_path is not None else None
-        )
-        self.confidence_threshold = float(confidence_threshold)
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
+        self.model_path = self.root / MODEL_FILENAME
         self._model: PlanModel | None = None
         self._model_loaded = False
         self._loaded_mtime: int | None = None
@@ -98,8 +82,6 @@ class AutoPlanner:
         return self._model
 
     def _artifact_mtime(self) -> int | None:
-        if self.model_path is None:
-            return None
         try:
             return os.stat(self.model_path).st_mtime_ns
         except OSError:
@@ -108,9 +90,7 @@ class AutoPlanner:
     def reload(self) -> PlanModel | None:
         """(Re)load the model artifact from disk; None if absent."""
         self._loaded_mtime = self._artifact_mtime()
-        self._model = (
-            PlanModel.load(self.model_path) if self.model_path else None
-        )
+        self._model = PlanModel.load(self.model_path)
         self._model_loaded = True
         return self._model
 
@@ -170,7 +150,7 @@ def plan_with_autoplan(
                 pred = None
             if pred is None:
                 fallback_reason = fallback_reason or "no_model"
-            elif pred.confidence < planner.confidence_threshold:
+            elif pred.confidence < CONFIDENCE_THRESHOLD:
                 fallback_reason = "low_confidence"
             else:
                 try:

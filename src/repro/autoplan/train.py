@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CorpusSample
 from .features import FEATURE_VERSION
-from .model import MODEL_VERSION, PlanModel
+from .model import MODEL_VERSION, PlanModel, TrainingSample
 
 
 def train_model(samples, k: int = 5) -> PlanModel:
@@ -26,14 +25,14 @@ def train_model(samples, k: int = 5) -> PlanModel:
 
 def stratified_split(
     samples, *, holdout_frac: float = 0.25, seed: int = 0,
-) -> tuple[list[CorpusSample], list[CorpusSample]]:
+) -> tuple[list[TrainingSample], list[TrainingSample]]:
     """Per-label split so every class keeps at least one train sample."""
     rng = np.random.default_rng(seed)
-    by_label: dict[str, list[CorpusSample]] = {}
+    by_label: dict[str, list[TrainingSample]] = {}
     for s in samples:
         by_label.setdefault(s.label, []).append(s)
-    train: list[CorpusSample] = []
-    test: list[CorpusSample] = []
+    train: list[TrainingSample] = []
+    test: list[TrainingSample] = []
     for label in sorted(by_label):
         group = list(by_label[label])
         rng.shuffle(group)

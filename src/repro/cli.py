@@ -15,12 +15,13 @@ trace TRACE_ID      Fetch one request's merged span tree (HTTP →
                     scheduler → worker → shard children) from a
                     running server and render it as an ASCII tree;
                     ``--slow`` lists recent SLO outliers instead.
-plan-cache          Inspect, clear, or export the on-disk tuned-plan
-                    cache (``export`` emits the autoplan training
-                    corpus as JSONL).
+plan-cache          Inspect or clear the on-disk tuned-plan cache
+                    (its tuned envelopes are the autoplan training
+                    set, so ``clear`` drops that too).
 autoplan            Learned plan selection: ``train`` a model from a
-                    corpus, ``predict`` a plan for one matrix, or
-                    print the stratified-holdout accuracy ``report``.
+                    plan-cache directory, ``predict`` a plan for one
+                    matrix, or print the stratified-holdout accuracy
+                    ``report``.
 cluster             Multi-node serving tier: run a ``node`` (``serve``
                     under the cluster's defaults: binary wire + HTTP
                     on one free port) or a ``router`` (consistent-hash
@@ -41,7 +42,7 @@ from . import __version__
 from .analysis import format_table
 from .analysis.report import format_bar_chart
 from .core import OptimizationLevel, SpmvEngine
-from .errors import ClusterError
+from .errors import ClusterError, ServeError
 from .machines import all_machines, get_machine, machine_names
 from .matrices import (
     compute_stats,
@@ -300,27 +301,30 @@ def _cmd_serve(args) -> int:
     port; only the ``--port`` default and the banner differ."""
     from .serve import ServeClient, start_server, stop_server
 
-    client = ServeClient(
-        machine=args.machine,
-        n_threads=args.threads,
-        plan_cache_dir=args.plan_cache,
-        capacity_bytes=(
-            int(args.capacity_mb * 1e6) if args.capacity_mb else None
-        ),
-        max_batch=args.max_batch,
-        flush_deadline_s=args.flush_deadline_ms / 1e3,
-        max_queue=args.max_queue,
-        n_workers=args.workers,
-        shards=args.shards,
-        shard_threshold_bytes=int(args.shard_threshold_mb * 1e6),
-        backend=args.backend,
-        trace_sample_rate=args.trace_sample_rate,
-        slo_ms=args.slo_ms,
-        plan_mode=args.plan_mode,
-        autoplan_dir=args.autoplan_dir,
-        perf_watch=args.perf_watch,
-        profile_dir=args.profile_dir,
-    )
+    try:
+        client = ServeClient(
+            machine=args.machine,
+            n_threads=args.threads,
+            plan_cache_dir=args.plan_cache,
+            capacity_bytes=(
+                int(args.capacity_mb * 1e6) if args.capacity_mb else None
+            ),
+            max_batch=args.max_batch,
+            flush_deadline_s=args.flush_deadline_ms / 1e3,
+            max_queue=args.max_queue,
+            n_workers=args.workers,
+            shards=args.shards,
+            shard_threshold_bytes=int(args.shard_threshold_mb * 1e6),
+            backend=args.backend,
+            trace_sample_rate=args.trace_sample_rate,
+            slo_ms=args.slo_ms,
+            plan_mode=args.plan_mode,
+            perf_watch=args.perf_watch,
+            profile_dir=args.profile_dir,
+        )
+    except ServeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     httpd = start_server(client, host=args.host, port=args.port)
 
     def _close() -> None:
@@ -596,11 +600,6 @@ def _cmd_plan_cache(args) -> int:
     if args.action == "clear":
         print(f"removed {cache.clear()} cached plan(s) from {args.dir}")
         return 0
-    if args.action == "export":
-        out = args.out or "autoplan_corpus.jsonl"
-        n = cache.export_corpus(out)
-        print(f"exported {n} training sample(s) to {out}")
-        return 0
     entries = cache.entries()
     if not entries:
         print(f"(no cached plans in {args.dir})")
@@ -619,41 +618,28 @@ def _cmd_plan_cache(args) -> int:
     return 0
 
 
-def _autoplan_paths(args) -> tuple[str, str]:
-    """Resolve (corpus, model) paths from --dir / --corpus / --model."""
-    import os
-
-    from .autoplan.predictor import CORPUS_FILENAME, MODEL_FILENAME
-
-    corpus = args.corpus or (
-        os.path.join(args.dir, CORPUS_FILENAME) if args.dir else None
-    )
-    model = args.model or (
-        os.path.join(args.dir, MODEL_FILENAME) if args.dir else None
-    )
-    return corpus, model
-
-
 def _cmd_autoplan(args) -> int:
     import json as _json
+    import os
 
-    from .autoplan import (
-        PlanCorpus,
-        PlanModel,
-        holdout_report,
-        train_model,
-    )
+    from .autoplan import PlanModel, holdout_report, train_model
+    from .autoplan.predictor import MODEL_FILENAME
 
-    corpus_path, model_path = _autoplan_paths(args)
+    if not args.dir:
+        print(f"autoplan {args.action} needs --dir (a plan-cache "
+              f"directory)", file=sys.stderr)
+        return 2
+    model_path = os.path.join(args.dir, MODEL_FILENAME)
+
+    if args.action in ("train", "report"):
+        from .serve import PlanCache
+
+        samples = PlanCache(args.dir).samples()
 
     if args.action == "train":
-        if not corpus_path or not model_path:
-            print("train needs --dir, or --corpus and --model",
-                  file=sys.stderr)
-            return 2
-        samples = PlanCorpus(corpus_path).load()
         if not samples:
-            print(f"no usable samples in {corpus_path}", file=sys.stderr)
+            print(f"no tuned plans to train on in {args.dir}",
+                  file=sys.stderr)
             return 1
         model = train_model(samples, k=args.k)
         path = model.save(model_path)
@@ -664,10 +650,6 @@ def _cmd_autoplan(args) -> int:
         return 0
 
     if args.action == "report":
-        if not corpus_path:
-            print("report needs --dir or --corpus", file=sys.stderr)
-            return 2
-        samples = PlanCorpus(corpus_path).load()
         report = holdout_report(
             samples, holdout_frac=args.holdout, seed=args.seed, k=args.k,
         )
@@ -683,14 +665,11 @@ def _cmd_autoplan(args) -> int:
                          if st["accuracy"] is not None else "-"])
         print(format_table(
             ["metric", "value"], rows,
-            title=f"autoplan holdout report ({corpus_path})",
+            title=f"autoplan holdout report ({args.dir})",
         ))
         return 0
 
     # predict
-    if not model_path:
-        print("predict needs --dir or --model", file=sys.stderr)
-        return 2
     model = PlanModel.load(model_path)
     if model is None:
         print(f"no loadable model at {model_path} "
@@ -765,10 +744,8 @@ def _add_server_flags(sp, *, port: int) -> None:
                     default="heuristic",
                     help="cold-registration planning: heuristic "
                          "(one-pass), auto (learned model, sweep "
-                         "fallback), tune (always sweep)")
-    sp.add_argument("--autoplan-dir", metavar="DIR", default=None,
-                    help="autoplan corpus + model directory "
-                         "(default: the --plan-cache dir)")
+                         "fallback; needs --plan-cache, which holds "
+                         "the model), tune (always sweep)")
     sp.add_argument("--perf-watch", action="store_true",
                     help="roofline attribution + regression watchdog "
                          "(measures host ceilings on first run, "
@@ -894,15 +871,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="delete every cached kernel object and exit")
 
     sp = sub.add_parser("plan-cache",
-                        help="inspect, clear, or export the tuned-plan "
-                             "store",
+                        help="inspect or clear the tuned-plan store",
                         parents=[common])
-    sp.add_argument("action", choices=["inspect", "clear", "export"])
+    sp.add_argument("action", choices=["inspect", "clear"])
     sp.add_argument("--dir", required=True,
                     help="plan cache directory (serve --plan-cache)")
-    sp.add_argument("--out", default=None,
-                    help="export: output JSONL path "
-                         "(default autoplan_corpus.jsonl)")
 
     sp = sub.add_parser(
         "perf",
@@ -939,11 +912,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("matrix", nargs="?", default=None,
                     help="predict: suite name, .mtx file, or .npz file")
     sp.add_argument("--dir", default=None,
-                    help="autoplan directory holding corpus + model")
-    sp.add_argument("--corpus", default=None,
-                    help="corpus JSONL path (overrides --dir)")
-    sp.add_argument("--model", default=None,
-                    help="model artifact path (overrides --dir)")
+                    help="plan cache directory (serve --plan-cache): "
+                         "its tuned plans are the training set, and "
+                         "the model is saved beside them")
     sp.add_argument("--machine", default="AMD X2",
                     choices=machine_names())
     sp.add_argument("--threads", type=int, default=None)

@@ -66,7 +66,6 @@ class ServeClient:
         trace_sample_rate: float = 0.0,
         slo_ms: float | None = None,
         plan_mode: str = "heuristic",
-        autoplan_dir: str | os.PathLike | None = None,
         perf_watch: "bool | MachineCeilings" = False,
         profile_dir: str | os.PathLike | None = None,
     ):
@@ -75,6 +74,10 @@ class ServeClient:
                 f"trace_sample_rate must be in [0, 1], "
                 f"got {trace_sample_rate}"
             )
+        if plan_mode == "auto" and plan_cache_dir is None:
+            # The model is trained from, and stored in, the plan-cache
+            # directory: without one, "auto" could never predict.
+            raise ServeError('plan_mode="auto" needs a plan_cache_dir')
         if isinstance(machine, str):
             machine = get_machine(machine)
         self.machine = machine
@@ -109,27 +112,18 @@ class ServeClient:
                     os.path.join(self.profile_dir, "serve-parent.stacks")
                 )
             # Learned plan selection: with plan_mode "auto", cold
-            # registrations try the model first (corpus + artifact live in
-            # autoplan_dir, defaulting to the plan-cache dir) and confident
+            # registrations try the model first (trained from the plan
+            # cache's tuned envelopes, stored beside them) and confident
             # predictions skip the tuning sweep; a background re-tune then
             # confirms or overrides the predicted plan.
-            self.autoplanner = None
-            if autoplan_dir is None:
-                autoplan_dir = plan_cache_dir
-            if plan_mode != "heuristic" and autoplan_dir is not None:
-                from ..autoplan import AutoPlanner
+            self.autoplanner = plan_cache = None
+            if plan_cache_dir is not None:
+                plan_cache_dir = os.path.expanduser(os.fspath(plan_cache_dir))
+                plan_cache = PlanCache(plan_cache_dir)
+                if plan_mode != "heuristic":
+                    from ..autoplan import AutoPlanner
 
-                self.autoplanner = AutoPlanner(
-                    os.path.expanduser(os.fspath(autoplan_dir))
-                )
-            plan_cache = (
-                PlanCache(
-                    os.path.expanduser(os.fspath(plan_cache_dir)),
-                    corpus=(self.autoplanner.corpus
-                            if self.autoplanner is not None else None),
-                )
-                if plan_cache_dir is not None else None
-            )
+                    self.autoplanner = AutoPlanner(plan_cache_dir)
             # With `shards`, matrices whose materialized footprint reaches
             # `shard_threshold_bytes` are backed by a persistent shard
             # group (slabs pinned in shared memory, fault-tolerant
@@ -323,18 +317,27 @@ class ServeClient:
         self.scheduler.drain()
 
     def close(self) -> None:
-        """Graceful shutdown: drain the scheduler, stop the pool."""
+        """Graceful shutdown: drain the scheduler, stop the pool.
+
+        A drain that times out still releases the pool, the shard
+        group and the sampler (the pool without waiting on the stuck
+        batch) before its :class:`ServeError` propagates.
+        """
         if self._closed:
             return
         self._closed = True
-        if self.scheduler is not None:
-            self.scheduler.close()
-        if self.pool is not None:
-            self.pool.shutdown(drain=True)
-        if self.shard_group is not None:
-            self.shard_group.close()
-        if self._sampler is not None:
-            _perf.stop_sampler()
+        drained = False
+        try:
+            if self.scheduler is not None:
+                self.scheduler.close()
+            drained = True
+        finally:
+            if self.pool is not None:
+                self.pool.shutdown(drain=drained)
+            if self.shard_group is not None:
+                self.shard_group.close()
+            if self._sampler is not None:
+                _perf.stop_sampler()
 
     def __enter__(self) -> "ServeClient":
         return self

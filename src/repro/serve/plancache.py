@@ -11,6 +11,11 @@ with ``repro.__version__`` — the same invalidation discipline as the
 benchmark disk cache, so a plan computed by older heuristics is never
 served silently after the model changes.
 
+A tuned envelope also records how its plan was chosen (features,
+winning label, margin, source). Those records are the autoplan
+training set: ``repro autoplan train`` reads them through
+:meth:`PlanCache.samples`, and no other file holds them.
+
 Counters (``repro.observe.metrics``):
 
 * ``serve.plan_cache_hit`` — a stored plan was loaded and used.
@@ -21,7 +26,6 @@ Counters (``repro.observe.metrics``):
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -58,17 +62,15 @@ def _machine_slug(name: str) -> str:
 class PlanCache:
     """Directory of ``<machine>/<fingerprint>.json`` plan envelopes.
 
-    ``corpus`` (a :class:`~repro.autoplan.PlanCorpus`) makes the cache
-    the autoplan training tap: every :meth:`store` that carries tuning
-    provenance (an ``autoplan`` dict from a completed sweep or a
-    feedback re-tune) appends one labeled sample. This is the *single*
-    append path — corpus growth happens exactly when a tuned plan
-    becomes durable.
+    An envelope stored with tuning provenance (the ``autoplan`` dict of
+    a completed sweep or a feedback re-tune) is also a training sample
+    for the plan model: :meth:`samples` reads them back, so this
+    directory is the one store of tuning results. Re-storing a key
+    replaces its sample.
     """
 
-    def __init__(self, root: str | os.PathLike, *, corpus=None):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        self.corpus = corpus
 
     # ------------------------------------------------------------- keys
     def path_for(self, machine_name: str, fingerprint: str) -> Path:
@@ -113,11 +115,11 @@ class PlanCache:
               autoplan: dict | None = None) -> Path:
         """Persist a plan under ``(plan.machine, fingerprint)``.
 
-        ``autoplan`` is optional tuning provenance (features, winning
-        label, sweep wall-clock, winner-vs-runner-up margin) recorded
-        in the envelope and — when a corpus is attached and the plan
-        came from a measured sweep — appended as a training sample.
-        Envelopes without the key load exactly as before.
+        ``autoplan`` is optional tuning provenance (source, features,
+        winning label, sweep wall-clock, winner-vs-runner-up margin)
+        recorded in the envelope; :meth:`samples` turns the measured
+        ones into training samples. Envelopes without the key load
+        exactly as before.
         """
         path = self.path_for(plan.machine.name, fingerprint)
         with _span("serve.plancache.store", machine=plan.machine.name,
@@ -133,26 +135,6 @@ class PlanCache:
                 envelope["autoplan"] = autoplan
             write_json_atomic(path, envelope, indent=1)
             _metrics.inc("serve.plan_cache_store")
-        if (self.corpus is not None and autoplan is not None
-                and autoplan.get("source") in ("sweep", "feedback")
-                and autoplan.get("features")):
-            from ..autoplan.corpus import CorpusSample
-
-            self.corpus.append(CorpusSample(
-                features=tuple(autoplan["features"]),
-                label=str(autoplan.get("label", "")),
-                fmt=str(autoplan.get("fmt", "")),
-                backend=plan.backend,
-                machine=plan.machine.name,
-                fingerprint=fingerprint,
-                n_threads=int(plan.n_threads),
-                shards=int(autoplan.get("shards", 0)),
-                weight=float(autoplan.get("weight", 1.0)),
-                tuning_seconds=float(autoplan.get("tuning_seconds", 0.0)),
-                source=str(autoplan["source"]),
-                feature_version=int(autoplan.get(
-                    "feature_version", 1)),
-            ))
         return path
 
     # ------------------------------------------------------- maintenance
@@ -181,52 +163,38 @@ class PlanCache:
             out.append(row)
         return out
 
-    def export_corpus(self, out: str | os.PathLike) -> int:
-        """Write every envelope's tuning provenance to ``out`` as
-        corpus JSONL (the ``repro plan-cache export`` payload).
+    def samples(self) -> list:
+        """One :class:`~repro.autoplan.TrainingSample` per envelope
+        whose provenance is a measured verdict (source ``sweep`` or
+        ``feedback``) over today's feature schema.
 
-        Returns the number of samples written. Envelopes without
-        provenance (pre-autoplan, or predicted-not-tuned) are skipped;
-        unreadable files are skipped, not fatal.
+        Predictions, envelopes without provenance and unreadable files
+        are skipped. A stale ``model_version`` is not: it invalidates
+        the stored plan, not the measurement.
         """
-        from ..autoplan.corpus import CorpusSample
+        from ..autoplan import FEATURE_VERSION, TrainingSample
 
-        written = 0
-        out = Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as f:
-            if not self.root.exists():
-                return 0
-            for path in sorted(self.root.glob("*/*.json")):
-                envelope = read_json(path)
-                if envelope is None:
-                    continue
-                ap = envelope.get("autoplan")
-                if not isinstance(ap, dict) or not ap.get("features"):
-                    continue
-                plan = envelope.get("plan", {})
-                sample = CorpusSample(
+        out = []
+        for path in sorted(self.root.glob("*/*.json")):
+            ap = (read_json(path) or {}).get("autoplan")
+            if (not isinstance(ap, dict) or not ap.get("features")
+                    or ap.get("source") not in ("sweep", "feedback")
+                    or ap.get("feature_version") != FEATURE_VERSION):
+                continue
+            try:
+                out.append(TrainingSample(
                     features=tuple(float(v) for v in ap["features"]),
-                    label=str(ap.get("label", "")),
+                    label=str(ap["label"]),
                     fmt=str(ap.get("fmt", "")),
-                    backend=str(plan.get("backend", "numpy")),
-                    machine=str(envelope.get("machine", "")),
-                    fingerprint=str(envelope.get("fingerprint", "")),
-                    n_threads=int(
-                        plan.get("profile", {}).get("n_threads", 1)),
-                    shards=int(ap.get("shards", 0)),
                     weight=float(ap.get("weight", 1.0)),
-                    tuning_seconds=float(ap.get("tuning_seconds", 0.0)),
-                    source=str(ap.get("source", "sweep")),
-                    feature_version=int(ap.get("feature_version", 1)),
-                )
-                f.write(json.dumps(sample.to_record(), sort_keys=True)
-                        + "\n")
-                written += 1
-        return written
+                ))
+            except (KeyError, TypeError, ValueError):
+                continue
+        return out
 
     def clear(self) -> int:
-        """Delete every stored plan; returns the number removed."""
+        """Delete every stored plan, and with it the training samples;
+        returns the number removed. The model artifact stays."""
         removed = 0
         if not self.root.exists():
             return 0

@@ -279,8 +279,9 @@ class MatrixRegistry:
         return entry
 
     def _provenance(self, entry: RegistryEntry, outcome) -> dict | None:
-        """Envelope/corpus provenance for a freshly planned matrix
-        (:meth:`retune` restamps it as a ``feedback`` sample)."""
+        """Envelope provenance for a freshly planned matrix — a
+        training sample when it records a sweep (:meth:`retune`
+        restamps it as a ``feedback`` sample)."""
         if outcome is None or outcome.features is None:
             return None
         source = "sweep" if outcome.path == "tune" else "predict"
@@ -304,9 +305,10 @@ class MatrixRegistry:
         Runs the full sweep, records whether the prediction was right
         (``autoplan.predictions{outcome=override}`` when the sweep
         disagrees, ``autoplan.retunes_confirmed`` when it agrees),
-        swaps in the tuned plan on an override, and feeds the verdict
-        back to the corpus as a ``feedback`` sample. Returns True when
-        the predicted plan was overridden.
+        swaps in the tuned plan on an override, and stores the verdict
+        in the plan cache as a ``feedback`` sample (replacing the
+        prediction's envelope). Returns True when the predicted plan
+        was overridden.
 
         The re-tune claims the prediction under the lock, so one
         prediction gets one sweep and one verdict however many

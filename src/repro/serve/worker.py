@@ -97,9 +97,9 @@ class WorkerPool:
 
     def shutdown(self, *, drain: bool = True) -> None:
         """Stop the pool. With ``drain`` (default) block until queued
-        work finishes; without it, workers still run out the queue
-        (sentinels sit behind queued tasks) but this call won't wait
-        for completion beyond a short join."""
+        work finishes and the workers exit; without it, return at once
+        — workers still run out the queue (sentinels sit behind queued
+        tasks) and exit on their own, however long a stuck task takes."""
         with self._lock:
             if self._closed:
                 return
@@ -108,5 +108,6 @@ class WorkerPool:
             self._q.join()
         for _ in self._threads:
             self._q.put(None)
-        for t in self._threads:
-            t.join(timeout=5.0)
+        if drain:
+            for t in self._threads:
+                t.join(timeout=5.0)

@@ -1,7 +1,7 @@
-"""End-to-end learned plan selection (the ISSUE's acceptance tests).
+"""End-to-end learned plan selection.
 
-A corpus is grown by sweeping a small family of structurally similar
-matrices; a model trained on it must then route a *new* member of the
+A model trained on a small family of structurally similar matrices
+must route a *new* member of the
 family down the predict path (no sweep spans, plan within 15% of the
 fully-tuned plan's measured SpMV time) while an out-of-distribution
 matrix falls back to the sweep, and a crashing predictor never breaks
@@ -10,7 +10,9 @@ registration.
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -19,8 +21,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.autoplan import AutoPlanner, train_model
-from repro.autoplan.corpus import CorpusSample
+from repro.autoplan import (
+    CONFIDENCE_THRESHOLD,
+    AutoPlanner,
+    TrainingSample,
+    train_model,
+)
 from repro.autoplan.features import extract_features
 from repro.autoplan.predictor import plan_with_autoplan
 from repro.autoplan.sweep import run_sweep
@@ -44,9 +50,15 @@ def scatter_member(seed: int) -> COOMatrix:
     return scattered_matrix(300, 8, seed=seed)
 
 
+def envelope_source(cache: PlanCache, fingerprint: str) -> str:
+    """The provenance source of one stored envelope."""
+    path = cache.path_for("AMD X2", fingerprint)
+    return json.loads(path.read_text())["autoplan"]["source"]
+
+
 @pytest.fixture(scope="module")
 def trained_planner(tmp_path_factory):
-    """Corpus over both families with pinned labels, model saved.
+    """Samples over both families with pinned labels, model saved.
 
     Features are extracted from real matrices, but the labels are
     pinned (FEM family -> "csr", scatter family -> "heuristic") so the
@@ -55,28 +67,22 @@ def trained_planner(tmp_path_factory):
     statistical accuracy of sweep-labeled training is exercised by
     ``examples/autoplan_smoke.py`` instead.
     """
-    root = tmp_path_factory.mktemp("autoplan")
-    planner = AutoPlanner(root)
-    for seed in range(6):
+    planner = AutoPlanner(tmp_path_factory.mktemp("autoplan"))
+    samples = [
+        TrainingSample(features=tuple(extract_features(coo).to_list()),
+                       label=label, fmt="csr-1x1-16bit", weight=1.3)
+        for seed in range(6)
         for coo, label in [(family_member(seed), "csr"),
-                           (scatter_member(seed), "heuristic")]:
-            fv = extract_features(coo)
-            planner.corpus.append(CorpusSample(
-                features=tuple(fv.to_list()), label=label,
-                fmt="csr-1x1-16bit", backend="numpy", machine="AMD X2",
-                fingerprint=f"{label}-{seed}", n_threads=2, shards=0,
-                weight=1.3, tuning_seconds=0.02, source="sweep",
-            ))
-    samples = planner.corpus.load()
-    assert len(samples) == 12
+                           (scatter_member(seed), "heuristic")]
+    ]
     train_model(samples, k=3).save(planner.model_path)
     planner.reload()
     return planner
 
 
 def test_autoplan_does_not_import_serve():
-    """Layering: serve builds on autoplan (the planner, the corpus
-    tap), never the reverse — the re-tune that acts on a live entry
+    """Layering: serve builds on autoplan (the planner, the training
+    sample), never the reverse — the re-tune that acts on a live entry
     through ``MatrixRegistry.swap`` lives in ``repro.serve.registry``."""
     code = ("import sys, repro.autoplan; "
             "print([m for m in sys.modules "
@@ -101,7 +107,7 @@ class TestPredictPath:
         finally:
             trace.disable()
         assert outcome.path == "predict"
-        assert outcome.confidence >= trained_planner.confidence_threshold
+        assert outcome.confidence >= CONFIDENCE_THRESHOLD
         assert "autoplan.sweep" not in tracer.names()
         assert "autoplan.sweep.candidate" not in tracer.names()
 
@@ -138,8 +144,7 @@ class TestPredictPath:
         registry = MatrixRegistry(
             get_machine("AMD X2"), n_threads=2, plan_mode="auto",
             autoplanner=trained_planner,
-            plan_cache=PlanCache(tmp_path / "plans",
-                                 corpus=trained_planner.corpus),
+            plan_cache=PlanCache(tmp_path / "plans"),
         )
         reg = get_registry()
         hits_before = reg.counter("autoplan.predictions", outcome="hit")
@@ -189,13 +194,11 @@ class TestFallback:
         planner = AutoPlanner(tmp_path)
         fv = extract_features(family_member(0))
         assert planner.predict(fv) is None      # caches "no model"
-        corpus = [CorpusSample(
+        samples = [TrainingSample(
             features=tuple(extract_features(family_member(s)).to_list()),
-            label="csr", fmt="csr-1x1-16bit", backend="numpy",
-            machine="AMD X2", fingerprint=f"f{s}", n_threads=2,
-            shards=0, weight=1.2, tuning_seconds=0.01, source="sweep",
+            label="csr", fmt="csr-1x1-16bit", weight=1.2,
         ) for s in range(1, 5)]
-        train_model(corpus, k=3).save(planner.model_path)
+        train_model(samples, k=3).save(planner.model_path)
         pred = planner.predict(fv)              # no reload() call
         assert pred is not None and pred.label == "csr"
 
@@ -222,21 +225,19 @@ class TestFeedbackLoop:
     def test_retune_confirms_or_overrides_and_feeds_corpus(
         self, trained_planner, tmp_path,
     ):
-        planner = trained_planner
-        cache = PlanCache(tmp_path / "plans", corpus=planner.corpus)
+        cache = PlanCache(tmp_path / "plans")
         registry = MatrixRegistry(
             get_machine("AMD X2"), n_threads=2, plan_mode="auto",
-            autoplanner=planner, plan_cache=cache,
+            autoplanner=trained_planner, plan_cache=cache,
         )
         coo = family_member(seed=104)
         entry = registry.register(coo)
         assert entry.predicted is True
-        n_before = len(planner.corpus.load())
+        assert cache.samples() == []     # a prediction is not a sample
         registry.retune(entry.fingerprint, coo)
         assert entry.predicted is False
-        samples = planner.corpus.load()
-        assert len(samples) == n_before + 1
-        assert samples[-1].source == "feedback"
+        assert len(cache.samples()) == 1
+        assert envelope_source(cache, entry.fingerprint) == "feedback"
 
     def test_repeat_registrations_retune_a_prediction_once(
         self, trained_planner, tmp_path,
@@ -249,10 +250,11 @@ class TestFeedbackLoop:
 
         reg = get_registry()
         sweeps_before = reg.counter("autoplan.sweeps")
-        n_before = len(trained_planner.corpus.load())
+        plans = tmp_path / "plans"
+        plans.mkdir()
+        shutil.copy(trained_planner.model_path, plans)
         client = ServeClient(
-            n_threads=2, plan_cache_dir=tmp_path / "plans",
-            plan_mode="auto", autoplan_dir=trained_planner.root,
+            n_threads=2, plan_cache_dir=plans, plan_mode="auto",
         )
         try:
             coo = family_member(seed=105)
@@ -265,8 +267,9 @@ class TestFeedbackLoop:
             uninstall_hub()
         assert entries[0].predicted is False
         assert reg.counter("autoplan.sweeps") == sweeps_before + 1
-        new = trained_planner.corpus.load()[n_before:]
-        assert [s.source for s in new] == ["feedback"]
+        cache = PlanCache(plans)
+        assert len(cache.samples()) == 1
+        assert envelope_source(cache, entries[0].fingerprint) == "feedback"
 
     def test_concurrent_retunes_sweep_once(self, trained_planner):
         """Eight threads re-tune one predicted entry at once, with a
@@ -309,7 +312,7 @@ class TestFeedbackLoop:
             entry = client.register(coo)     # no model yet: tune path
             assert entry.plan_path == "tune"
             client.drain()                   # waits for any retunes
-            assert len(client.autoplanner.corpus.load()) == 1
+            assert len(client.registry.plan_cache.samples()) == 1
         finally:
             client.close()
             uninstall_hub()

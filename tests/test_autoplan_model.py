@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.autoplan.corpus import CorpusSample
 from repro.autoplan.features import FEATURE_VERSION
-from repro.autoplan.model import MODEL_VERSION, PlanModel
+from repro.autoplan.model import MODEL_VERSION, PlanModel, TrainingSample
 from repro.autoplan.train import holdout_report, stratified_split
 
 
@@ -23,11 +23,9 @@ def make_samples(n_per_class: int = 10, seed: int = 0):
             feats = tuple(
                 float(c + rng.normal(scale=0.5)) for c in center
             )
-            samples.append(CorpusSample(
+            samples.append(TrainingSample(
                 features=feats, label=label, fmt=f"{label}-x-16bit",
-                backend="numpy", machine="AMD X2",
-                fingerprint=f"{label}{i}", n_threads=1, shards=0,
-                weight=1.2, tuning_seconds=0.01, source="sweep",
+                weight=1.2,
             ))
     return samples
 
@@ -63,8 +61,7 @@ class TestFitPredict:
     def test_constant_feature_does_not_nan(self):
         samples = make_samples()
         frozen = [
-            CorpusSample(**{**s.__dict__,
-                            "features": (s.features[0], 5.0, 5.0)})
+            dataclasses.replace(s, features=(s.features[0], 5.0, 5.0))
             for s in samples
         ]
         model = PlanModel().fit(frozen, k=3)

@@ -97,6 +97,19 @@ class TestSweep:
         assert raw["model_version"] == repro.__version__
         assert raw["machine"] == "AMD X2" and raw["scale"] == 0.5
 
+    def test_failed_save_keeps_the_good_envelope(self, tmp_path,
+                                                 monkeypatch):
+        """Regression: the save truncated the file before serializing,
+        so a dump that raised destroyed the sweep already on disk."""
+        monkeypatch.setattr(_harness, "_CACHE_DIR", str(tmp_path))
+        good = {"M": {"bar": 1.25}}
+        _harness._save_disk_cache("AMD X2", 0.5, good)
+        with pytest.raises(TypeError):
+            _harness._save_disk_cache("AMD X2", 0.5, {"M": {"bar": object()}})
+        assert _harness._load_disk_cache("AMD X2", 0.5) == good
+        assert [p.name for p in tmp_path.iterdir()] == [
+            Path(_harness._cache_path("AMD X2", 0.5)).name]
+
     def test_disk_cache_counters(self, tmp_path, monkeypatch):
         from repro.observe.metrics import get_registry
 

@@ -328,27 +328,27 @@ class TestFetchCommands:
 
 
 class TestAutoplanCLI:
-    def _seed_corpus(self, path, n_per_class=6):
-        import numpy as np
-
-        from repro.autoplan.corpus import CorpusSample, PlanCorpus
+    def _seed_plan_cache(self, root, n_per_class=6):
+        """Tuned envelopes over two well-separated feature clusters."""
+        from repro.autoplan.features import FEATURE_VERSION
+        from repro.core import SpmvEngine
+        from repro.machines import get_machine
+        from repro.serve import PlanCache
 
         rng = np.random.default_rng(0)
-        corpus = PlanCorpus(path)
+        cache = PlanCache(root)
+        plan = SpmvEngine(get_machine("AMD X2")).plan(
+            random_coo(40, 40, 0.1, seed=20), n_threads=1)
         for label, center in [("csr", 0.0), ("bcsr-2x2", 10.0)]:
             for i in range(n_per_class):
-                feats = tuple(
-                    float(center + rng.normal(scale=0.3))
-                    for _ in range(3)
-                )
-                corpus.append(CorpusSample(
-                    features=feats, label=label,
-                    fmt=f"{label}-x-16bit", backend="numpy",
-                    machine="AMD X2", fingerprint=f"{label}{i}",
-                    n_threads=1, shards=0, weight=1.2,
-                    tuning_seconds=0.01, source="sweep",
-                ))
-        return corpus
+                cache.store(f"{label}{i}", plan, autoplan={
+                    "source": "sweep", "label": label,
+                    "fmt": f"{label}-x-16bit", "weight": 1.2,
+                    "features": [float(center + rng.normal(scale=0.3))
+                                 for _ in range(3)],
+                    "feature_version": FEATURE_VERSION,
+                })
+        return cache
 
     def test_train_empty_corpus_fails(self, capsys, tmp_path):
         code = main(["autoplan", "train", "--dir", str(tmp_path)])
@@ -361,7 +361,7 @@ class TestAutoplanCLI:
     def test_train_then_report(self, capsys, tmp_path):
         import json
 
-        self._seed_corpus(tmp_path / "autoplan_corpus.jsonl")
+        self._seed_plan_cache(tmp_path)
         code, out = run(capsys, "autoplan", "train",
                         "--dir", str(tmp_path))
         assert code == 0
@@ -378,23 +378,16 @@ class TestAutoplanCLI:
     def test_predict_suite_matrix(self, capsys, tmp_path):
         # model trained on real features so the suite matrix is
         # in-distribution enough to produce a prediction line
-        from repro.autoplan import AutoPlanner, train_model
-        from repro.autoplan.corpus import CorpusSample
+        from repro.autoplan import AutoPlanner, TrainingSample, train_model
         from repro.autoplan.features import extract_features
         from repro.matrices import generate
 
-        planner = AutoPlanner(tmp_path)
-        for seed in range(4):
-            coo = generate("FEM-Har", scale=0.02, seed=seed)
-            fv = extract_features(coo)
-            planner.corpus.append(CorpusSample(
-                features=tuple(fv.to_list()), label="bcsr-2x2",
-                fmt="bcsr-2x2-16bit", backend="numpy",
-                machine="AMD X2", fingerprint=f"fp{seed}",
-                n_threads=1, shards=0, weight=1.1,
-                tuning_seconds=0.05, source="sweep",
-            ))
-        train_model(planner.corpus.load(), k=3).save(planner.model_path)
+        samples = [TrainingSample(
+            features=tuple(extract_features(
+                generate("FEM-Har", scale=0.02, seed=seed)).to_list()),
+            label="bcsr-2x2", fmt="bcsr-2x2-16bit", weight=1.1,
+        ) for seed in range(4)]
+        train_model(samples, k=3).save(AutoPlanner(tmp_path).model_path)
 
         code, out = run(capsys, "autoplan", "predict", "FEM-Har",
                         "--dir", str(tmp_path), "--scale", "0.02")
@@ -407,31 +400,14 @@ class TestAutoplanCLI:
                      "--dir", str(tmp_path), "--scale", "0.02"])
         assert code == 1
 
-    def test_plan_cache_export(self, capsys, tmp_path):
-        from repro.autoplan.corpus import PlanCorpus
-        from repro.autoplan.features import FEATURE_VERSION
-        from repro.core import SpmvEngine
-        from repro.machines import get_machine
-        from repro.serve import PlanCache
+    def test_plan_cache_clear_drops_training_data(self, capsys, tmp_path):
+        self._seed_plan_cache(tmp_path)
+        code, out = run(capsys, "plan-cache", "clear",
+                        "--dir", str(tmp_path))
+        assert code == 0 and "removed 12" in out
+        assert main(["autoplan", "train", "--dir", str(tmp_path)]) == 1
 
-        cache_dir = tmp_path / "plans"
-        cache = PlanCache(cache_dir)
-        coo = random_coo(80, 80, 0.05, seed=21)
-        engine = SpmvEngine(get_machine("AMD X2"))
-        cache.store(coo.content_fingerprint(),
-                    engine.plan(coo, n_threads=1),
-                    autoplan={
-                        "source": "sweep", "label": "csr",
-                        "fmt": "csr-1x1-16bit", "confidence": 0.0,
-                        "weight": 1.3, "tuning_seconds": 0.1,
-                        "features": [1.0, 2.0],
-                        "feature_version": FEATURE_VERSION,
-                        "n_threads": 1, "shards": 0,
-                    })
-        out_path = tmp_path / "corpus.jsonl"
-        code, out = run(capsys, "plan-cache", "export",
-                        "--dir", str(cache_dir),
-                        "--out", str(out_path))
-        assert code == 0
-        assert "exported 1 training sample(s)" in out
-        assert len(PlanCorpus(out_path).load()) == 1
+    def test_serve_auto_without_plan_cache_is_usage_error(self, capsys):
+        code = main(["serve", "--plan-mode", "auto", "--port", "0"])
+        assert code == 2
+        assert "plan_cache_dir" in capsys.readouterr().err

@@ -11,9 +11,11 @@ only tests of the same-host shared-memory handoff.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import glob
 import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ import pytest
 from repro.cluster import ClusterClient, ClusterNode, wire
 from repro.cluster.bench import banded_matrix
 from repro.cluster.client import http_fetch
-from repro.errors import ClusterError, ReproError
+from repro.errors import ClusterError, ReproError, ServeError
 from repro.observe.metrics import get_registry
 from repro.serve.client import ServeClient
+from repro.serve.scheduler import BatchScheduler
 
 from tests.conftest import random_coo
 
@@ -55,6 +58,8 @@ class TestServeClientClose:
         {"max_queue": -1},
         {"plan_mode": "no-such-mode"},
         {"max_queue": -1, "shards": 2},
+        # "auto" trains from and stores its model in the plan cache
+        {"plan_mode": "auto", "plan_cache_dir": None},
     ], ids=lambda kw: ",".join(kw))
     def test_rejected_argument_leaks_nothing(self, bad):
         """Regression: the argument checks ran after the worker pool
@@ -66,6 +71,43 @@ class TestServeClientClose:
             ServeClient("AMD X2", n_threads=1, **bad)
         assert threading.active_count() == threads
         assert len(multiprocessing.active_children()) == children
+
+    def test_drain_timeout_still_stops_the_workers(self, monkeypatch):
+        """Regression: a drain that timed out raised out of ``close()``
+        before the pool was shut down, and the closed flag made every
+        later ``close()`` a no-op, so the workers outlived the client."""
+        release = threading.Event()
+
+        class StuckExecutor:
+            def spmv(self, x):
+                release.wait(timeout=30)
+                return x
+
+            def describe(self):
+                return {"backend": "numpy", "sharded": False,
+                        "shards": 0, "batch_counters": ()}
+
+        before = set(threading.enumerate())
+        client = ServeClient("AMD X2", n_threads=1)
+        workers = [t for t in set(threading.enumerate()) - before
+                   if t.name.startswith("serve-worker-")]
+        assert workers
+        entry = client.register(banded_matrix(64))
+        entry.executor = StuckExecutor()
+        fut = client.submit(entry.fingerprint, np.ones(64))
+        monkeypatch.setattr(client.scheduler, "drain", functools.partial(
+            BatchScheduler.drain, client.scheduler, timeout=0.2))
+        try:
+            with pytest.raises(ServeError, match="drain timed out"):
+                client.close()
+            client.close()          # a no-op, not a second timeout
+        finally:
+            release.set()
+        fut.result(timeout=10)
+        deadline = time.monotonic() + 5.0
+        for t in workers:
+            t.join(timeout=max(deadline - time.monotonic(), 0.0))
+        assert not [t.name for t in workers if t.is_alive()]
 
 
 class TestSharedMemoryHandoff:

@@ -95,7 +95,7 @@ def _prom_name(name: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def smoke_registry():
+def smoke_registry(tmp_path_factory):
     """One serve→dist smoke run; yields the parent registry text."""
     if "fork" not in __import__("multiprocessing").get_all_start_methods():
         pytest.skip("needs the fork start method")
@@ -116,6 +116,7 @@ def smoke_registry():
     client = ServeClient(
         shards=2, shard_threshold_bytes=1, trace_sample_rate=1.0,
         plan_mode="auto",   # no model yet: emits the fallback outcome
+        plan_cache_dir=tmp_path_factory.mktemp("plans"),
         perf_watch=ceilings,  # hand-built: no measurement in tests
     )
     try:

@@ -7,11 +7,18 @@ import json
 import numpy as np
 import pytest
 
+from repro.autoplan import (
+    FEATURE_VERSION,
+    AutoPlanner,
+    TrainingSample,
+    extract_features,
+    train_model,
+)
 from repro.core import OptimizationLevel, SpmvEngine
 from repro.core.plan import SpmvPlan
 from repro.errors import ServeError
 from repro.machines import get_machine
-from repro.matrices import generate
+from repro.matrices import fem_blocked_matrix, generate, scattered_matrix
 from repro.observe.metrics import get_registry
 from repro.serve import MatrixRegistry, PlanCache, plans_equal
 from tests.conftest import random_coo
@@ -158,20 +165,27 @@ class TestRegistryCacheIntegration:
             == before + 1
 
 
-class TestAutoplanProvenance:
-    """Satellite: the envelope gained tuning wall-clock + margin via an
-    optional ``autoplan`` key — older entries (without it) must still
-    load, and provenance-bearing stores feed the training corpus."""
+def provenance(features=(1.0, 2.0, 3.0), source="sweep", label="csr"):
+    """A registry-shaped ``autoplan`` envelope dict."""
+    return {
+        "source": source, "label": label, "fmt": "csr-1x1-16bit",
+        "confidence": 0.0, "weight": 1.4, "tuning_seconds": 0.21,
+        "features": list(features), "feature_version": FEATURE_VERSION,
+        "n_threads": 2, "shards": 0,
+    }
 
-    def _provenance(self, features=(1.0, 2.0, 3.0), source="sweep"):
-        from repro.autoplan.features import FEATURE_VERSION
-        return {
-            "source": source, "label": "csr", "fmt": "csr-1x1-16bit",
-            "confidence": 0.0, "weight": 1.4, "tuning_seconds": 0.21,
-            "features": list(features),
-            "feature_version": FEATURE_VERSION,
-            "n_threads": 2, "shards": 0,
-        }
+
+def store(engine, cache, seed, **kw):
+    """Store a fresh matrix's plan with provenance; the envelope path."""
+    coo = random_coo(60, 60, 0.05, seed=seed)
+    return cache.store(coo.content_fingerprint(),
+                       engine.plan(coo, n_threads=1),
+                       autoplan=provenance(**kw))
+
+
+class TestAutoplanProvenance:
+    """The envelope carries tuning provenance under an optional
+    ``autoplan`` key — older entries (without it) must still load."""
 
     def test_envelope_without_autoplan_key_still_loads(
         self, engine, tmp_path,
@@ -192,56 +206,138 @@ class TestAutoplanProvenance:
     def test_store_with_provenance_records_envelope_fields(
         self, engine, tmp_path,
     ):
-        coo = random_coo(100, 100, 0.05, seed=12)
-        plan = engine.plan(coo, n_threads=1)
-        cache = PlanCache(tmp_path)
-        path = cache.store(coo.content_fingerprint(), plan,
-                           autoplan=self._provenance())
+        path = store(engine, PlanCache(tmp_path), 12)
         envelope = json.loads(path.read_text())
         assert envelope["autoplan"]["tuning_seconds"] == 0.21
         assert envelope["autoplan"]["weight"] == 1.4
 
-    def test_sweep_store_feeds_attached_corpus(self, engine, tmp_path):
-        from repro.autoplan.corpus import PlanCorpus
-        corpus = PlanCorpus(tmp_path / "corpus.jsonl")
-        cache = PlanCache(tmp_path / "plans", corpus=corpus)
-        coo = random_coo(100, 100, 0.05, seed=13)
-        cache.store(coo.content_fingerprint(),
-                    engine.plan(coo, n_threads=1),
-                    autoplan=self._provenance())
-        samples = corpus.load()
-        assert len(samples) == 1
-        assert samples[0].label == "csr"
-        assert samples[0].tuning_seconds == 0.21
 
-    def test_predicted_store_does_not_feed_corpus(
-        self, engine, tmp_path,
-    ):
+class TestTrainingSamples:
+    """``PlanCache.samples()``: the tuned envelopes are the only store
+    of autoplan training data."""
+
+    def test_sweep_and_feedback_envelopes_are_samples(self, engine,
+                                                      tmp_path):
+        cache = PlanCache(tmp_path)
+        store(engine, cache, 13, source="sweep")
+        store(engine, cache, 14, source="feedback",
+              features=(4.0, 5.0, 6.0))
+        assert sorted(cache.samples(), key=lambda s: s.features) == [
+            TrainingSample((1.0, 2.0, 3.0), "csr", "csr-1x1-16bit", 1.4),
+            TrainingSample((4.0, 5.0, 6.0), "csr", "csr-1x1-16bit", 1.4),
+        ]
+
+    def test_predicted_store_is_not_a_sample(self, engine, tmp_path):
         """Predictions must not train on themselves."""
-        from repro.autoplan.corpus import PlanCorpus
-        corpus = PlanCorpus(tmp_path / "corpus.jsonl")
-        cache = PlanCache(tmp_path / "plans", corpus=corpus)
-        coo = random_coo(100, 100, 0.05, seed=14)
-        cache.store(coo.content_fingerprint(),
-                    engine.plan(coo, n_threads=1),
-                    autoplan=self._provenance(source="predict"))
-        assert len(corpus.load()) == 0
+        cache = PlanCache(tmp_path)
+        store(engine, cache, 15, source="predict")
+        assert cache.samples() == []
 
-    def test_export_corpus_round_trips(self, engine, tmp_path):
-        from repro.autoplan.corpus import PlanCorpus
-        cache = PlanCache(tmp_path / "plans")
-        fps = []
-        for seed in (15, 16):
-            coo = random_coo(90, 90, 0.05, seed=seed)
-            fp = coo.content_fingerprint()
-            fps.append(fp)
-            cache.store(fp, engine.plan(coo, n_threads=1),
-                        autoplan=self._provenance())
-        # one legacy entry without provenance: skipped, not fatal
-        coo = random_coo(50, 50, 0.05, seed=17)
+    def test_envelope_without_provenance_is_not_a_sample(self, engine,
+                                                         tmp_path):
+        cache = PlanCache(tmp_path)
+        coo = random_coo(60, 60, 0.05, seed=16)
         cache.store(coo.content_fingerprint(),
                     engine.plan(coo, n_threads=1))
-        out = tmp_path / "exported.jsonl"
-        assert cache.export_corpus(out) == 2
-        samples = PlanCorpus(out).load()
-        assert sorted(s.fingerprint for s in samples) == sorted(fps)
+        store(engine, cache, 17)
+        assert len(cache.samples()) == 1
+
+    def test_missing_dir_has_no_samples(self, tmp_path):
+        assert PlanCache(tmp_path / "absent").samples() == []
+
+    @pytest.mark.parametrize("field,value", [
+        ("feature_version", FEATURE_VERSION + 1),
+        ("features", []),
+        ("label", None),
+    ], ids=["feature_version", "features", "label"])
+    def test_unusable_provenance_skipped(self, engine, tmp_path,
+                                         field, value):
+        cache = PlanCache(tmp_path)
+        store(engine, cache, 18)
+        path = store(engine, cache, 19)
+        envelope = json.loads(path.read_text())
+        if value is None:
+            del envelope["autoplan"][field]
+        else:
+            envelope["autoplan"][field] = value
+        path.write_text(json.dumps(envelope))
+        assert len(cache.samples()) == 1
+
+    def test_stale_model_version_still_counts(self, engine, tmp_path):
+        """A release bump invalidates the stored plan, not the
+        measurement it records."""
+        cache = PlanCache(tmp_path)
+        path = store(engine, cache, 20)
+        envelope = json.loads(path.read_text())
+        envelope["model_version"] = "0.0.0-ancient"
+        path.write_text(json.dumps(envelope))
+        assert len(cache.samples()) == 1
+
+    @pytest.mark.parametrize("junk", [
+        "not json at all",
+        '"a bare string"',
+        "[1, 2, 3]",
+        '{"v": 2}',          # object but no provenance
+    ])
+    def test_unreadable_envelopes_skipped(self, engine, tmp_path, junk):
+        cache = PlanCache(tmp_path)
+        store(engine, cache, 21)
+        path = store(engine, cache, 22)
+        path.write_text(junk)
+        assert len(cache.samples()) == 1
+
+    def test_torn_envelope_skipped_not_fatal(self, engine, tmp_path):
+        cache = PlanCache(tmp_path)
+        store(engine, cache, 23)
+        path = store(engine, cache, 24)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        assert len(cache.samples()) == 1
+
+    def test_later_store_replaces_the_sample(self, engine, tmp_path):
+        """One sample per (machine, fingerprint): a re-store replaces
+        it, and a heuristic re-plan (no provenance) drops it."""
+        cache = PlanCache(tmp_path)
+        coo = random_coo(60, 60, 0.05, seed=25)
+        fp, plan = coo.content_fingerprint(), engine.plan(coo, n_threads=1)
+        cache.store(fp, plan, autoplan=provenance())
+        cache.store(fp, plan, autoplan=provenance(
+            source="feedback", features=(7.0, 8.0, 9.0)))
+        assert [s.features for s in cache.samples()] == [(7.0, 8.0, 9.0)]
+        cache.store(fp, plan)
+        assert cache.samples() == []
+
+    def test_tune_then_feedback_round(self, engine, tmp_path):
+        """Twelve tuned matrices, then four predicted and re-tuned ones:
+        sixteen samples, four of them from feedback."""
+        def family(seed):
+            return fem_blocked_matrix(240, 4, 24, bandwidth_frac=0.1,
+                                      seed=seed)
+
+        cache = PlanCache(tmp_path)
+        # The twelve sweeps' verdicts, with labels pinned per family so
+        # the model below predicts deterministically.
+        for seed in range(6):
+            for coo, label in [(family(seed), "csr"),
+                               (scattered_matrix(300, 8, seed=seed),
+                                "heuristic")]:
+                cache.store(coo.content_fingerprint(),
+                            engine.plan(coo, n_threads=2),
+                            autoplan=provenance(
+                                extract_features(coo).to_list(),
+                                label=label))
+        assert len(cache.samples()) == 12
+        planner = AutoPlanner(tmp_path)
+        train_model(cache.samples(), k=3).save(planner.model_path)
+        registry = MatrixRegistry(engine.machine, n_threads=2,
+                                  plan_mode="auto", autoplanner=planner,
+                                  plan_cache=cache)
+        for seed in range(100, 104):
+            coo = family(seed)
+            entry = registry.register(coo)
+            assert entry.predicted is True
+            registry.retune(entry.fingerprint, coo)
+        sources = [json.loads(path.read_text())["autoplan"]["source"]
+                   for path in tmp_path.glob("*/*.json")]
+        assert len(cache.samples()) == 16
+        assert sources.count("feedback") == 4
