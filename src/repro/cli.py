@@ -362,7 +362,6 @@ def _cmd_cluster(args) -> int:
         host=args.host, port=args.port,
         retry=RetryPolicy(max_retries=args.max_retries),
         health_interval_s=args.health_interval_ms / 1e3,
-        hot_rps=args.hot_rps,
     )
     return _run_forever(
         f"cluster router at {router.address} (Ctrl-C stops)",
@@ -856,9 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="router: bounded failover retries")
     sp.add_argument("--health-interval-ms", type=float, default=500.0,
                     help="router: node health-probe period")
-    sp.add_argument("--hot-rps", type=float, default=None,
-                    help="router: request rate above which a matrix "
-                         "fans out to extra replicas")
 
     sp = sub.add_parser(
         "kernels",

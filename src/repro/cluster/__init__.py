@@ -16,8 +16,8 @@ this package is that tier, layered over :mod:`repro.serve` and
   on the same port, app work returned as futures so the loop never
   blocks.
 * :mod:`.placement` — consistent-hash placement keyed on
-  ``content_fingerprint()``: replication factor, hot-matrix fan-out,
-  minimal key movement when the node set changes.
+  ``content_fingerprint()``: replication factor, minimal key movement
+  when the node set changes.
 * :mod:`.node` — one serving node: a
   :class:`~repro.serve.client.ServeClient` (with its shard group,
   plan cache, observability plane) behind the async front end.

@@ -11,9 +11,7 @@ which is the whole reason to prefer a ring over ``hash(key) % n``.
 
 :class:`Placement` layers the serving policy on top: a configurable
 replication factor (a matrix is registered on ``replication`` distinct
-owners, so one node's death leaves live replicas) and hot-matrix
-fan-out (``owners(key, hot=True)`` returns ``fanout_extra`` additional
-nodes for a matrix whose request rate justifies more copies).
+owners, so one node's death leaves live replicas).
 """
 
 from __future__ import annotations
@@ -91,12 +89,11 @@ class Placement:
     """Replicated placement policy over a :class:`HashRing`."""
 
     def __init__(self, nodes=(), *, replication: int = 2,
-                 vnodes: int = 64, fanout_extra: int = 1):
+                 vnodes: int = 64):
         if replication < 1:
             raise ClusterError(
                 f"replication must be >= 1, got {replication}")
         self.replication = replication
-        self.fanout_extra = max(0, int(fanout_extra))
         self.ring = HashRing(nodes, vnodes=vnodes)
 
     @property
@@ -109,18 +106,15 @@ class Placement:
     def remove(self, node: str) -> None:
         self.ring.remove(node)
 
-    def owners(self, key: str, *, hot: bool = False) -> list[str]:
-        """Where ``key`` lives, primary first. A hot key fans out to
-        ``fanout_extra`` additional replicas (capped by ring size)."""
-        n = self.replication + (self.fanout_extra if hot else 0)
-        return self.ring.owners(key, n)
+    def owners(self, key: str) -> list[str]:
+        """Where ``key`` lives, primary first (capped by ring size)."""
+        return self.ring.owners(key, self.replication)
 
     def describe(self) -> dict:
         return {
             "nodes": self.nodes,
             "replication": self.replication,
             "vnodes": self.ring.vnodes,
-            "fanout_extra": self.fanout_extra,
         }
 
 

@@ -19,12 +19,6 @@ materializes the matrix body once, computes its
 owner under the replication factor — which is exactly what makes
 failover answer bit-identically, every replica tuned the same matrix.
 
-Hot-matrix fan-out: a per-fingerprint request-rate window; a matrix
-running hotter than ``hot_rps`` widens its candidate set by
-``fanout_extra`` extra ring successors and rotates across the live
-candidates instead of hammering the primary (a candidate that lacks
-the matrix answers 404 and is skipped, so widening is always safe).
-
 Tracing: a sampled inbound context makes the router record
 ``cluster.request``/``cluster.forward`` spans and propagate the
 context down the wire, so ``GET /v1/debug/trace/{id}`` — which merges
@@ -107,52 +101,25 @@ class _NodeState:
                 pass
 
 
-class _HotTracker:
-    """Sliding-window request rate per fingerprint."""
-
-    def __init__(self, hot_rps: float | None, window_s: float = 2.0):
-        self.hot_rps = hot_rps
-        self.window_s = window_s
-        self._lock = threading.Lock()
-        self._hits: dict[str, deque] = {}
-
-    def observe(self, fingerprint: str) -> bool:
-        """Record one request; True when the matrix is running hot."""
-        if self.hot_rps is None:
-            return False
-        now = time.monotonic()
-        with self._lock:
-            hits = self._hits.setdefault(fingerprint, deque())
-            hits.append(now)
-            while hits and hits[0] < now - self.window_s:
-                hits.popleft()
-            return len(hits) / self.window_s > self.hot_rps
-
-
 class ClusterRouter:
     """Forwarding front door over a fixed node set."""
 
     def __init__(self, nodes, *, replication: int = 2,
-                 vnodes: int = 64, fanout_extra: int = 1,
+                 vnodes: int = 64,
                  host: str = "127.0.0.1", port: int = 0,
                  retry: RetryPolicy | None = None,
                  timeout_s: float = 30.0,
                  health_interval_s: float = 0.5,
-                 hot_rps: float | None = None,
                  forward_threads: int = 16):
         nodes = list(nodes)
         if not nodes:
             raise ClusterError("a router needs at least one node")
         self.placement = Placement(nodes, replication=replication,
-                                   vnodes=vnodes,
-                                   fanout_extra=fanout_extra)
+                                   vnodes=vnodes)
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout_s = timeout_s
         self.hub = install_hub()
         self._states = {addr: _NodeState(addr) for addr in nodes}
-        self._hot = _HotTracker(hot_rps)
-        self._rr = 0
-        self._rr_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=forward_threads,
             thread_name_prefix="cluster-router")
@@ -310,18 +277,12 @@ class ClusterRouter:
             timeout_s=self.timeout_s, who=f"node {addr}")
 
     # ------------------------------------------------------ forwarding
-    def _candidates(self, fingerprint: str, hot: bool) -> list[str]:
-        """Owner order for one request: live owners first (rotated
-        round-robin when hot, so fan-out actually spreads), then down
-        owners as a last resort (they may have just recovered)."""
-        owners = self.placement.owners(fingerprint, hot=hot)
+    def _candidates(self, fingerprint: str) -> list[str]:
+        """Owner order for one request: live owners in ring order, then
+        down owners as a last resort (they may have just recovered)."""
+        owners = self.placement.owners(fingerprint)
         live = [a for a in owners if self._states[a].up]
         down = [a for a in owners if not self._states[a].up]
-        if hot and len(live) > 1:
-            with self._rr_lock:
-                self._rr += 1
-                shift = self._rr % len(live)
-            live = live[shift:] + live[:shift]
         return live + down
 
     def _forward_spmv(self, header: dict,
@@ -329,17 +290,14 @@ class ClusterRouter:
         fingerprint = str(header.get("fingerprint", ""))
         if not fingerprint:
             raise WireError("SPMV frame needs a 'fingerprint'")
-        hot = self._hot.observe(fingerprint)
         ctx = _context.from_header(header.get("trace"))
         with _context.use(ctx) if ctx is not None else _NULL_CM:
-            with _span("cluster.request", fingerprint=fingerprint,
-                       hot=hot):
-                return self._forward_walk(fingerprint, header,
-                                          payload, hot)
+            with _span("cluster.request", fingerprint=fingerprint):
+                return self._forward_walk(fingerprint, header, payload)
 
     def _forward_walk(self, fingerprint: str, header: dict,
-                      payload: bytes, hot: bool) -> tuple:
-        candidates = self._candidates(fingerprint, hot)
+                      payload: bytes) -> tuple:
+        candidates = self._candidates(fingerprint)
         last_error = "no candidate nodes"
         not_found: ClusterError | None = None
         failures = 0
@@ -361,8 +319,8 @@ class ClusterRouter:
                 time.sleep(self.retry.delay(failures))
             except ClusterError as exc:
                 if exc.status == 404:
-                    # This replica lacks the matrix (e.g. a hot
-                    # fan-out node outside the registered owner set):
+                    # This replica lacks the matrix (its registration
+                    # failed there while another owner's succeeded):
                     # skip to the next candidate, node stays up.
                     not_found = exc
                     continue

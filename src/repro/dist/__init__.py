@@ -9,9 +9,11 @@ OSKI-PETSc baseline demonstrates.
 
 * :mod:`.shm` — shared-memory matrix/vector codec (segment arena with
   strict parent-owned unlink discipline, zero-copy CSR attach).
-* :mod:`.shard` — the worker loop: hold slabs, compute, heartbeat.
-* :mod:`.group` — lifecycle, registration, dispatch, gather; row path
-  (bit-identical to serial) and column-reduction path.
+* :mod:`.shard` — the worker loop: hold row slabs, compute, heartbeat,
+  and answer every message with the metrics and spans it recorded.
+* :mod:`.group` — lifecycle, registration, dispatch, gather over
+  nnz-balanced row slabs (bit-identical to serial); one control pipe
+  per shard, whose replies also carry the shard's telemetry home.
 * :mod:`.fault` — heartbeat monitor, dead-shard detection, respawn +
   slab re-ship, bounded retry with backoff.
 """

@@ -9,25 +9,17 @@ The parent-side :class:`HeartbeatMonitor` scans both signals, exports
 when it can take the group's dispatch lock without contending with a
 live dispatch — respawns dead shards proactively. Deaths discovered
 *during* a dispatch are handled synchronously by the group's bounded
-retry loop, whose schedule :class:`RetryPolicy` defines.
-
-This module also hosts the parent half of the metrics-aggregation
-plane: :class:`TelemetryCollector` multiplexes every shard's telemetry
-pipe and folds the ``("metrics", ident, delta)`` messages the children's
-:class:`~repro.observe.flush.DeltaFlusher` threads send into the
-parent registry. Respawned shards get a fresh pipe registered through
-:meth:`TelemetryCollector.add_conn`, so a shard that died and came
-back rejoins metrics flushing without restarting the collector.
+retry loop, whose schedule :class:`RetryPolicy` defines. A respawned
+shard needs nothing else: its metrics and spans come home on the
+replies of its own control pipe, like every shard's.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from multiprocessing import connection as _mpc
 
 from ..observe import metrics as _metrics
-from ..observe.flush import merge_message
 
 
 @dataclass(frozen=True)
@@ -68,115 +60,8 @@ class HeartbeatMonitor(threading.Thread):
                 _metrics.inc("dist.heartbeat_scan_errors")
 
     def stop(self) -> None:
+        """Stop scanning and wait for the thread, so a closed group
+        leaves no thread behind (unless called from the scan itself)."""
         self._stop_event.set()
-
-
-class TelemetryCollector(threading.Thread):
-    """Parent-side drain for shard telemetry pipes.
-
-    One thread serves the whole group: it waits on every registered
-    receive end with :func:`multiprocessing.connection.wait` and merges
-    each metrics delta into ``registry`` (the process-global one by
-    default). A closed pipe (its shard exited or was killed) is dropped
-    from the wait set; the replacement pipe of a respawned shard is
-    added with :meth:`add_conn`.
-    """
-
-    def __init__(self, registry: "_metrics.MetricsRegistry | None" = None,
-                 *, poll_s: float = 0.2):
-        super().__init__(name="dist-telemetry", daemon=True)
-        self.registry = registry if registry is not None \
-            else _metrics.get_registry()
-        self.poll_s = poll_s
-        self._lock = threading.Lock()
-        self._conns: dict[int, object] = {}      # shard_id -> recv conn
-        self._stop_event = threading.Event()
-
-    # ------------------------------------------------------- membership
-    def add_conn(self, shard_id: int, conn) -> None:
-        """Register (or replace, on respawn) a shard's receive end."""
-        with self._lock:
-            old = self._conns.get(shard_id)
-            self._conns[shard_id] = conn
-        if old is not None and old is not conn:
-            self._drain_and_close(old)
-
-    def remove_conn(self, shard_id: int) -> None:
-        with self._lock:
-            conn = self._conns.pop(shard_id, None)
-        if conn is not None:
-            self._drain_and_close(conn)
-
-    # ------------------------------------------------------------ drain
-    def _drain_and_close(self, conn) -> None:
-        """Absorb any final deltas still buffered in a retiring pipe
-        (the child's stop(final_flush=True) tail), then close it."""
-        try:
-            while conn.poll(0):
-                msg = conn.recv()
-                if merge_message(self.registry, msg):
-                    _metrics.inc("dist.telemetry_messages")
-        except (EOFError, OSError):
-            pass
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-
-    def _drop(self, conn) -> None:
-        with self._lock:
-            for sid, c in list(self._conns.items()):
-                if c is conn:
-                    del self._conns[sid]
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-
-    def poll_once(self, timeout: float = 0.0) -> int:
-        """Serve one wait round; returns how many messages merged."""
-        with self._lock:
-            conns = list(self._conns.values())
-        if not conns:
-            if timeout:
-                self._stop_event.wait(timeout)
-            return 0
-        merged = 0
-        try:
-            ready = _mpc.wait(conns, timeout)
-        except OSError:       # a conn died between list() and wait()
-            return 0
-        for conn in ready:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                self._drop(conn)
-                continue
-            if merge_message(self.registry, msg):
-                merged += 1
-                _metrics.inc("dist.telemetry_messages")
-            else:
-                _metrics.inc("dist.telemetry_unknown")
-        return merged
-
-    # ------------------------------------------------------------- loop
-    def run(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                self.poll_once(self.poll_s)
-            except Exception:  # pragma: no cover - drain must never die
-                _metrics.inc("dist.telemetry_errors")
-                self._stop_event.wait(self.poll_s)
-
-    def stop(self, *, final_drain: bool = True) -> None:
-        """Stop the loop; by default absorb every delta still in
-        flight so close-time counters aren't lost."""
-        self._stop_event.set()
-        if self.is_alive():
+        if self.is_alive() and self is not threading.current_thread():
             self.join(timeout=2.0)
-        if final_drain:
-            with self._lock:
-                conns = list(self._conns.items())
-                self._conns.clear()
-            for _sid, conn in conns:
-                self._drain_and_close(conn)

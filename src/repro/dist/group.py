@@ -3,28 +3,19 @@
 :class:`ShardGroup` is the process-level analogue of the paper's
 NUMA-aware pinned-slab design. It forks N long-lived shard workers
 once; registering a matrix row-partitions it with
-:func:`~repro.parallel.partition.partition_rows_balanced` (or
-column-partitions with ``partition_cols_balanced``), ships each slab
-exactly once into shared-memory segments, and from then on every
+:func:`~repro.parallel.partition.partition_rows_balanced`, ships each
+slab exactly once into shared-memory segments, and from then on every
 SpMV/SpMM is a broadcast of tiny control messages — no fork, no
 pickle, no slab copy on the request path. This is precisely the
 re-distribution anti-pattern the paper's OSKI-PETSc baseline loses to,
 inverted: distribute once, compute forever.
 
-Decomposition paths
--------------------
-``partition="row"``
-    Each shard owns a contiguous nnz-balanced row slab and writes its
-    rows of the shared destination buffer directly. Results are
-    bit-identical to serial ``csr.spmv`` (per-row reductions see the
-    same operands in the same order regardless of slab boundaries).
-``partition="col"``
-    Each shard owns a column slab plus the matching slice of the
-    source vector (perfect x locality — the paper's described-but-
-    unexploited alternative) and computes a private partial destination
-    vector; the parent reduces the partials. The reduction reorders
-    additions, so agreement with serial SpMV is to rounding (~1e-12
-    relative), not bitwise.
+Each shard owns a contiguous nnz-balanced row slab and writes its rows
+of the shared destination buffer directly, so results are
+bit-identical to serial ``csr.spmv`` (per-row reductions see the same
+operands in the same order regardless of slab boundaries). The
+column-partitioned alternative the paper describes stays an
+executable reference in :mod:`repro.parallel.column`.
 
 Degradation: without the ``fork`` start method (or with fewer than two
 shards, or for degenerate matrices) the group runs serially in-process
@@ -38,15 +29,17 @@ so no data is recopied), and retries the dispatch under the bounded
 :class:`~repro.dist.fault.RetryPolicy`. ``dist.respawns``,
 ``dist.reships`` and ``dist.retries`` count the recoveries.
 
-Observability (v2): each worker also gets a one-way telemetry pipe
-(drained by a group-wide :class:`~repro.dist.fault.TelemetryCollector`
-that merges child metric deltas into the parent registry — a respawned
-shard hands its replacement pipe to the same collector) and a JSONL
-span-ring file under the group's spool directory. When the caller's
-:class:`~repro.observe.context.TraceContext` is sampled, ``compute``
-dispatches carry it, shards record ``shard.compute`` spans into their
-rings, and :meth:`ShardGroup.collate_trace` stitches them back into
-the request's span tree. Per-dispatch ``dist.phase_seconds`` and the
+Observability: one channel per shard. Every reply a shard sends on
+its control pipe carries the metrics it recorded since its previous
+reply and the spans it completed (see :mod:`repro.dist.shard`);
+:meth:`ShardGroup._recv_matching` folds both into this process — the
+metrics into the registry, the spans into the span sink — for every
+message it reads, stale ones included. So when ``spmv`` returns, the
+shards' counters for that call are on ``/metrics`` and, when the
+caller's :class:`~repro.observe.context.TraceContext` is sampled
+(``compute`` dispatches carry it), their ``shard.compute`` spans are
+in the hub. A respawned shard needs no extra plumbing: its pipe is its
+channel. Per-dispatch ``dist.phase_seconds`` and the
 ``dist.compute_imbalance`` gauge attribute where group time goes.
 """
 
@@ -56,8 +49,6 @@ import atexit
 import itertools
 import multiprocessing as mp
 import os
-import shutil
-import tempfile
 import threading
 import time
 import weakref
@@ -69,15 +60,11 @@ from ..formats.convert import coo_to_csr
 from ..formats.csr import CSRMatrix
 from ..observe import context as _context
 from ..observe import metrics as _metrics
-from ..observe import ring as _ring
-from ..observe.trace import SpanEvent, span as _span
-from ..parallel.partition import (
-    RowPartition,
-    partition_cols_balanced,
-    partition_rows_balanced,
-)
+from ..observe import trace as _trace
+from ..observe.trace import span as _span
+from ..parallel.partition import RowPartition, partition_rows_balanced
 from ..solvers.operator import FingerprintOperator
-from .fault import HeartbeatMonitor, RetryPolicy, TelemetryCollector
+from .fault import HeartbeatMonitor, RetryPolicy
 from .shard import shard_main
 from .shm import SegmentArena
 
@@ -102,13 +89,11 @@ class _ShardedMatrix:
     def __init__(self, fingerprint: str, shape: tuple[int, int]):
         self.fingerprint = fingerprint
         self.shape = shape
-        self.path: str = "serial"          # "row" | "col" | "serial"
         self.part: RowPartition | None = None
         self.active: list[int] = []
         self.arena = SegmentArena()
         self.x_view: np.ndarray | None = None
-        self.y_view: np.ndarray | None = None      # row path
-        self.y_views: list[np.ndarray] = []        # col path partials
+        self.y_view: np.ndarray | None = None
         self.payloads: dict[int, dict] = {}
         self.csr: CSRMatrix | None = None          # serial fallback
         self.k_cap = 1
@@ -120,6 +105,17 @@ class _ShardedMatrix:
     @property
     def ncols(self) -> int:
         return self.shape[1]
+
+
+def _absorb(tele: dict) -> None:
+    """Fold the telemetry a shard reply carries into this process."""
+    metrics = tele.get("metrics")
+    if metrics:
+        _metrics.get_registry().merge_flat(metrics)
+    sink = _trace.get_span_sink()
+    if sink is not None:
+        for event in tele.get("spans", ()):
+            sink(event)
 
 
 _LIVE_GROUPS: "weakref.WeakSet[ShardGroup]" = weakref.WeakSet()
@@ -134,20 +130,13 @@ def _close_live_groups() -> None:  # pragma: no cover - interpreter exit
             pass
 
 
-def _cleanup(monitor, collector, shards: list, records: dict, hb_arena,
-             spool_dir) -> None:
+def _cleanup(monitor, shards: list, records: dict, hb_arena) -> None:
     """Last-resort teardown shared by ``close()``, the per-group
-    ``weakref.finalize``, and the atexit sweep: stop the monitor and
-    telemetry collector, kill workers, unlink every owned segment,
-    remove the span spool. Must not reference the group.
+    ``weakref.finalize``, and the atexit sweep: stop the monitor, kill
+    workers, unlink every owned segment. Must not reference the group.
     """
     if monitor is not None:
         monitor.stop()
-    if collector is not None:
-        try:
-            collector.stop(final_drain=True)
-        except Exception:
-            pass
     for h in shards:
         try:
             if h.proc.is_alive():
@@ -163,8 +152,6 @@ def _cleanup(monitor, collector, shards: list, records: dict, hb_arena,
         rec.arena.unlink_all()
     records.clear()
     hb_arena.unlink_all()
-    if spool_dir is not None:
-        shutil.rmtree(spool_dir, ignore_errors=True)
 
 
 class ShardGroup:
@@ -174,7 +161,6 @@ class ShardGroup:
         self,
         n_shards: int,
         *,
-        partition: str = "row",
         k_cap: int = 8,
         heartbeat_interval_s: float = 0.2,
         compute_timeout_s: float = 30.0,
@@ -186,13 +172,9 @@ class ShardGroup:
 
         if n_shards < 1:
             raise DistError(f"n_shards must be >= 1, got {n_shards}")
-        if partition not in ("row", "col"):
-            raise DistError(f"partition must be 'row' or 'col', "
-                            f"got {partition!r}")
         if k_cap < 1:
             raise DistError(f"k_cap must be >= 1, got {k_cap}")
         self.n_shards = n_shards
-        self.partition = partition
         self.k_cap = k_cap
         # Resolved in the parent; shipped to workers inside each slab
         # payload. Compiled objects are built/validated per process
@@ -219,26 +201,18 @@ class ShardGroup:
                 (1,), np.float64
             )
             self._monitor = None
-            self._collector = None
-            self._spool_dir = None
         else:
             self._ctx = mp.get_context("fork")
             self._hb_view, self._hb_spec = self._hb_arena.create(
                 (n_shards,), np.float64
             )
-            self._spool_dir = tempfile.mkdtemp(
-                prefix="repro-dist-spool-"
-            )
-            self._collector = TelemetryCollector()
-            self._collector.start()
             for i in range(n_shards):
                 self._shards.append(self._spawn(i))
             self._monitor = HeartbeatMonitor(self, heartbeat_interval_s)
             self._monitor.start()
         self._finalizer = weakref.finalize(
-            self, _cleanup, self._monitor, self._collector,
-            self._shards, self._records, self._hb_arena,
-            self._spool_dir,
+            self, _cleanup, self._monitor, self._shards, self._records,
+            self._hb_arena,
         )
         _LIVE_GROUPS.add(self)
         _metrics.inc("dist.groups_started")
@@ -248,16 +222,7 @@ class ShardGroup:
     # -------------------------------------------------------- lifecycle
     def _spawn(self, shard_id: int) -> _ShardHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # Dedicated one-way telemetry pipe: the control pipe's
-        # _recv_matching drops non-matching messages, so metric deltas
-        # must never ride it.
-        tele_recv, tele_send = self._ctx.Pipe(duplex=False)
-        # Rings are per shard *slot*, not per process: a respawned
-        # shard appends to the same file, so a trace spanning a crash
-        # still collates from one place.
-        ring_path = os.path.join(self._spool_dir,
-                                 f"shard-{shard_id}.jsonl")
-        # Profiles are also per slot: a respawned shard overwrites its
+        # Profiles are per shard *slot*: a respawned shard overwrites its
         # predecessor's .stacks file on the next flush.
         profile_path = None
         if self.profile_dir is not None:
@@ -267,15 +232,12 @@ class ShardGroup:
         proc = self._ctx.Process(
             target=shard_main,
             args=(shard_id, child_conn, self._hb_spec,
-                  self.heartbeat_interval_s, tele_send, ring_path,
-                  0.25, profile_path),
+                  self.heartbeat_interval_s, profile_path),
             name=f"dist-shard-{shard_id}",
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        tele_send.close()
-        self._collector.add_conn(shard_id, tele_recv)
         _metrics.inc("dist.shards_spawned")
         return _ShardHandle(shard_id, proc, parent_conn)
 
@@ -298,10 +260,6 @@ class ShardGroup:
         deadline = time.monotonic() + 2.0
         for h in self._shards:
             h.proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-        # Children flushed a final metrics delta on their way out;
-        # absorb it before the finalizer tears the pipes down.
-        if self._collector is not None:
-            self._collector.stop(final_drain=True)
         self._finalizer()   # idempotent: terminate stragglers + unlink
         _metrics.gauge("dist.shards_alive", 0)
         _metrics.gauge("dist.registered_matrices", 0)
@@ -369,42 +327,24 @@ class ShardGroup:
                       csr: CSRMatrix) -> None:
         """Partition + create segments + one-time slab ship (copies)."""
         rec.k_cap = self.k_cap
-        rec.path = self.partition
-        if self.partition == "row":
-            n_active = min(self.n_shards, coo.nrows)
-            rec.part = partition_rows_balanced(coo, n_active)
-        else:
-            n_active = min(self.n_shards, coo.ncols)
-            rec.part = partition_cols_balanced(coo, n_active)
+        n_active = min(self.n_shards, coo.nrows)
+        rec.part = partition_rows_balanced(coo, n_active)
         rec.active = list(range(n_active))
         _metrics.gauge("dist.partition_imbalance", rec.part.imbalance,
                        fingerprint=rec.fingerprint)
         rec.x_view, x_spec = rec.arena.create(
             (coo.ncols, self.k_cap), np.float64
         )
-        if self.partition == "row":
-            rec.y_view, y_spec = rec.arena.create(
-                (coo.nrows, self.k_cap), np.float64
-            )
-        ranges = rec.part.ranges()
-        for sid in rec.active:
-            lo, hi = ranges[sid]
-            if self.partition == "row":
-                slab = csr.row_slice(lo, hi)
-                y_s = y_spec
-            else:
-                slab = coo_to_csr(coo.submatrix(0, coo.nrows, lo, hi))
-                y_view, y_s = rec.arena.create(
-                    (coo.nrows, self.k_cap), np.float64
-                )
-                rec.y_views.append(y_view)
+        rec.y_view, y_spec = rec.arena.create(
+            (coo.nrows, self.k_cap), np.float64
+        )
+        for sid, (lo, hi) in enumerate(rec.part.ranges()):
             rec.payloads[sid] = {
-                "path": self.partition,
                 "lo": lo,
                 "hi": hi,
-                "slab": rec.arena.ship_csr(slab),
+                "slab": rec.arena.ship_csr(csr.row_slice(lo, hi)),
                 "x": x_spec,
-                "y": y_s,
+                "y": y_spec,
                 "backend": self.backend,
             }
             _metrics.inc("dist.slab_ships")
@@ -454,7 +394,8 @@ class ShardGroup:
     def _recv_matching(self, handle: _ShardHandle, pred,
                        timeout: float | None = None):
         """Next message from ``handle`` satisfying ``pred``; stale
-        replies (earlier sequence numbers after a retry) are dropped."""
+        replies (earlier sequence numbers after a retry) are dropped,
+        but the telemetry every message carries is absorbed first."""
         deadline = time.monotonic() + (
             timeout if timeout is not None else self.compute_timeout_s
         )
@@ -466,6 +407,8 @@ class ShardGroup:
                     raise ShardDeadError(
                         f"shard {handle.id} died mid-dispatch"
                     ) from exc
+                if len(msg) > 4:
+                    _absorb(msg[4])
                 if pred(msg):
                     return msg
                 continue    # stale reply from a pre-respawn round
@@ -571,7 +514,8 @@ class ShardGroup:
 
     # ---------------------------------------------------------- compute
     def spmv(self, fingerprint: str, x: np.ndarray) -> np.ndarray:
-        """``y = A·x`` across the shards (exact on the row path)."""
+        """``y = A·x`` across the shards, bit-identical to serial
+        ``csr.spmv``."""
         with self._lock:
             rec = self._require(fingerprint)
             x = np.asarray(x, dtype=np.float64)
@@ -588,7 +532,7 @@ class ShardGroup:
                        shards=len(rec.active)):
                 rec.x_view[:, 0] = x
                 self._dispatch_locked(rec, 1)
-                return self._gather_timed(rec, 0, 1)[:, 0]
+                return self._gather(rec, 1)[:, 0]
 
     def spmm(self, fingerprint: str, x_block: np.ndarray) -> np.ndarray:
         """``Y = A·X`` for ``X`` of shape ``(ncols, k)``; batches wider
@@ -617,24 +561,15 @@ class ShardGroup:
                     kk = min(rec.k_cap, k - j0)
                     rec.x_view[:, :kk] = x_block[:, j0:j0 + kk]
                     self._dispatch_locked(rec, kk)
-                    out[:, j0:j0 + kk] = self._gather_timed(rec, 0, kk)
+                    out[:, j0:j0 + kk] = self._gather(rec, kk)
             return out
 
-    def _gather_timed(self, rec: _ShardedMatrix, j0: int,
-                      k: int) -> np.ndarray:
+    def _gather(self, rec: _ShardedMatrix, k: int) -> np.ndarray:
         t0 = time.perf_counter()
-        out = self._gather(rec, j0, k)
+        out = rec.y_view[:, :k].copy()
         _metrics.observe("dist.phase_seconds",
                          time.perf_counter() - t0, phase="gather")
         return out
-
-    def _gather(self, rec: _ShardedMatrix, j0: int, k: int) -> np.ndarray:
-        if rec.path == "row":
-            return rec.y_view[:, j0:j0 + k].copy()
-        y = np.zeros((rec.nrows, k), dtype=np.float64)
-        for partial in rec.y_views:
-            y += partial[:, j0:j0 + k]
-        return y
 
     def _require(self, fingerprint: str) -> _ShardedMatrix:
         if self._closed:
@@ -646,18 +581,6 @@ class ShardGroup:
                 f"register it with the shard group first"
             )
         return rec
-
-    # ---------------------------------------------------------- tracing
-    def collate_trace(self, trace_id: str | None = None
-                      ) -> list[SpanEvent]:
-        """Spans the shard children recorded into their ring files,
-        optionally filtered to one trace. Rings are plain JSONL on the
-        parent's filesystem, so this reads without bothering the
-        workers; torn tail lines from a mid-append crash are skipped.
-        """
-        if self._spool_dir is None:
-            return []
-        return _ring.collate(self._spool_dir, trace_id=trace_id)
 
     # -------------------------------------------------------- operators
     def operator(self, fingerprint: str) -> FingerprintOperator:
@@ -699,7 +622,6 @@ class ShardGroup:
         with self._lock:
             return {
                 "n_shards": self.n_shards,
-                "partition": self.partition,
                 "serial": self.serial,
                 "k_cap": self.k_cap,
                 "backend": self.backend,

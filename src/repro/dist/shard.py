@@ -1,36 +1,34 @@
-"""Shard worker process: hold slabs, compute, heartbeat, telemetry.
+"""Shard worker process: hold slabs, compute, heartbeat, reply.
 
 Each shard is a long-lived process the :class:`~repro.dist.group.
 ShardGroup` forks once. Its loop is a tiny command interpreter over a
 pipe — ``register`` (attach a slab's shared segments), ``compute``
-(SpMV/SpMM over the resident slab into the shared destination buffer),
-``unregister``, ``exit``. The slab itself never travels over the pipe:
-after registration a compute request is a ~100-byte tuple, the
-process-level analogue of the paper's "pin the slab to the core that
-first touched it" discipline.
+(SpMV/SpMM over the resident row slab into the shared destination
+buffer), ``unregister``, ``exit``. The slab itself never travels over
+the pipe: after registration a compute request is a ~100-byte tuple,
+the process-level analogue of the paper's "pin the slab to the core
+that first touched it" discipline.
 
 Protocol (parent → shard / shard → parent)::
 
-    ("register", mid, payload)        -> ("ok", "register", mid, id)
-    ("compute", mid, k, seq[, tctx])  -> ("done", mid, seq, seconds)
-                                       | ("err", mid, seq, message)
-    ("unregister", mid)               -> ("ok", "unregister", mid, id)
+    ("register", mid, payload)        -> ("ok", "register", mid, id[, tele])
+    ("compute", mid, k, seq[, tctx])  -> ("done", mid, seq, seconds[, tele])
+                                       | ("err", mid, seq, message[, tele])
+    ("unregister", mid)               -> ("ok", "unregister", mid, id[, tele])
     ("exit",)                         -> (no reply; process exits 0)
 
 ``seq`` tags each dispatch round so the parent can discard stale
 replies after a respawn-and-retry cycle. ``tctx`` (optional) is a
 propagated :class:`~repro.observe.context.TraceContext` dict: when
-present and sampled, the shard records a ``shard.compute`` span into
-its JSONL ring file, which the parent collates into the request's
-merged span tree.
+present and sampled, the shard records a ``shard.compute`` span.
 
-Observability (v2): alongside the command pipe each shard holds a
-one-way *telemetry* pipe. A :class:`~repro.observe.flush.DeltaFlusher`
-daemon periodically ships this process's registry growth —
-``dist.child_computes{shard=i}``, ``dist.child_compute_seconds``
-histograms, ... — to the parent, which merges them so ``/metrics``
-reflects the whole group. The fork-inherited registry image is the
-flusher's baseline, so parent counters are never double-reported.
+The control pipe is the shard's only channel home, telemetry included.
+At start the child empties the registry it inherited from the fork and
+makes a plain list its span sink; every reply then carries ``tele`` =
+``{"metrics": <registry drained since the last reply>, "spans": [...]}``
+(each part omitted when empty, the whole element when both are). A
+child records metrics only while it handles a message, and every
+message but ``exit`` is answered, so nothing is left behind to flush.
 """
 
 from __future__ import annotations
@@ -43,40 +41,30 @@ from ..formats.multivector import spmm
 from ..observe import context as _context
 from ..observe import metrics as _metrics
 from ..observe import trace as _trace
-from ..observe.flush import DeltaFlusher
 from ..observe.perf.attribution import KernelCounts as _KernelCounts
 from ..observe.perf.attribution import observe_kernel as _observe_kernel
 from ..observe.perf.sampler import StackSampler
-from ..observe.ring import SpanRing
 from .shm import SegmentSpec, attach_array, attach_csr
 
 
 class _ResidentMatrix:
-    """One registered matrix as seen from inside a shard."""
+    """One registered row slab as seen from inside a shard."""
 
     def __init__(self, payload: dict):
-        self.path = payload["path"]              # "row" | "col"
-        self.lo = payload["lo"]                  # r0 (row) / c0 (col)
-        self.hi = payload["hi"]                  # r1 (row) / c1 (col)
+        self.lo = payload["lo"]                  # this shard owns rows
+        self.hi = payload["hi"]                  # [lo, hi) of y
         self.backend = payload.get("backend", "numpy")
         self.slab, self._slab_handles = attach_csr(payload["slab"])
         self.x, self._hx = attach_array(payload["x"])    # (ncols, k_cap)
-        self.y, self._hy = attach_array(payload["y"])
-        # row: y is the group-shared (nrows, k_cap) buffer, this shard
-        #      owns rows [lo, hi); col: y is this shard's private
-        #      (nrows, k_cap) partial buffer.
+        self.y, self._hy = attach_array(payload["y"])    # (nrows, k_cap)
         # Flop/byte counts of this slab, computed once at registration:
         # the compute hot path attributes each round against them
         # without re-walking the footprint.
         self.counts = _KernelCounts.for_matrix(self.slab)
 
     def compute(self, k: int) -> None:
-        if self.path == "row":
-            x = self.x[:, :k]
-            y = self.y[self.lo:self.hi, :k]
-        else:
-            x = self.x[self.lo:self.hi, :k]
-            y = self.y[:, :k]
+        x = self.x[:, :k]
+        y = self.y[self.lo:self.hi, :k]
         y[...] = 0.0
         if self.backend == "c":
             # Parent resolved the backend, but this process may still
@@ -93,7 +81,7 @@ class _ResidentMatrix:
                 spmm_c(self.slab, x, y)
                 return
         # spmm's k==1 path is the exact single-vector spmv kernel, so
-        # row-path results concatenate bit-identically to serial spmv.
+        # row slabs concatenate bit-identically to serial spmv.
         spmm(self.slab, x, y)
 
     def close(self) -> None:
@@ -119,14 +107,13 @@ def _beat(spec: SegmentSpec, shard_id: int, interval_s: float,
 def _run_compute(resident: _ResidentMatrix, shard_id: int, mid: str,
                  k: int, tctx: dict | None) -> float:
     """One compute round, with child-side accounting and (when the
-    propagated context is sampled) a ring-recorded span."""
+    propagated context is sampled) a ``shard.compute`` span."""
     ctx = _context.from_dict(tctx)
     t0 = time.perf_counter()
     if ctx is not None and ctx.sampled:
         with _context.use(ctx):
             with _trace.span("shard.compute", shard=shard_id,
-                             fingerprint=mid, k=k,
-                             path=resident.path):
+                             fingerprint=mid, k=k):
                 resident.compute(k)
     else:
         resident.compute(k)
@@ -136,16 +123,26 @@ def _run_compute(resident: _ResidentMatrix, shard_id: int, mid: str,
     # Roofline attribution against the slab this shard actually holds;
     # ceilings were configured in the parent before the fork, so the
     # fraction is computed against the measured host roofline. The
-    # perf.* histograms ride the telemetry pipe to /metrics.
+    # perf.* histograms ride the reply to the parent's /metrics.
     _observe_kernel(resident.slab, dt, k=k, backend=resident.backend,
                     shard=shard_id, counts=resident.counts)
     return dt
 
 
+def _telemetry(spans: list) -> dict:
+    """What this child recorded since its previous reply, drained."""
+    tele: dict = {}
+    metrics = _metrics.get_registry().drain_flat()
+    if metrics:
+        tele["metrics"] = metrics
+    if spans:
+        tele["spans"] = spans[:]
+        spans.clear()
+    return tele
+
+
 def shard_main(shard_id: int, conn, hb_spec: SegmentSpec,
-               hb_interval_s: float, telemetry=None, ring_path=None,
-               flush_interval_s: float = 0.25,
-               profile_path=None) -> None:
+               hb_interval_s: float, profile_path=None) -> None:
     """Entry point of a shard worker process."""
     # Shards share the terminal's foreground process group, so a Ctrl-C
     # aimed at the parent would interrupt conn.recv() with a traceback.
@@ -155,18 +152,17 @@ def shard_main(shard_id: int, conn, hb_spec: SegmentSpec,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic hosts
         pass
-    # Fork copies the parent's span sink (its TraceHub) — replace it
-    # with this shard's ring file (or nothing): a child must never
-    # accumulate spans into a hub nobody reads.
-    ring = SpanRing(ring_path) if ring_path is not None else None
-    _trace.set_span_sink(ring.append if ring is not None else None)
-    flusher = None
-    if telemetry is not None:
-        flusher = DeltaFlusher(
-            telemetry, _metrics.get_registry(), ident=shard_id,
-            interval_s=flush_interval_s,
-        )
-        flusher.start()
+    # Fork copied the parent's registry and span sink (its TraceHub).
+    # Start from nothing, so each reply carries only this child's own
+    # growth, and keep spans in a list the next reply empties.
+    _metrics.get_registry().reset()
+    spans: list = []
+    _trace.set_span_sink(spans.append)
+
+    def reply(*msg) -> None:
+        tele = _telemetry(spans)
+        conn.send((*msg, tele) if tele else msg)
+
     sampler = None
     if profile_path is not None:
         sampler = StackSampler(profile_path)
@@ -192,13 +188,13 @@ def shard_main(shard_id: int, conn, hb_spec: SegmentSpec,
                 if old is not None:
                     old.close()
                 resident[mid] = _ResidentMatrix(payload)
-                conn.send(("ok", "register", mid, shard_id))
+                reply("ok", "register", mid, shard_id)
             elif op == "unregister":
                 _, mid = msg
                 old = resident.pop(mid, None)
                 if old is not None:
                     old.close()
-                conn.send(("ok", "unregister", mid, shard_id))
+                reply("ok", "unregister", mid, shard_id)
             elif op == "compute":
                 mid, k, seq = msg[1], msg[2], msg[3]
                 tctx = msg[4] if len(msg) > 4 else None
@@ -206,20 +202,16 @@ def shard_main(shard_id: int, conn, hb_spec: SegmentSpec,
                     dt = _run_compute(resident[mid], shard_id, mid,
                                       int(k), tctx)
                 except Exception as exc:
-                    conn.send(("err", mid, seq, f"{type(exc).__name__}: "
-                                                f"{exc}"))
+                    reply("err", mid, seq,
+                          f"{type(exc).__name__}: {exc}")
                 else:
-                    conn.send(("done", mid, seq, dt))
+                    reply("done", mid, seq, dt)
             else:
-                conn.send(("err", None, None, f"unknown op {op!r}"))
+                reply("err", None, None, f"unknown op {op!r}")
     finally:
         stop.set()
         if sampler is not None:
             sampler.stop()
-        if flusher is not None:
-            flusher.stop(final_flush=True)
-        if ring is not None:
-            ring.close()
         for m in resident.values():
             m.close()
         try:

@@ -23,11 +23,13 @@ The cross-process observability plane (v2) adds:
   (HTTP header, control messages) so one request yields one span tree;
 * :mod:`.hub` — the parent-side bounded per-trace span store with
   tree/Chrome exports;
-* :mod:`.ring` — per-shard JSONL span ring files the parent collates;
-* :mod:`.flush` — child registry deltas flushed over telemetry pipes
-  and merged into the parent registry (``/metrics`` sees the group);
 * :mod:`.slo` — fixed-bucket phase latency accounting and the p99
   slow-request sampler.
+
+Shard children need no plane of their own: each reply on a shard's
+control pipe carries the child's drained registry
+(:meth:`MetricsRegistry.drain_flat`) and its completed spans, which the
+parent merges into its registry and span sink (:mod:`repro.dist`).
 
 The live roofline plane (v3) adds :mod:`.perf` — measured machine
 ceilings (STREAM-style microbenchmarks, cached per host), per-kernel
@@ -38,7 +40,6 @@ collapsed-stack sampling profiler.
 """
 
 from .context import TRACE_HEADER, TraceContext, from_header, new_trace
-from .flush import DeltaFlusher, diff_flat
 from .hub import TraceHub, get_hub, install_hub, uninstall_hub
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -57,7 +58,6 @@ from .perf import (
     measure_ceilings,
     observe_kernel,
 )
-from .ring import SpanRing, collate, read_ring
 from .slo import SloTracker, SlowSample
 from .trace import (
     NULL_SPAN,
@@ -74,7 +74,6 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "DeltaFlusher",
     "HistogramSummary",
     "MachineCeilings",
     "MetricsRegistry",
@@ -84,14 +83,11 @@ __all__ = [
     "SloTracker",
     "SlowSample",
     "SpanEvent",
-    "SpanRing",
     "StackSampler",
     "TRACE_HEADER",
     "TraceContext",
     "TraceHub",
     "Tracer",
-    "collate",
-    "diff_flat",
     "disable",
     "enable",
     "from_header",
@@ -104,7 +100,6 @@ __all__ = [
     "measure_ceilings",
     "new_trace",
     "observe_kernel",
-    "read_ring",
     "read_trace",
     "render_prometheus",
     "sample_process_gauges",

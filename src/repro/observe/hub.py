@@ -3,10 +3,11 @@
 The hub is the serving parent's span sink (:func:`install_hub` wires
 it into :func:`repro.observe.trace.set_span_sink`). Every span
 completed under a sampled :class:`~repro.observe.context.TraceContext`
-lands here, keyed by ``trace_id``; spans recorded in *other*
-processes (shard children append theirs to JSONL ring files, see
-:mod:`repro.observe.ring`) are merged in with :meth:`TraceHub.
-add_events` before retrieval. Because every v2 span carries explicit
+lands here, keyed by ``trace_id`` — shard children's spans too, which
+arrive on their compute replies and are handed to this sink by the
+shard group. Spans exported by *other* nodes (a cluster router pulls
+each node's ``/v1/debug/spans/{id}``) are merged in with
+:meth:`TraceHub.add_events`. Because every v2 span carries explicit
 ``span_id``/``parent_id`` links and an absolute wall-clock stamp,
 merging needs no cross-process clock agreement: trees come from the
 ids, ordering from ``wall_us``.
@@ -44,35 +45,36 @@ class TraceHub:
         if not event.trace_id:
             return
         with self._lock:
-            spans = self._traces.get(event.trace_id)
-            if spans is None:
-                spans = self._traces[event.trace_id] = []
-                while len(self._traces) > self.max_traces:
-                    self._traces.popitem(last=False)
-                    _metrics.inc("observe.traces_evicted")
-            if len(spans) >= self.max_spans_per_trace:
-                _metrics.inc("observe.spans_dropped")
-                return
-            spans.append(event)
-            _metrics.inc("observe.spans_recorded")
+            if self._insert_locked(event):
+                _metrics.inc("observe.spans_recorded")
 
     def add_events(self, events: list[SpanEvent]) -> int:
-        """Merge externally collected spans (shard rings), skipping
-        exact duplicates (same span id) already present."""
+        """Merge externally collected spans (other nodes' exports),
+        skipping exact duplicates (same span id) already present."""
         added = 0
         with self._lock:
             for e in events:
-                if not e.trace_id:
+                if not e.trace_id or any(
+                        s.span_id == e.span_id
+                        for s in self._traces.get(e.trace_id, ())):
                     continue
-                spans = self._traces.setdefault(e.trace_id, [])
-                if any(s.span_id == e.span_id for s in spans):
-                    continue
-                if len(spans) >= self.max_spans_per_trace:
-                    _metrics.inc("observe.spans_dropped")
-                    continue
-                spans.append(e)
-                added += 1
+                added += self._insert_locked(e)
         return added
+
+    def _insert_locked(self, event: SpanEvent) -> bool:
+        """The one bounded insert: a new trace evicts the oldest past
+        ``max_traces``, a full trace drops the span."""
+        spans = self._traces.get(event.trace_id)
+        if spans is None:
+            spans = self._traces[event.trace_id] = []
+            while len(self._traces) > self.max_traces:
+                self._traces.popitem(last=False)
+                _metrics.inc("observe.traces_evicted")
+        if len(spans) >= self.max_spans_per_trace:
+            _metrics.inc("observe.spans_dropped")
+            return False
+        spans.append(event)
+        return True
 
     # ---------------------------------------------------------- queries
     def trace_ids(self) -> list[str]:

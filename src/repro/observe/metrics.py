@@ -17,8 +17,9 @@ Histograms are **fixed-bucket** (log-spaced bounds, see
 count, sum, exact min/max, and per-bucket counts — never a list of raw
 observations. That makes a histogram (a) bounded in memory no matter
 how many requests flow through, (b) *mergeable across processes* by
-summing bucket counts (the shard-metrics flush in
-:mod:`repro.observe.flush` relies on this), and (c) quantile-queryable
+summing bucket counts (shard children send their registry home with
+every reply, :meth:`MetricsRegistry.drain_flat`, and the parent folds
+it in with :meth:`MetricsRegistry.merge_flat`), and (c) quantile-queryable
 (:meth:`HistogramSummary.quantile`) for the SLO accounting in
 :mod:`repro.observe.slo`. :meth:`MetricsRegistry.render_prometheus`
 exports real ``_bucket{le=...}`` series.
@@ -71,21 +72,23 @@ class _Hist:
         self.counts[bisect_left(DEFAULT_BUCKETS, value)] += 1
 
     def merge(self, count: int, total: float, vmin: float, vmax: float,
-              counts: list) -> None:
-        """Fold another aggregate (a shard child's flush delta) in."""
+              counts: dict) -> None:
+        """Fold another aggregate (a shard child's drained one) in."""
         self.count += count
         self.total += total
         if vmin < self.vmin:
             self.vmin = vmin
         if vmax > self.vmax:
             self.vmax = vmax
-        if len(counts) == len(self.counts):
-            for i, c in enumerate(counts):
-                self.counts[i] += c
+        for i, c in counts.items():
+            self.counts[i] += c
 
     def as_flat(self) -> list:
+        """``[count, total, min, max, {bucket index: count}]``, empty
+        buckets left out: a shard reply usually carries one
+        observation per series, not a full row of zeros."""
         return [self.count, self.total, self.vmin, self.vmax,
-                list(self.counts)]
+                {i: c for i, c in enumerate(self.counts) if c}]
 
     def summary(self) -> "HistogramSummary":
         if not self.count:
@@ -190,22 +193,28 @@ class MetricsRegistry:
                 },
             }
 
-    def snapshot_flat(self) -> dict:
-        """Pure-builtin snapshot for cross-process shipping:
-        ``{"counters": {k: v}, "gauges": {k: v},
-        "hists": {k: [count, total, min, max, [bucket counts]]}}``."""
+    def drain_flat(self) -> dict:
+        """Take every series out of the registry, as pure builtins for
+        cross-process shipping: ``{"counters": {k: v}, "gauges":
+        {k: v}, "hists": {k: [count, total, min, max, {bucket index:
+        count}]}}``, empty sections left out (``{}``: nothing
+        recorded). Snapshot and reset happen under one lock hold, so a
+        shard child that sends this with every reply sends exactly the
+        growth since its previous reply."""
         with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
+            flat = {
+                "counters": self._counters,
+                "gauges": self._gauges,
                 "hists": {k: h.as_flat()
                           for k, h in self._hists.items() if h.count},
             }
+            self._counters, self._gauges, self._hists = {}, {}, {}
+        return {k: v for k, v in flat.items() if v}
 
     def merge_flat(self, delta: dict) -> None:
-        """Fold a :func:`repro.observe.flush.diff_flat` delta (from
-        another process's registry) into this one: counters add,
-        gauges overwrite, histogram aggregates merge."""
+        """Fold a :meth:`drain_flat` image (from another process's
+        registry) into this one: counters add, gauges overwrite,
+        histogram aggregates merge."""
         with self._lock:
             for k, v in delta.get("counters", {}).items():
                 self._counters[k] = self._counters.get(k, 0.0) + v
@@ -216,10 +225,11 @@ class MetricsRegistry:
                 if h is None:
                     h = self._hists[k] = _Hist()
                 h.merge(int(flat[0]), float(flat[1]), float(flat[2]),
-                        float(flat[3]), list(flat[4]))
+                        float(flat[3]), flat[4])
 
     def reset(self) -> None:
-        """Drop every series (test isolation)."""
+        """Drop every series (test isolation; a shard child drops the
+        image it inherited from the fork)."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()

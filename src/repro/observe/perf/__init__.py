@@ -16,7 +16,7 @@ bound*. This package closes that loop, live:
   effective GB/s from the plan's flop/byte counts and tags it with the
   roofline fraction vs the measured ceiling; the ``perf.*`` histograms
   are fixed-bucket, so shard children's observations merge into the
-  parent's ``/metrics`` through the existing telemetry pipe.
+  parent's ``/metrics`` when they ride home on the shard's replies.
 * :mod:`.watchdog` — per-(matrix, plan, backend) EWMA baselines of
   GFLOP/s with a robust deviation band; sustained drops count on
   ``perf.regressions``, arm force-sampling for the offending matrix,

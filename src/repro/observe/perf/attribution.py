@@ -11,9 +11,9 @@ configured — the *roofline fraction*: achieved rate over the
 ``min(peak, intensity × bandwidth)`` bound of the host we actually run
 on. Observations land in fixed-bucket histograms
 (``perf.gflops{backend,format}``, ``perf.gbs``,
-``perf.roofline_fraction``), which merge across processes through the
-shard telemetry pipe, so ``/metrics`` shows per-shard roofline
-efficiency with no extra plumbing.
+``perf.roofline_fraction``), which merge across processes: a shard
+child's observations ride its next reply to the parent, so ``/metrics``
+shows per-shard roofline efficiency with no extra plumbing.
 
 Ceilings are held in a module global set by :func:`configure` — the
 serve parent configures them *before* forking shard children, so the

@@ -21,7 +21,8 @@ Two recording paths share the :func:`span` entry point:
   *every* span — the CLI's ``--trace`` flag;
 * the **span sink** (:func:`set_span_sink`, installed by
   :class:`repro.observe.hub.TraceHub` in a serving parent, or by a
-  shard child's JSONL ring) records only spans opened under a
+  shard child as the list its next reply empties) records only spans
+  opened under a
   *sampled* :class:`~repro.observe.context.TraceContext`. Spans on
   that path carry ``trace_id``/``span_id``/``parent_id`` and re-bind
   the current context to themselves, so nested spans — and spans in

@@ -61,7 +61,6 @@ class ServeClient:
         n_workers: int | None = None,
         shards: int | None = None,
         shard_threshold_bytes: int = 4 << 20,
-        shard_partition: str = "row",
         backend: str = "numpy",
         trace_sample_rate: float = 0.0,
         slo_ms: float | None = None,
@@ -132,8 +131,8 @@ class ServeClient:
             if shards is not None and shards > 0:
                 from ..dist import ShardGroup
                 self.shard_group = ShardGroup(
-                    shards, partition=shard_partition, k_cap=max_batch,
-                    backend=backend, profile_dir=self.profile_dir,
+                    shards, k_cap=max_batch, backend=backend,
+                    profile_dir=self.profile_dir,
                 )
             self.registry = MatrixRegistry(
                 machine, n_threads=n_threads,
@@ -263,22 +262,14 @@ class ServeClient:
 
     # ---------------------------------------------------- observability
     def trace(self, trace_id: str) -> list[dict]:
-        """The merged span tree for one trace: parent-side spans from
-        the hub plus shard-child spans collated from the group's ring
-        files. Empty list when the trace is unknown."""
-        if self.shard_group is not None:
-            self.hub.add_events(
-                self.shard_group.collate_trace(trace_id)
-            )
+        """The merged span tree for one trace — parent spans and the
+        shard children's, which arrived on their compute replies.
+        Empty list when the trace is unknown."""
         return self.hub.tree(trace_id)
 
     def trace_chrome(self, trace_id: str) -> list[dict]:
-        """Chrome trace-event export of the same merged tree."""
-        if self.shard_group is not None:
-            self.hub.add_events(
-                self.shard_group.collate_trace(trace_id)
-            )
-        return self.hub.to_chrome(trace_id)
+        """Chrome trace-event list of the same merged tree."""
+        return self.hub.to_chrome(trace_id)["traceEvents"]
 
     def slow_requests(self) -> list[dict]:
         """Recent SLO outliers (oldest first), JSON-shaped."""

@@ -23,10 +23,10 @@ Routes
     Service/registry summary (status, matrices, queue depth).
 ``GET /metrics``
     Prometheus text exposition of the process metrics registry —
-    including shard-child counters merged in by the telemetry plane.
+    including shard-child counters, which arrive on every shard reply.
 ``GET /v1/debug/trace/{trace_id}``
-    Merged span tree for one sampled request (parent spans from the
-    hub + shard spans collated from ring files). ``?format=chrome``
+    Merged span tree for one sampled request (parent and shard spans,
+    all held by the hub). ``?format=chrome``
     returns Chrome trace-event JSON instead of the nested tree.
 ``GET /v1/debug/spans/{trace_id}``
     The same merged spans as a *flat* JSON event list (the
@@ -205,13 +205,10 @@ class Router:
                                    "events": events})
 
     def trace_events(self, trace_id: str) -> list[dict]:
-        """Flat merged span events for one trace (hub + shard rings),
-        in the :meth:`SpanEvent.to_json` schema. Empty when unknown."""
-        client = self.client
-        if client.shard_group is not None:
-            client.hub.add_events(
-                client.shard_group.collate_trace(trace_id))
-        return [e.to_json() for e in client.hub.get(trace_id)]
+        """Flat merged span events for one trace (parent and shard
+        spans), in the :meth:`SpanEvent.to_json` schema. Empty when
+        unknown."""
+        return [e.to_json() for e in self.client.hub.get(trace_id)]
 
     # ------------------------------------------------------------ POST
     def _post(self, req: Request) -> Response:

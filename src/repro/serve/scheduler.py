@@ -27,9 +27,9 @@ the same bits whether it ran alone or in a batch of eight. Where a
 batch runs the NumPy SpMM or the simd rung's reassociating reductions,
 it matches the lone answer to rounding, not bits.
 
-Counters/histograms: ``serve.requests``, ``serve.batches``,
-``serve.kernel_invocations``, ``serve.batched_requests``,
-``serve.batch_size`` (histogram), ``serve.rejected``.
+Counters/histograms: ``serve.requests``, ``serve.batches`` (one per
+executor call), ``serve.batched_requests``, ``serve.batch_size``
+(histogram), ``serve.rejected``.
 
 Observability (v2): each request captures the submitter's
 :class:`~repro.observe.context.TraceContext` and its enqueue time; the
@@ -212,7 +212,6 @@ class BatchScheduler:
                 for name in info["batch_counters"]:
                     _metrics.inc(name)
             _metrics.inc("serve.batches")
-            _metrics.inc("serve.kernel_invocations")
             _metrics.inc("serve.batched_requests", k)
             _metrics.observe("serve.batch_size", k)
             t_done = time.perf_counter()

@@ -78,16 +78,13 @@ def test_add_is_inverse_of_remove():
         assert ring.owners(key, 2) == before[key]
 
 
-def test_placement_hot_widens_owner_set():
-    p = Placement(NODES, replication=2, fanout_extra=1)
+def test_placement_owners_are_the_ring_prefix():
+    p = Placement(NODES, replication=2)
+    ring = HashRing(NODES)
     for key in KEYS[:50]:
-        cold = p.owners(key)
-        hot = p.owners(key, hot=True)
-        assert len(cold) == 2
-        assert len(hot) == 3
-        # widening is strictly additive: cold owners stay first, so a
-        # matrix registered cold is always reachable when it goes hot
-        assert hot[:2] == cold
+        # the router registers on, and forwards to, exactly these
+        # nodes, primary first
+        assert p.owners(key) == ring.owners(key, 2)
 
 
 def test_placement_describe():

@@ -1,8 +1,7 @@
 """Wire codec: roundtrips, limits, torn-frame tolerance.
 
-Mirrors the torn-line tolerance style of the ``observe/ring.py``
-tests: a stream cut mid-frame must be a loud :class:`WireError`,
-never a silently reinterpreted short frame.
+A stream cut mid-frame must be a loud :class:`WireError`, never a
+silently reinterpreted short frame.
 """
 
 from __future__ import annotations

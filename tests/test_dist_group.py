@@ -1,5 +1,5 @@
-"""ShardGroup correctness: bit-identical row path, col reduction,
-zero-copy dispatch, lifecycle, solver protocol."""
+"""ShardGroup correctness: bit-identical row slabs, zero-copy
+dispatch, lifecycle, solver protocol."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.dist import DistError, RetryPolicy, ShardGroup
 from repro.errors import ShardDeadError
 from repro.formats import COOMatrix, coo_to_csr
 from repro.observe.metrics import get_registry
-from repro.parallel import partition_cols_balanced
 from repro.solvers import conjugate_gradient
 from tests.conftest import random_coo
 
@@ -89,53 +88,6 @@ class TestRowPath:
         assert group.describe()["matrices"] == 1
 
 
-class TestColPath:
-    def test_spmv_close_to_serial(self):
-        with ShardGroup(3, partition="col") as g:
-            coo = random_coo(150, 200, 0.05, seed=12)
-            csr = coo_to_csr(coo)
-            fp = g.register(coo)
-            x = np.random.default_rng(13).standard_normal(200)
-            np.testing.assert_allclose(
-                g.spmv(fp, x), csr.spmv(x), rtol=1e-12, atol=1e-12
-            )
-
-    def test_partition_cols_round_trips_through_reduction(self):
-        # The col path consumes partition_cols_balanced: each shard
-        # owns cols [lo, hi) and the parent reduces partial y's. The
-        # reduction must reconstruct the full product for a partition
-        # whose column slabs have very uneven nonzero counts.
-        rng = np.random.default_rng(14)
-        heavy = rng.integers(0, 20, size=4000)      # 20 dense columns
-        light = rng.integers(20, 400, size=1000)
-        cols = np.concatenate([heavy, light])
-        rows = rng.integers(0, 300, size=5000)
-        coo = COOMatrix((300, 400), rows, cols,
-                        rng.standard_normal(5000))
-        part = partition_cols_balanced(coo, 3)
-        assert part.nnz_per_part.sum() == coo.nnz_logical
-        with ShardGroup(3, partition="col") as g:
-            fp = g.register(coo)
-            x = rng.standard_normal(400)
-            np.testing.assert_allclose(
-                g.spmv(fp, x), coo_to_csr(coo).spmv(x),
-                rtol=1e-12, atol=1e-12,
-            )
-
-    def test_spmm_col(self):
-        with ShardGroup(2, partition="col") as g:
-            coo = random_coo(90, 70, 0.1, seed=15)
-            csr = coo_to_csr(coo)
-            fp = g.register(coo)
-            x_block = np.random.default_rng(16).standard_normal((70, 4))
-            got = g.spmm(fp, x_block)
-            for j in range(4):
-                np.testing.assert_allclose(
-                    got[:, j], csr.spmv(x_block[:, j]),
-                    rtol=1e-12, atol=1e-12,
-                )
-
-
 class TestSerialFallback:
     def test_single_shard_runs_serial(self):
         with ShardGroup(1) as g:
@@ -186,8 +138,6 @@ class TestLifecycle:
     def test_constructor_validation(self):
         with pytest.raises(DistError):
             ShardGroup(0)
-        with pytest.raises(DistError):
-            ShardGroup(2, partition="diagonal")
         with pytest.raises(DistError):
             ShardGroup(2, k_cap=0)
 

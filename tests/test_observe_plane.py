@@ -1,26 +1,27 @@
 """The cross-process observability plane, unit by unit and end to end:
-trace-context propagation, span ring files, delta flushing, SLO
+trace-context propagation, the bounded trace hub, registry drains, SLO
 accounting, and the full serve→dist merged span tree — including the
-fault path where a respawned shard must rejoin metrics flushing."""
+fault path where a respawned shard must keep counting."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
-import time
+import tempfile
+import threading
 
 import numpy as np
 import pytest
 
 from repro.observe import context, new_trace
 from repro.observe.context import TraceContext, from_header
-from repro.observe.flush import DeltaFlusher, diff_flat, merge_message
-from repro.observe.hub import uninstall_hub
+from repro.observe.hub import TraceHub, install_hub, uninstall_hub
 from repro.observe.metrics import MetricsRegistry, get_registry
-from repro.observe.ring import SpanRing, collate, read_ring
 from repro.observe.slo import SloTracker
 from repro.observe.trace import SpanEvent
+from tests.conftest import random_coo
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -71,7 +72,7 @@ class TestTraceContext:
 
 
 # ----------------------------------------------------------------------
-# Span ring files
+# Trace hub
 # ----------------------------------------------------------------------
 def _event(name: str, trace_id: str, span_id: str = "aa00bb11",
            parent_id: str = "") -> SpanEvent:
@@ -82,94 +83,65 @@ def _event(name: str, trace_id: str, span_id: str = "aa00bb11",
     )
 
 
-class TestSpanRing:
-    def test_append_read_round_trip(self, tmp_path):
-        ring = SpanRing(tmp_path / "shard-0.jsonl")
-        ring.append(_event("a", "t1", "s1"))
-        ring.append(_event("b", "t2", "s2"))
-        ring.close()
-        events = read_ring(tmp_path / "shard-0.jsonl")
-        assert [(e.name, e.trace_id) for e in events] == \
-            [("a", "t1"), ("b", "t2")]
+class TestTraceHub:
+    def test_add_events_respects_max_traces(self):
+        hub = TraceHub(max_traces=4)
+        hub.add_events([_event("x", f"t{i:02d}") for i in range(50)])
+        # the newest traces survive, as they do through record()
+        assert hub.trace_ids() == ["t46", "t47", "t48", "t49"]
 
-    def test_rotation_keeps_recent_spans(self, tmp_path):
-        path = tmp_path / "shard-0.jsonl"
-        ring = SpanRing(path, max_bytes=256)
-        for i in range(50):
-            ring.append(_event(f"span{i:03d}", "t", f"s{i:03d}"))
-        ring.close()
-        assert (tmp_path / "shard-0.jsonl.1").exists()
-        names = [e.name for e in read_ring(path)]
-        # The most recent span always survives; older ones age out.
-        assert "span049" in names
-        assert len(names) < 50
-
-    def test_collate_filters_by_trace(self, tmp_path):
-        for shard, trace in ((0, "tA"), (1, "tB")):
-            ring = SpanRing(tmp_path / f"shard-{shard}.jsonl")
-            ring.append(_event("compute", trace, f"s{shard}"))
-            ring.close()
-        assert len(collate(tmp_path)) == 2
-        only_a = collate(tmp_path, trace_id="tA")
-        assert [e.trace_id for e in only_a] == ["tA"]
-        assert collate(tmp_path / "nonexistent") == []
-
-    def test_torn_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "shard-0.jsonl"
-        ring = SpanRing(path)
-        ring.append(_event("good", "t", "s"))
-        ring.close()
-        with open(path, "a", encoding="utf-8") as f:
-            f.write('{"name": "torn half')
-        events = read_ring(path)
-        assert [e.name for e in events] == ["good"]
+    def test_record_and_add_events_share_the_bounds(self):
+        hub = TraceHub(max_traces=2, max_spans_per_trace=2)
+        hub.record(_event("a", "t1", "s1"))
+        assert hub.add_events([_event("a", "t1", "s1"),    # duplicate
+                               _event("b", "t1", "s2"),
+                               _event("c", "t1", "s3")]) == 1
+        assert [e.name for e in hub.get("t1")] == ["a", "b"]
+        hub.record(_event("d", "t2"))
+        hub.record(_event("e", "t3"))
+        assert hub.trace_ids() == ["t2", "t3"]
 
 
 # ----------------------------------------------------------------------
-# Delta flushing (child → parent registry)
+# Registry drains (what a shard reply carries home)
 # ----------------------------------------------------------------------
-class TestDeltaFlush:
-    def test_fork_baseline_is_never_reflushed(self):
-        reg = MetricsRegistry()
-        reg.inc("dist.child_computes", 100, shard=0)  # "inherited"
-        recv, send = multiprocessing.Pipe(duplex=False)
-        flusher = DeltaFlusher(send, reg, ident=0)
-        assert not flusher.flush_once()     # nothing beyond baseline
-        reg.inc("dist.child_computes", 3, shard=0)
-        assert flusher.flush_once()
-        kind, source, delta = recv.recv()
-        assert (kind, source) == ("metrics", 0)
-        assert delta["counters"]["dist.child_computes{shard=0}"] == 3
-
-    def test_deltas_are_increments_not_totals(self):
-        reg = MetricsRegistry()
-        recv, send = multiprocessing.Pipe(duplex=False)
-        flusher = DeltaFlusher(send, reg, ident=1)
-        parent = MetricsRegistry()
-        for _ in range(3):
-            reg.inc("dist.child_computes", 2, shard=1)
-            reg.observe("dist.child_compute_seconds", 0.5, shard=1)
-            assert flusher.flush_once()
-            assert merge_message(parent, recv.recv())
+class TestReplyTelemetry:
+    def test_drains_are_increments_not_totals(self):
+        child, parent, local = (MetricsRegistry(), MetricsRegistry(),
+                                MetricsRegistry())
+        for seconds in (0.5, 0.003, 0.5):
+            child.inc("dist.child_computes", 2, shard=1)
+            child.observe("dist.child_compute_seconds", seconds, shard=1)
+            local.observe("dist.child_compute_seconds", seconds, shard=1)
+            parent.merge_flat(child.drain_flat())
         snap = parent.snapshot()
         assert snap["counters"]["dist.child_computes{shard=1}"] == 6
-        hist = snap["histograms"]["dist.child_compute_seconds{shard=1}"]
-        assert hist.count == 3
+        # the merged histogram is the one the child would have kept
+        assert snap["histograms"]["dist.child_compute_seconds{shard=1}"] \
+            == local.histogram("dist.child_compute_seconds", shard=1)
 
-    def test_merge_message_rejects_foreign_shapes(self):
-        reg = MetricsRegistry()
-        assert not merge_message(reg, ("heartbeat", 0, 1.0))
-        assert not merge_message(reg, "noise")
-        assert not merge_message(reg, ("metrics", 0, "not-a-dict"))
-
-    def test_diff_flat_histogram_delta(self):
+    def test_drain_histogram_holds_only_new_observations(self):
         reg = MetricsRegistry()
         reg.observe("h", 1.0)
-        prev = reg.snapshot_flat()
+        reg.drain_flat()
         reg.observe("h", 3.0)
-        delta = diff_flat(reg.snapshot_flat(), prev)
-        assert delta["hists"]["h"][0] == 1       # one new observation
-        assert delta["hists"]["h"][1] == pytest.approx(3.0)
+        drained = reg.drain_flat()
+        assert drained["hists"]["h"][0] == 1       # one new observation
+        assert drained["hists"]["h"][1] == pytest.approx(3.0)
+        assert reg.drain_flat() == {}              # nothing since
+
+    @needs_fork
+    def test_fork_image_is_never_sent_home(self):
+        from repro.dist import ShardGroup
+
+        reg = get_registry()
+        reg.inc("test.parent_only", 5)
+        before = reg.counter("test.parent_only")
+        with ShardGroup(2, compute_timeout_s=10.0) as group:
+            fp = group.register(random_coo(80, 80, 0.1, seed=46))
+            group.spmv(fp, np.ones(80))
+        # the children inherited the counter and reset it at start
+        assert reg.counter("test.parent_only") == before
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +199,6 @@ def _walk(nodes):
 class TestEndToEnd:
     def test_sharded_request_yields_one_merged_tree(self):
         from repro.serve.client import ServeClient
-        from tests.conftest import random_coo
 
         coo = random_coo(150, 150, 0.05, seed=40)
         client = ServeClient(
@@ -257,9 +228,46 @@ class TestEndToEnd:
             client.close()
             uninstall_hub()
 
+    def test_shard_telemetry_is_home_when_spmv_returns(self):
+        from repro.dist import ShardGroup
+
+        reg = get_registry()
+        hub = install_hub(TraceHub())
+        group = ShardGroup(2, compute_timeout_s=10.0)
+        try:
+            fp = group.register(random_coo(150, 150, 0.05, seed=44))
+            x = np.random.default_rng(45).standard_normal(150)
+
+            def counts() -> list[float]:
+                return [reg.counter("dist.child_computes", shard=i)
+                        for i in range(2)]
+
+            before = counts()
+            group.spmv(fp, x)
+            assert counts() == [c + 1 for c in before]
+            ctx = new_trace(sampled=True)
+            with context.use(ctx):
+                group.spmv(fp, x)
+            shards = sorted(e.args["shard"] for e in hub.get(ctx.trace_id)
+                            if e.name == "shard.compute")
+            assert shards == [0, 1]
+        finally:
+            group.close()
+            uninstall_hub()
+
+    def test_one_channel_per_shard(self, tmp_path, monkeypatch):
+        from repro.dist import ShardGroup
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with ShardGroup(2) as group:
+            fp = group.register(random_coo(60, 60, 0.1, seed=47))
+            group.spmv(fp, np.ones(60))
+            names = {t.name for t in threading.enumerate()}
+            assert "dist-telemetry" not in names
+            assert not list(tmp_path.glob("repro-dist-spool-*"))
+
     def test_respawned_shard_rejoins_metrics_flushing(self):
         from repro.dist import RetryPolicy, ShardGroup
-        from tests.conftest import random_coo
 
         reg = get_registry()
         group = ShardGroup(
@@ -274,27 +282,42 @@ class TestEndToEnd:
             def child_count(shard: int) -> float:
                 return reg.counter("dist.child_computes", shard=shard)
 
-            def wait_for(pred, what: str, timeout: float = 10.0):
-                deadline = time.monotonic() + timeout
-                while time.monotonic() < deadline:
-                    if pred():
-                        return
-                    time.sleep(0.05)
-                pytest.fail(f"timed out waiting for {what}")
-
-            group.spmv(fp, x)
-            wait_for(lambda: child_count(1) >= 1,
-                     "pre-kill telemetry from shard 1")
             before = child_count(1)
+            group.spmv(fp, x)
+            assert child_count(1) == before + 1
 
             os.kill(group.shard_pids()[1], signal.SIGKILL)
-            # The next dispatch revives the shard; its fresh child must
-            # re-attach to the telemetry plane and keep counting.
+            # The next dispatch revives the shard; its replacement's
+            # replies carry its counters like the first one's did.
             group.spmv(fp, x)
-            wait_for(lambda: child_count(1) > before,
-                     "post-respawn telemetry from shard 1")
+            assert child_count(1) == before + 2
             from repro.formats import coo_to_csr
             assert np.array_equal(group.spmv(fp, x),
                                   coo_to_csr(coo).spmv(x))
+            assert child_count(1) == before + 3
         finally:
             group.close()
+
+
+class TestTraceRoutes:
+    def test_chrome_export_is_one_event_list(self):
+        from repro.serve.client import ServeClient
+        from repro.serve.routes import Request, Router
+
+        client = ServeClient(n_workers=1)
+        try:
+            fp = client.register(random_coo(60, 60, 0.1, seed=48)).fingerprint
+            ctx = new_trace(sampled=True)
+            with context.use(ctx):
+                client.spmv(fp, np.ones(60))
+            router = Router(client)
+            resp = router.handle(Request(
+                "GET", f"/v1/debug/trace/{ctx.trace_id}?format=chrome"))
+            assert resp.status == 200
+            events = json.loads(resp.body)["traceEvents"]
+            assert "serve.scheduler.enqueue" in {e["name"] for e in events}
+            assert router.handle(Request(
+                "GET", "/v1/debug/trace/nope?format=chrome")).status == 404
+        finally:
+            client.close()
+            uninstall_hub()

@@ -4,7 +4,7 @@ threaded SpMV driver.
 
 Numeric contract (the repo's two tolerance classes): row-partitioned
 tiers are bit-identical to their serial kernel — ``threaded_spmv`` to
-the in-process compiled CSR kernel, shards(row) to ``csr.spmv`` — and
+the in-process compiled CSR kernel, shards to ``csr.spmv`` — and
 everything else is within 1e-12 of ``spmv_reference``.
 """
 
@@ -73,17 +73,15 @@ def _assert_close(got: np.ndarray, expected: np.ndarray) -> None:
     pytest.param("inprocess-c", marks=needs_cc),
     pytest.param("inprocess-bcsr-c", marks=needs_cc),
     pytest.param("shards-row", marks=needs_fork),
-    pytest.param("shards-col", marks=needs_fork),
 ])
 def executor(request):
     """``(executor, bit-identical reference pair or None)``."""
     kind = request.param
-    if kind.startswith("shards"):
-        group = ShardGroup(2, partition=kind.split("-")[1], k_cap=K)
+    if kind == "shards-row":
+        group = ShardGroup(2, k_cap=K)
         fp = group.register(COO)
-        exact = ((CSR.spmv(X), np.stack(
+        exact = (CSR.spmv(X), np.stack(
             [CSR.spmv(X_BLOCK[:, j]) for j in range(K)], axis=1))
-            if kind == "shards-row" else None)
         yield ShardsExecutor(group, fp), exact
         group.close()
     elif kind == "inprocess-bcsr-c":

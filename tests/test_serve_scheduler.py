@@ -36,12 +36,12 @@ class TestCoalescing:
         pool, sched = make_scheduler(max_batch=n, flush_deadline_s=30.0)
         try:
             reg = get_registry()
-            k0 = reg.counter("serve.kernel_invocations")
+            k0 = reg.counter("serve.batches")
             b0 = reg.counter("serve.batched_requests")
             xs = [rng.standard_normal(entry.ncols) for _ in range(n)]
             futs = [sched.submit(entry, x) for x in xs]
             ys = [f.result(timeout=10) for f in futs]
-            assert reg.counter("serve.kernel_invocations") == k0 + 1
+            assert reg.counter("serve.batches") == k0 + 1
             assert reg.counter("serve.batched_requests") == b0 + n
             for x, y in zip(xs, ys):
                 np.testing.assert_allclose(y, entry.matrix.spmv(x),
