@@ -122,8 +122,8 @@ def main() -> None:
             if s["name"] == "shard.compute"
         }
         assert len(tree) == 1, f"expected 1 root, got {len(tree)}"
-        assert {"serve.scheduler.enqueue", "serve.worker_task",
-                "serve.batch", "shard.compute"} <= names, names
+        assert {"serve.scheduler.enqueue", "serve.batch",
+                "shard.compute"} <= names, names
         assert len(pids) >= 3, f"expected >=3 pids, got {pids}"
         assert shard_ids == {0, 1}, (
             f"expected computes from both shards, got {shard_ids}"

@@ -197,10 +197,10 @@ class ServeClient:
     def operator(self, fingerprint: str) -> FingerprintOperator:
         """Solver-ready handle for a registered matrix.
 
-        Every ``spmv`` routes through the scheduler, so independent
-        callers sharing a matrix coalesce into multi-vector batches
-        while a lone sequential caller (an iterative solver) gets exact
-        single-vector kernels.
+        Every ``spmv`` is :meth:`spmv`: a lone sequential caller (an
+        iterative solver) runs the exact single-vector kernel on its
+        own thread, with no deadline and no hand-off, while callers
+        that find the matrix busy coalesce into multi-vector batches.
         """
         entry = self.registry.get(fingerprint)
         return FingerprintOperator(self, entry.fingerprint, entry.shape)
@@ -225,24 +225,39 @@ class ServeClient:
 
     def submit(self, fingerprint: str, x: np.ndarray) -> Future:
         """Asynchronous ``y = A·x``; coalesces with concurrent calls."""
+        return self._request(fingerprint, x, self.scheduler.submit)
+
+    def spmv(self, fingerprint: str, x: np.ndarray) -> np.ndarray:
+        """Synchronous ``y = A·x``.
+
+        On an idle matrix the request runs at once on this thread
+        (:meth:`BatchScheduler.call`), so a solver's dependent matvecs
+        never wait for the flush deadline or a worker; a request that
+        finds the matrix busy joins its pending batch."""
+        return self._request(fingerprint, x, self.scheduler.call).result()
+
+    def _request(self, fingerprint: str, x: np.ndarray,
+                 enqueue) -> Future:
+        """One request through ``enqueue`` (the scheduler's ``submit``
+        or ``call``) under its trace context."""
         entry = self.registry.get(fingerprint)
         ctx, created = self._request_context(fingerprint)
         if ctx is None or not ctx.sampled:
             # (a minted context is always sampled, so ctx here is the
-            # caller's own — no install needed, submit sees it too)
+            # caller's own — no install needed, enqueue sees it too)
             with _span("serve.request", fingerprint=fingerprint):
-                return self.scheduler.submit(entry, x)
+                return enqueue(entry, x)
         # Sampled request: everything downstream (scheduler enqueue,
-        # worker task, batch, shards) runs under a context whose span
-        # *is* the "serve.request" boundary span, recorded when the
-        # future resolves. An inbound context stays the tree's parent:
-        # the boundary span links onto it, so a caller that records
-        # its own span slots in above.
+        # batch, shards) runs under a context whose span *is* the
+        # "serve.request" boundary span, recorded when the future
+        # resolves. An inbound context stays the tree's parent: the
+        # boundary span links onto it, so a caller that records its own
+        # span slots in above.
         root_ctx = ctx if created else ctx.child()
         parent_id = "" if created else ctx.span_id
         t_wall, t0 = time.time(), time.perf_counter()
         with _context.use(root_ctx):
-            fut = self.scheduler.submit(entry, x)
+            fut = enqueue(entry, x)
 
         def _finish(f: Future) -> None:
             _trace.emit(
@@ -255,10 +270,6 @@ class ServeClient:
 
         fut.add_done_callback(_finish)
         return fut
-
-    def spmv(self, fingerprint: str, x: np.ndarray) -> np.ndarray:
-        """Synchronous ``y = A·x`` through the batching path."""
-        return self.submit(fingerprint, x).result()
 
     # ---------------------------------------------------- observability
     def trace(self, trace_id: str) -> list[dict]:

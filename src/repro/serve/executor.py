@@ -35,8 +35,8 @@ def _describe(backend: str, *counters: str, sharded: bool = False,
 
 
 class InProcessExecutor:
-    """The tuned structure on the calling worker thread, through the
-    plan's kernel backend."""
+    """The tuned structure on the thread running the batch (a worker,
+    or a blocking caller's own), through the plan's kernel backend."""
 
     def __init__(self, matrix, backend: str):
         self.matrix = matrix

@@ -7,13 +7,23 @@ executed one by one cost k matrix sweeps — batched through the
 multi-vector kernel (:func:`repro.formats.multivector.spmm`) they cost
 one sweep, multiplying arithmetic intensity by ~k.
 
-Mechanics: requests enter a per-fingerprint pending group. A group is
-dispatched to the worker pool as one batch when it reaches
+Mechanics: the scheduler counts, per fingerprint, the batches in
+flight. A caller that blocks on its own answer (:meth:`call`, behind
+``ServeClient.spmv`` and so every solver operator) can never add a
+second request to a batch, so when its matrix is idle — no pending
+group, nothing in flight — its request runs at once on the caller's own
+thread: no deadline, no thread hand-off. Every other request enters a
+per-fingerprint pending group: a :meth:`call` whose matrix is busy,
+and a :meth:`submit` always — an asynchronous caller may be the first
+of a wave, and running it alone would split the wave's batch. A group
+is dispatched to the worker pool as one batch when it reaches
 ``max_batch`` requests (immediately, in the submitting thread) or when
 its oldest request has waited ``flush_deadline_s`` (by the background
-flusher thread). Admission control is a bound on the total number of
-queued-but-undispatched requests; past it, :meth:`submit` raises
-:class:`~repro.errors.ServeAdmissionError` (HTTP 429 upstream).
+flusher thread), so requests that arrive while a batch runs still
+coalesce. A batch the pool refuses fails its requests, not the
+flusher. Admission control, the same for both entries, is a bound on
+the total number of queued-but-undispatched requests; past it, they
+raise :class:`~repro.errors.ServeAdmissionError` (HTTP 429 upstream).
 
 A batch runs on ``entry.executor`` (:mod:`repro.serve.executor`) — the
 scheduler does not know whether that is in-process or a shard group.
@@ -34,8 +44,9 @@ executor call), ``serve.batched_requests``, ``serve.batch_size``
 Observability (v2): each request captures the submitter's
 :class:`~repro.observe.context.TraceContext` and its enqueue time; the
 batch executes under the first sampled request's context (re-installed
-in the worker thread), so the ``serve.batch`` span — and the dist
-spans and shard-child spans below it — stitch into the request's tree.
+in the worker thread; a request run on its caller's thread already has
+it), so the ``serve.batch`` span — and the dist spans and shard-child
+spans below it — stitch into the request's tree.
 When the scheduler holds an :class:`~repro.observe.slo.SloTracker`,
 every completed request reports its queue-wait / compute / gather
 phase breakdown there.
@@ -103,7 +114,8 @@ class BatchScheduler:
         self._cv = threading.Condition()
         self._groups: dict[str, _Group] = {}
         self._n_queued = 0
-        self._n_inflight = 0      #: dispatched batches not yet finished
+        self._n_inflight = 0      #: batches and tasks not yet finished
+        self._busy: dict[str, int] = {}   #: fingerprint → its batches
         self._closed = False
         self._flusher = threading.Thread(
             target=self._flush_loop, name="serve-flusher", daemon=True
@@ -114,18 +126,41 @@ class BatchScheduler:
     def submit(self, entry: RegistryEntry, x: np.ndarray) -> Future:
         """Enqueue ``y = A·x`` for the registered matrix; returns a
         Future resolving to the result vector."""
+        fut, group, _ = self._admit(entry, x, blocking=False)
+        if group is not None:
+            self._dispatch(group)
+        return fut
+
+    def call(self, entry: RegistryEntry, x: np.ndarray) -> Future:
+        """``y = A·x`` for a caller about to block on the answer.
+
+        When the matrix is idle the request runs on this thread and the
+        returned Future is already done; otherwise it joins the pending
+        group exactly as through :meth:`submit`."""
+        fut, group, here = self._admit(entry, x, blocking=True)
+        if here:
+            self._execute(group)
+        elif group is not None:
+            self._dispatch(group)
+        return fut
+
+    def _admit(self, entry: RegistryEntry, x: np.ndarray, *,
+               blocking: bool) -> "tuple[Future, _Group | None, bool]":
+        """The admission block both entries share. Returns the
+        request's Future, a group ready to run (or None), and whether
+        that group was claimed for the calling thread — only for a
+        ``blocking`` request on an idle matrix."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (entry.ncols,):
             raise ServeError(
                 f"x has shape {x.shape}, expected ({entry.ncols},) for "
                 f"matrix {entry.fingerprint}"
             )
+        fp = entry.fingerprint
         fut: Future = Future()
-        ready: _Group | None = None
         ctx = _context.current()
-        with _span("serve.scheduler.enqueue",
-                   fingerprint=entry.fingerprint):
-            t_submit = time.perf_counter()
+        with _span("serve.scheduler.enqueue", fingerprint=fp):
+            request = _Request(x, fut, ctx, time.perf_counter())
             with self._cv:
                 if self._closed:
                     raise ServeError("scheduler is closed")
@@ -134,21 +169,23 @@ class BatchScheduler:
                     raise ServeAdmissionError(
                         f"request queue full ({self.max_queue} pending)"
                     )
-                group = self._groups.get(entry.fingerprint)
+                _metrics.inc("serve.requests")
+                if blocking and fp not in self._groups \
+                        and fp not in self._busy:
+                    self._claim(fp)
+                    return fut, _Group(entry, time.monotonic(),
+                                       [request]), True
+                group = self._groups.get(fp)
                 if group is None:
                     group = _Group(entry, time.monotonic())
-                    self._groups[entry.fingerprint] = group
-                group.requests.append(_Request(x, fut, ctx, t_submit))
+                    self._groups[fp] = group
+                group.requests.append(request)
                 self._n_queued += 1
-                _metrics.inc("serve.requests")
                 if len(group.requests) >= self.max_batch:
-                    ready = self._groups.pop(entry.fingerprint)
-                    self._n_queued -= len(ready.requests)
-                else:
-                    self._cv.notify_all()
-        if ready is not None:
-            self._dispatch(ready)
-        return fut
+                    self._n_queued -= len(group.requests)
+                    return fut, self._groups.pop(fp), False
+                self._cv.notify_all()
+        return fut, None, False
 
     def submit_task(self, fn) -> Future:
         """Run a background task (e.g. an autoplan re-tune) on the
@@ -157,30 +194,55 @@ class BatchScheduler:
         with self._cv:
             if self._closed:
                 raise ServeError("scheduler is closed")
-            self._n_inflight += 1
+            self._claim(None)
 
         def run():
             try:
                 fn()
             finally:
-                with self._cv:
-                    self._n_inflight -= 1
-                    self._cv.notify_all()
+                self._release(None)
 
         _metrics.inc("serve.background_tasks")
-        return self.pool.submit(run)
+        try:
+            return self.pool.submit(run)
+        except BaseException:
+            self._release(None)
+            raise
 
     # ------------------------------------------------------- dispatching
-    def _dispatch(self, group: _Group) -> None:
+    def _claim(self, fingerprint: str | None) -> None:
+        """Count one batch of ``fingerprint`` (None: a background task)
+        in flight. Called with ``_cv`` held."""
+        self._n_inflight += 1
+        if fingerprint is not None:
+            self._busy[fingerprint] = self._busy.get(fingerprint, 0) + 1
+
+    def _release(self, fingerprint: str | None) -> None:
+        """Undo :meth:`_claim` once the batch or task has finished."""
         with self._cv:
-            self._n_inflight += 1
+            self._n_inflight -= 1
+            if fingerprint is not None:
+                left = self._busy.pop(fingerprint) - 1
+                if left:
+                    self._busy[fingerprint] = left
+            self._cv.notify_all()
+
+    def _dispatch(self, group: _Group) -> None:
+        fp = group.entry.fingerprint
+        with self._cv:
+            self._claim(fp)
         # A coalesced batch serves several requests but executes once:
         # it runs under the first *sampled* requester's context, so at
         # least one trace gets the full sub-tree (batch → kernel/dist →
         # shard spans). The batch span itself lists every member trace.
         ctx = next((r.ctx for r in group.requests
                     if r.ctx is not None and r.ctx.sampled), None)
-        self.pool.submit(lambda: self._execute(group), ctx=ctx)
+        try:
+            self.pool.submit(lambda: self._execute(group), ctx=ctx)
+        except Exception as exc:  # e.g. the pool was shut down first
+            for req in group.requests:
+                req.future.set_exception(exc)
+            self._release(fp)
 
     def _execute(self, group: _Group) -> None:
         entry, requests = group.entry, group.requests
@@ -240,9 +302,7 @@ class BatchScheduler:
                 if not req.future.done():
                     req.future.set_exception(exc)
         finally:
-            with self._cv:
-                self._n_inflight -= 1
-                self._cv.notify_all()
+            self._release(entry.fingerprint)
 
     def _feed_watchdog(self, entry, backend: str, k: int,
                        compute_s: float) -> None:

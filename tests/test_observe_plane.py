@@ -215,7 +215,7 @@ class TestEndToEnd:
             spans = list(_walk(tree))
             names = {s["name"] for s in spans}
             assert "serve.scheduler.enqueue" in names
-            assert "serve.worker_task" in names
+            assert "serve.batch" in names
             shard_ids = sorted(
                 s["args"]["shard"] for s in spans
                 if s["name"] == "shard.compute"
