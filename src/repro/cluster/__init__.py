@@ -14,13 +14,15 @@ this package is that tier, layered over :mod:`repro.serve` and
 * :mod:`.aserver` — selectors-based async front end: thousands of
   connections on one event-loop thread, HTTP and wire frames sniffed
   on the same port, app work returned as futures so the loop never
-  blocks.
+  blocks and never runs a kernel.
 * :mod:`.placement` — consistent-hash placement keyed on
   ``content_fingerprint()``: replication factor, minimal key movement
   when the node set changes.
 * :mod:`.node` — one serving node: a
   :class:`~repro.serve.client.ServeClient` (with its shard group,
-  plan cache, observability plane) behind the async front end.
+  plan cache, observability plane) behind the async front end. An
+  SPMV frame runs on the node's handler pool through
+  ``ServeClient.spmv``, the synchronous entry HTTP requests take.
 * :mod:`.router` — the front door: forwards to owner nodes, fails
   over across replicas with bounded backoff, health-checks the node
   set, and merges per-node span exports into one

@@ -15,11 +15,24 @@ loop is any object with two methods::
     handle_frame(kind, header, payload)
         -> (kind, header, payload) | Future[...] | None
 
-Handlers may return a ``concurrent.futures.Future`` (the node hands
-SpMV frames to the batching scheduler and returns its future): the
-loop never blocks on app work — completed futures re-enter through a
-thread-safe completion queue and a wakeup socketpair, exactly one
-syscall per batch of completions.
+Handlers may return a ``concurrent.futures.Future`` (the node runs
+every HTTP request and SPMV frame on its handler pool and returns that
+job's future): the loop never blocks on app work and never runs a
+kernel — completed futures re-enter through a thread-safe completion
+queue and a wakeup socketpair, exactly one syscall per batch of
+completions. A reply that cannot be encoded (a header past the limit)
+goes out as an ``ERROR`` frame, so a client never waits for an answer
+that will not come.
+
+A wire connection carries one frame in flight: replies carry no
+request id, so a client sends its next frame only after the reply to
+the last (``ClusterClient`` and the router's pooled connections both
+work that way).
+
+Vector bytes are copied once on the way through: each frame's payload
+is assembled into a fresh buffer of its own (the handler reads it
+while the loop reads the next frame), and a reply's payload is queued
+as the handler's ``memoryview``, written straight from y.
 
 Request-size discipline: a declared ``Content-Length`` (or wire
 payload length) beyond the limit is rejected — ``413`` / an ``ERROR``
@@ -181,12 +194,11 @@ class AsyncFrontEnd:
     # ---------------------------------------------------------- writes
     def _send_parts(self, conn: _Conn, parts, close_after: bool) -> None:
         for part in parts:
-            _metrics.inc("cluster.wire_bytes",
-                         part.nbytes if isinstance(part, memoryview)
-                         else len(part), dir="out")
-            conn.out.append(memoryview(bytes(part)
-                                       if isinstance(part, memoryview)
-                                       else part))
+            # No copy: the view keeps the part's owner (a reply's y)
+            # alive until the last byte is written.
+            view = memoryview(part).cast("B")
+            _metrics.inc("cluster.wire_bytes", view.nbytes, dir="out")
+            conn.out.append(view)
         conn.close_after |= close_after
         self._writable(conn)
 
@@ -269,7 +281,7 @@ class AsyncFrontEnd:
             result.add_done_callback(
                 lambda f: self._complete_frame(conn, f))
         else:
-            self._send_parts(conn, wire.frame_parts(*result), False)
+            self._send_parts(conn, _reply_parts(result), False)
 
     def _complete_frame(self, conn: _Conn, fut: Future) -> None:
         """Runs on an app thread: package the outcome, hop back."""
@@ -281,7 +293,7 @@ class AsyncFrontEnd:
             result = fut.result()
             if result is None:
                 return
-            parts = wire.frame_parts(*result)
+            parts = _reply_parts(result)
         self._completions.append((conn, parts, False))
         self._wakeup()
 
@@ -389,6 +401,19 @@ class AsyncFrontEnd:
                       close: bool) -> None:
         keep = conn.keep_alive and not close
         self._send_parts(conn, [_render_http(resp, keep)], not keep)
+
+
+def _reply_parts(result) -> list:
+    """A handler's ``(kind, header, payload)`` as frame parts. A reply
+    that fails to encode becomes an ``ERROR`` frame with the failure's
+    status (500 when it has none): raised here it would be lost in a
+    done-callback, or kill the loop, and the client would never hear
+    back."""
+    try:
+        return wire.frame_parts(*result)
+    except Exception as exc:  # noqa: BLE001 - the reply must go out
+        return wire.error_frame(f"reply could not be encoded: {exc}",
+                                getattr(exc, "status", 500))
 
 
 _STATUS_TEXT = {

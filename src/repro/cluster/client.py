@@ -230,8 +230,9 @@ class ClusterClient:
                 status=int(reply.get("status", 500)))
         if kind != wire.KIND_RESULT:
             raise ClusterError(f"unexpected reply kind {kind}")
-        return wire.payload_vector(payload,
-                                   int(reply["n"])).copy()
+        # The payload is a fresh buffer this call owns: y is a
+        # writable view over it, no copy.
+        return wire.payload_vector(payload, int(reply["n"]))
 
     def _segments_for(self, fingerprint: str, n: int,
                       m: int) -> tuple:

@@ -3,12 +3,15 @@ front end, speaking HTTP and the binary wire protocol on one port.
 
 The node is deliberately thin: every HTTP request goes through the
 same :class:`repro.serve.routes.Router` the single-host server uses,
-and a binary ``SPMV`` frame is decoded straight into the batching
-scheduler — the event loop hands the scheduler's future back to the
-front end, so the hot path never parks a thread waiting for compute.
+and a binary ``SPMV`` frame goes through the same synchronous entry,
+:meth:`ServeClient.spmv`. The event loop only parses and hands off:
+both kinds of request run on the node's handler pool, so a frame for
+an idle matrix runs its kernel on that handler thread at once, a frame
+for a busy matrix joins its pending batch, and the event loop never
+runs a kernel.
 
 Trace propagation: an ``SPMV`` frame's header may carry ``"trace"``
-(the ``X-Repro-Trace`` value). The submit runs under that context, so
+(the ``X-Repro-Trace`` value). The request runs under that context, so
 the node's ``serve.request`` span — and the shard spans below it —
 parent onto whatever span the router (or end client) opened upstream.
 The flat span export at ``GET /v1/debug/spans/{trace_id}`` is what a
@@ -36,14 +39,6 @@ from ..serve.client import ServeClient
 from ..serve.routes import Request, Router, error_response
 from .aserver import AsyncFrontEnd
 from . import wire
-
-
-def _status_of(exc: BaseException) -> int:
-    """The HTTP-equivalent status for an exception, via the shared
-    serve mapping (so the binary path agrees with the JSON path)."""
-    if isinstance(exc, ReproError):
-        return error_response(exc).status
-    return 500
 
 
 def _detach_foreign(seg) -> None:
@@ -117,8 +112,8 @@ class ClusterNode:
             client = ServeClient(**client_kwargs)
         self.client = client
         self.router = Router(client)
-        # Cold-path ops (register tunes a matrix, debug walks rings)
-        # run on this small pool, never on the event loop.
+        # Every request (HTTP, or an SPMV frame) runs on this pool,
+        # never on the event loop.
         self._pool = ThreadPoolExecutor(
             max_workers=handler_threads,
             thread_name_prefix="cluster-node")
@@ -164,62 +159,46 @@ class ClusterNode:
         if kind == wire.KIND_PING:
             return (wire.KIND_PONG, {}, b"")
         if kind == wire.KIND_SPMV:
-            try:
-                return self._handle_spmv(header, payload)
-            except ClusterError:
-                raise
-            except ReproError as exc:
-                # e.g. a synchronous ServeError for an unregistered
-                # fingerprint: keep the HTTP-equivalent status (404)
-                # instead of the front end's 500 fallback.
-                raise ClusterError(
-                    str(exc), status=_status_of(exc)) from exc
+            _metrics.inc("cluster.requests", proto="wire")
+            return self._pool.submit(self._handle_spmv, header, payload)
         raise WireError(f"node cannot serve frame kind {kind}")
 
     # -------------------------------------------------------- hot path
-    def _handle_spmv(self, header: dict, payload: bytes) -> Future:
-        _metrics.inc("cluster.requests", proto="wire")
-        fingerprint = header.get("fingerprint")
-        if not fingerprint:
-            raise WireError("SPMV frame needs a 'fingerprint'")
-        shm_y = header.get("shm_y")
-        if "shm_x" in header:
-            x = _attach_copy(header["shm_x"])
-        else:
-            x = wire.payload_vector(payload, int(header.get("n", -1)))
-        trace = header.get("trace")
-        ctx = _context.from_header(trace)
-        with _context.use(ctx) if ctx is not None else \
-                _context.use(None):
-            fut = self.client.submit(fingerprint, x)
-
-        out: Future = Future()
-
-        def _finish(f: Future) -> None:
-            exc = f.exception()
-            if exc is not None:
-                out.set_exception(ClusterError(
-                    str(exc), status=_status_of(exc)))
-                return
-            y = f.result()
+    def _handle_spmv(self, header: dict, payload: bytes) -> tuple:
+        """One SPMV frame, on a handler thread: decode (or attach) x,
+        run it through the synchronous entry, encode (or write back)
+        y. A ``ReproError`` leaves as a ``ClusterError`` carrying the
+        shared HTTP-equivalent status (404 for an unregistered
+        fingerprint), not the front end's 500 fallback."""
+        try:
+            fingerprint = header.get("fingerprint")
+            if not fingerprint:
+                raise WireError("SPMV frame needs a 'fingerprint'")
+            if "shm_x" in header:
+                x = _attach_copy(header["shm_x"])
+            else:
+                x = wire.payload_vector(payload,
+                                        int(header.get("n", -1)))
+            trace = header.get("trace")
+            ctx = _context.from_header(trace)
+            with _context.use(ctx):
+                y = self.client.spmv(fingerprint, x)
             reply = {"fingerprint": fingerprint, "n": int(y.shape[0])}
-            if trace:
+            # Echo only a trace that parsed: anything else is caller
+            # junk that could push the reply header past its limit.
+            if ctx is not None:
                 reply["trace"] = trace
-            try:
-                if shm_y is not None:
-                    _write_back(shm_y, y)
-                    reply["shm"] = True
-                    out.set_result((wire.KIND_RESULT, reply, b""))
-                else:
-                    _, view = wire.vector_payload(y)
-                    out.set_result((wire.KIND_RESULT, reply, view))
-            except Exception as wb_exc:  # noqa: BLE001
-                out.set_exception(ClusterError(
-                    f"result write-back failed: {wb_exc}",
-                    status=_status_of(wb_exc)))
-
-        fut.add_done_callback(_finish)
-        return out
+            if "shm_y" in header:
+                _write_back(header["shm_y"], y)
+                reply["shm"] = True
+                return (wire.KIND_RESULT, reply, b"")
+            # The view keeps this request's fresh y alive until sent.
+            return (wire.KIND_RESULT, reply, wire.vector_payload(y)[1])
+        except ClusterError:
+            raise
+        except ReproError as exc:
+            raise ClusterError(str(exc),
+                               status=error_response(exc).status) from exc
 
     # ----------------------------------------------------------- admin
     def describe(self) -> dict:

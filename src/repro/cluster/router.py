@@ -291,6 +291,11 @@ class ClusterRouter:
         if not fingerprint:
             raise WireError("SPMV frame needs a 'fingerprint'")
         ctx = _context.from_header(header.get("trace"))
+        if ctx is None:
+            # Forward and echo only a trace that parsed: junk could
+            # push the forward header past its limit, which would read
+            # as a transport failure and mark a healthy node down.
+            header.pop("trace", None)
         with _context.use(ctx) if ctx is not None else _NULL_CM:
             with _span("cluster.request", fingerprint=fingerprint):
                 return self._forward_walk(fingerprint, header, payload)
@@ -392,7 +397,7 @@ class ClusterRouter:
         trace = req.header(TRACE_HEADER)
         if trace:
             header["trace"] = trace
-        _, reply, out = self._forward_spmv(header, bytes(view))
+        _, reply, out = self._forward_spmv(header, view)
         y = wire.payload_vector(out, int(reply["n"]))
         headers = {TRACE_HEADER: trace} if trace else {}
         return Response.json(200, {

@@ -90,7 +90,8 @@ def vector_payload(x: np.ndarray) -> tuple[np.ndarray, memoryview]:
 
 def payload_vector(payload, n: int) -> np.ndarray:
     """Decode a payload back into a float64 vector of length ``n``
-    (zero-copy over the payload buffer; the result is read-only)."""
+    (zero-copy over the payload buffer: read-only over ``bytes``,
+    writable over the ``bytearray`` that :func:`recv_frame` returns)."""
     expected = n * PAYLOAD_DTYPE.itemsize
     if len(payload) != expected:
         raise WireError(
@@ -172,21 +173,29 @@ def _decode_header(header_bytes: bytes) -> dict:
     return header
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise on a torn stream."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read exactly ``n`` bytes into a fresh buffer (``recv_into``, no
+    chunk joining) or raise on a torn stream."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             raise WireError(
-                f"truncated frame: stream ended after {len(buf)} of "
+                f"truncated frame: stream ended after {got} of "
                 f"{n} expected bytes")
-        buf += chunk
-    return bytes(buf)
+        got += k
+    return buf
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, dict, bytes]:
-    """Read one complete frame: ``(kind, header, payload)``."""
+def recv_frame(sock: socket.socket) -> tuple[int, dict, bytearray]:
+    """Read one complete frame: ``(kind, header, payload)``. The
+    payload is a fresh buffer the caller owns (``payload_vector`` over
+    it is a writable array, no copy). Buffers are sized from the
+    declared (limit-checked) lengths up front, so this is the reader
+    for peers this process connected to; a listening end decodes with
+    :class:`FrameAssembler`, which buffers only what arrived."""
     kind, header_len, payload_len = \
         _check_preamble(_recv_exact(sock, PREAMBLE_BYTES))
     header = _decode_header(_recv_exact(sock, header_len))
@@ -199,33 +208,61 @@ class FrameAssembler:
     the socket produced, get back every complete frame; partial tails
     stay buffered for the next feed. Declared lengths are validated as
     soon as the preamble is visible, so a malicious length field is
-    rejected before any buffering."""
+    rejected before any buffering.
+
+    Each payload is assembled into a fresh ``bytes`` of its own, with
+    one copy per byte: the fed chunks are held as views until the
+    frame completes, then joined. A payload never aliases another
+    frame's, the caller's input or this assembler's state, so a handler
+    may read it while the next frames are fed. Buffering grows only
+    with the bytes actually received, never with a declared length."""
 
     def __init__(self):
-        self._buf = bytearray()
+        self._head = bytearray()     # preamble + header of this frame
+        self._lengths: tuple[int, int, int] | None = None
+        self._pieces: list[memoryview] = []   # payload received so far
+        self._have = 0
 
     @property
     def buffered(self) -> int:
-        return len(self._buf)
+        return len(self._head) + self._have
+
+    def _fill_head(self, view: memoryview, size: int) -> memoryview:
+        """Move bytes from ``view`` into the head until it holds
+        ``size``; returns what is left of ``view``."""
+        take = size - len(self._head)
+        if take > 0:
+            self._head += view[:take]
+            view = view[take:]
+        return view
 
     def feed(self, data: bytes) -> list[tuple[int, dict, bytes]]:
-        self._buf += data
+        if not isinstance(data, bytes):
+            data = bytes(data)   # held as views below: freeze it
+        view = memoryview(data)
         frames = []
         while True:
-            if len(self._buf) < PREAMBLE_BYTES:
-                break
-            kind, header_len, payload_len = _check_preamble(
-                bytes(self._buf[:PREAMBLE_BYTES]))
-            end = PREAMBLE_BYTES + header_len + payload_len
-            if len(self._buf) < end:
-                break
-            header = _decode_header(
-                bytes(self._buf[PREAMBLE_BYTES:
-                                PREAMBLE_BYTES + header_len]))
-            payload = bytes(self._buf[PREAMBLE_BYTES + header_len:end])
-            del self._buf[:end]
+            if self._lengths is None:
+                view = self._fill_head(view, PREAMBLE_BYTES)
+                if len(self._head) < PREAMBLE_BYTES:
+                    return frames
+                self._lengths = _check_preamble(self._head)
+            kind, header_len, payload_len = self._lengths
+            view = self._fill_head(view, PREAMBLE_BYTES + header_len)
+            if len(self._head) < PREAMBLE_BYTES + header_len:
+                return frames
+            take = min(payload_len - self._have, len(view))
+            if take:
+                self._pieces.append(view[:take])
+                self._have += take
+                view = view[take:]
+            if self._have < payload_len:
+                return frames
+            header = _decode_header(self._head[PREAMBLE_BYTES:])
+            payload = b"".join(self._pieces)
+            self._head = bytearray()
+            self._lengths, self._pieces, self._have = None, [], 0
             frames.append((kind, header, payload))
-        return frames
 
 
 def error_frame(message: str, status: int = 400) -> list:

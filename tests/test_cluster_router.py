@@ -136,6 +136,40 @@ def test_unknown_fingerprint_is_404(cluster):
     assert err.value.status == 404
 
 
+def test_unparseable_trace_is_neither_forwarded_nor_echoed(cluster, rng):
+    # 3 Mi two-byte characters fit the inbound header bound as UTF-8
+    # but not once JSON-escaped into the forward header: forwarding it
+    # would fail the send and mark a healthy node down.
+    import socket
+
+    from repro.cluster import wire
+    from repro.observe.metrics import get_registry
+
+    nodes, router = cluster
+    coo = random_coo(40, 40, 0.1, seed=8)
+    fp = register_through_router(router, coo)["fingerprint"]
+    x = rng.standard_normal(40)
+    header = json.dumps({"fingerprint": fp, "n": 40,
+                         "trace": "é" * (3 << 20)},
+                        ensure_ascii=False).encode()
+    _, view = wire.vector_payload(x)
+    preamble = wire._PREAMBLE.pack(wire.MAGIC, wire.VERSION,
+                                   wire.KIND_SPMV, len(header),
+                                   view.nbytes)
+    failovers = get_registry().counter("cluster.failovers")
+    with socket.create_connection(("127.0.0.1", router.port),
+                                  timeout=10.0) as sock:
+        sock.sendall(preamble + header + bytes(view))
+        kind, reply, payload = wire.recv_frame(sock)
+    assert kind == wire.KIND_RESULT
+    assert "trace" not in reply
+    assert get_registry().counter("cluster.failovers") == failovers
+    assert len(router.live_nodes()) == len(nodes)
+    with ClusterClient(router.address) as cc:
+        np.testing.assert_array_equal(
+            wire.payload_vector(payload, reply["n"]), cc.spmv(fp, x))
+
+
 def test_merged_trace_spans_router_and_node(cluster, rng):
     nodes, router = cluster
     coo = random_coo(40, 40, 0.1, seed=7)

@@ -166,6 +166,92 @@ class TestTornFrames:
         t.join(timeout=5)
         srv.close()
 
+    def test_payload_torn_inside_recv_into_raises(self):
+        # The payload arrives in several sends, so recv_frame's
+        # recv_into loop has filled part of its buffer when the peer
+        # goes away: still a loud tear, never a short vector.
+        import socket as socketlib
+        import threading
+        import time
+
+        frame = wire.encode_frame(wire.KIND_SPMV, {"n": 4096},
+                                  bytes(8 * 4096))
+        head = len(frame) - 8 * 4096
+        a, b = socketlib.socketpair()
+
+        def tear():
+            a.sendall(frame[:head + 1000])
+            time.sleep(0.05)
+            a.sendall(frame[head + 1000:head + 9000])
+            time.sleep(0.05)
+            a.close()
+
+        t = threading.Thread(target=tear, daemon=True)
+        t.start()
+        b.settimeout(5)
+        try:
+            with pytest.raises(WireError,
+                               match="truncated.*9000 of 32768"):
+                wire.recv_frame(b)
+        finally:
+            t.join(timeout=5)
+            b.close()
+        assert not t.is_alive()
+
     def test_payload_length_mismatch_raises(self):
         with pytest.raises(WireError, match="payload is"):
             wire.payload_vector(b"\0" * 24, 4)
+
+
+class TestPayloadOwnership:
+    """Each decoded payload is a fresh buffer of its own: a handler
+    reads it while the assembler takes the next bytes."""
+
+    def _frames(self, rng, n=3, size=50):
+        xs = [rng.standard_normal(size) for _ in range(n)]
+        stream = b"".join(
+            wire.encode_frame(wire.KIND_SPMV, {"n": size, "i": i},
+                              wire.vector_payload(x)[1])
+            for i, x in enumerate(xs))
+        return xs, bytearray(stream)
+
+    @staticmethod
+    def _decode(frames):
+        return [wire.payload_vector(payload, header["n"])
+                for _, header, payload in frames]
+
+    def _assert_private(self, vectors, xs, stream):
+        for i, v in enumerate(vectors):
+            for w in vectors[i + 1:]:
+                assert not np.shares_memory(v, w)
+        stream[:] = bytes(len(stream))     # scribble over the input
+        for v, x in zip(vectors, xs):
+            np.testing.assert_array_equal(v, x)
+
+    def test_two_frames_in_one_chunk(self, rng):
+        xs, stream = self._frames(rng, n=2)
+        asm = wire.FrameAssembler()
+        vectors = self._decode(asm.feed(stream))
+        assert len(vectors) == 2 and asm.buffered == 0
+        self._assert_private(vectors, xs, stream)
+
+    def test_byte_by_byte_across_every_boundary(self, rng):
+        xs, stream = self._frames(rng, n=2, size=4)
+        asm = wire.FrameAssembler()
+        frames = []
+        chunk = bytearray(1)       # one reused input buffer
+        for byte in stream:
+            chunk[0] = byte
+            frames.extend(asm.feed(chunk))
+        assert [h["i"] for _, h, _ in frames] == [0, 1]
+        self._assert_private(self._decode(frames), xs, stream)
+
+    def test_bytes_fed_after_a_frame_completes(self, rng):
+        xs, stream = self._frames(rng, n=3)
+        cut = len(stream) // 2     # inside the second frame
+        asm = wire.FrameAssembler()
+        first = self._decode(asm.feed(stream[:cut]))
+        assert len(first) == 1 and asm.buffered > 0
+        rest = self._decode(asm.feed(stream[cut:]))
+        assert len(rest) == 2 and asm.buffered == 0
+        self._assert_private(first + rest, xs, stream)
