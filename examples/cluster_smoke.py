@@ -4,8 +4,7 @@
 The CI cluster-smoke job runs this end to end:
 
 1. spawn two ``repro cluster node`` subprocesses on ephemeral ports
-   (shard-backed, so traces reach a third process level) and parse
-   their READY lines,
+   and parse their READY lines,
 2. start an in-process router with replication=2 and register two
    matrices whose fingerprints hash to *different* primary nodes,
 3. run conjugate gradients through the router over the binary wire
@@ -15,19 +14,17 @@ The CI cluster-smoke job runs this end to end:
    router must fail over to the replica and the CG result must still
    be bit-identical (every replica tuned the same matrix),
 5. fetch one sampled trace and check the merged span tree covers the
-   router, a node, and a shard — at least three distinct processes.
+   router and a node — at least two distinct processes.
 
 Exits 0 on success, 1 (with a traceback) on any failure.
 
 Run: ``PYTHONPATH=src python examples/cluster_smoke.py``
 """
 
-import glob
 import os
 import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 
@@ -41,8 +38,7 @@ from repro.solvers import conjugate_gradient
 
 N = 400
 NODE_ARGS = ["cluster", "node", "--port", "0", "--threads", "1",
-             "--max-batch", "4", "--shards", "2",
-             "--shard-threshold-mb", "0", "--trace-sample-rate", "1.0"]
+             "--max-batch", "4", "--trace-sample-rate", "1.0"]
 
 
 def spd_matrix(n: int, jitter_seed: int) -> COOMatrix:
@@ -137,9 +133,8 @@ def main() -> None:
     cc = ClusterClient(router.address)
 
     # The same engine configuration as the nodes, for bit-identical
-    # reference solves (same shard split, same tuned plans).
-    local = ServeClient("AMD X2", n_threads=1, max_batch=4,
-                        shards=2, shard_threshold_bytes=0)
+    # reference solves (same tuned plans).
+    local = ServeClient("AMD X2", n_threads=1, max_batch=4)
     try:
         # -- two matrices with different primary owners ---------------
         coos, fps = [], []
@@ -195,7 +190,7 @@ def main() -> None:
               f"failover(s), {res_kill.iterations} iterations, "
               f"result still bit-identical")
 
-        # -- one merged trace across ≥3 processes ---------------------
+        # -- one merged trace across ≥2 processes ---------------------
         ctx = new_trace(sampled=True)
         with context.use(ctx):
             cc.spmv(fps[0], b)
@@ -203,10 +198,10 @@ def main() -> None:
         assert spans, "sampled request produced no merged trace"
         names, pids = span_stats(spans)
         for expected in ("cluster.request", "cluster.forward",
-                         "serve.request", "shard.compute"):
+                         "serve.request", "serve.batch"):
             assert expected in names, (expected, sorted(names))
         pids.discard(0)
-        assert len(pids) >= 3, f"trace covers too few processes: {pids}"
+        assert len(pids) >= 2, f"trace covers too few processes: {pids}"
         print(f"merged trace {ctx.trace_id}: {len(names)} span names "
               f"across {len(pids)} processes")
 
@@ -227,14 +222,6 @@ def main() -> None:
                 except subprocess.TimeoutExpired:
                     proc.kill()
             proc.stdout.close()
-        # A SIGKILLed node cannot unlink its shard segments; sweep
-        # any it left behind so repeated runs don't fill /dev/shm.
-        for proc in procs:
-            for path in glob.glob(f"/dev/shm/repro-dist-{proc.pid}-*"):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
 
     print("cluster smoke: OK")
 

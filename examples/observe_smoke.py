@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Observability smoke test: trace a request across processes.
 
-The CI observe-smoke job runs this end to end:
+The CI observe-smoke job runs this end to end, client → router → node:
 
-1. boot the HTTP service over a 2-shard group with every matrix forced
-   onto the sharded path,
-2. register a suite matrix and fire 50 SpMV requests, one of which
-   carries an explicit ``X-Repro-Trace`` header (sampled),
+1. spawn one ``repro cluster node`` subprocess and put an in-process
+   :class:`~repro.cluster.ClusterRouter` in front of it,
+2. register a suite matrix through the router and fire 50 JSON SpMV
+   requests at it, one of which carries an explicit ``X-Repro-Trace``
+   header (sampled),
 3. assert the header is echoed back, the answers are correct, and the
-   merged ``/metrics`` page shows *shard-side* counters — they ride
-   home on every shard's compute reply, so no waiting is needed,
-4. fetch ``/v1/debug/trace/<id>`` and assert the merged span tree has
-   one root spanning the parent process, the scheduler/worker hop, and
-   compute spans from both shard children,
-5. drain and stop cleanly.
+   node's ``/metrics`` page shows the SLO latency histogram,
+4. fetch the router's merged ``/v1/debug/trace/<id>`` and assert the
+   span tree has one root, carries the router's ``cluster.request``
+   and the node's ``serve.scheduler.enqueue`` / ``serve.batch``, and
+   spans at least two processes (router and node),
+5. stop the router and the node cleanly.
 
 Exits 0 on success, 1 (with a traceback) on any failure.
 
@@ -21,17 +22,22 @@ Run: ``PYTHONPATH=src python examples/observe_smoke.py``
 """
 
 import json
+import os
+import subprocess
+import sys
 import urllib.request
 
 import numpy as np
 
+from repro.cluster import ClusterRouter
 from repro.formats import coo_to_csr
 from repro.matrices import generate
 from repro.observe import new_trace
 from repro.observe.context import TRACE_HEADER
-from repro.serve import ServeClient, start_server, stop_server
 
 N_REQUESTS = 50
+NODE_ARGS = ["cluster", "node", "--port", "0", "--threads", "1",
+             "--flush-deadline-ms", "50"]
 
 
 def post(url: str, body: dict, headers: dict | None = None):
@@ -54,18 +60,32 @@ def walk(nodes):
         yield from walk(node["children"])
 
 
+def spawn_node() -> tuple[subprocess.Popen, str]:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *NODE_ARGS],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        env=env, text=True)
+    line = proc.stdout.readline().strip()     # "READY host:port"
+    if not line.startswith("READY "):
+        proc.kill()
+        raise RuntimeError(f"node did not come up: {line!r}")
+    return proc, line.split(" ", 1)[1]
+
+
 def main() -> None:
     coo = generate("FEM-Har", scale=0.05, seed=0)
     csr = coo_to_csr(coo)
     rng = np.random.default_rng(0)
 
-    client = ServeClient(
-        "AMD X2", shards=2, shard_threshold_bytes=1,
-        flush_deadline_s=0.05, trace_sample_rate=0.0,
-    )
-    httpd = start_server(client, port=0)
-    base = f"http://127.0.0.1:{httpd.port}"
-    print(f"serving on {base} with 2 shards")
+    proc, node_addr = spawn_node()
+    router = ClusterRouter([node_addr], replication=1,
+                           health_interval_s=60.0).start()
+    base = f"http://{router.address}"
+    print(f"router on {base} in front of node {node_addr} "
+          f"(pid {proc.pid})")
 
     try:
         _, _, reg = post(f"{base}/v1/matrices",
@@ -97,41 +117,35 @@ def main() -> None:
                 assert echoed.startswith(ctx.trace_id + "-"), (
                     f"trace header not echoed: {echoed!r}"
                 )
-        print(f"{N_REQUESTS} requests served, answers correct, "
-              f"traced {ctx.trace_id}")
+        print(f"{N_REQUESTS} requests served through the router, "
+              f"answers correct, traced {ctx.trace_id}")
 
-        # Each shard's compute reply carried its counters home, so both
-        # shards' series are on the *parent's* scrape page already.
-        _, metrics = get(f"{base}/metrics")
-        for shard in (0, 1):
-            assert f'repro_dist_child_computes{{shard="{shard}"}}' \
-                in metrics, f"shard {shard} counters missing from /metrics"
+        _, metrics = get(f"http://{node_addr}/metrics")
         assert "repro_slo_request_seconds_bucket{" in metrics, \
-            "SLO latency histogram missing from /metrics"
-        print("merged /metrics shows both shards' counters")
+            "SLO latency histogram missing from the node's /metrics"
+        print("node /metrics shows the SLO latency histogram")
 
-        # The merged span tree: one root, spans from >1 process,
-        # the serve hop and both shards' computes all present.
+        # The merged span tree: one root, the router hop and the
+        # node's scheduler/batch spans, from more than one process.
         status, body = get(f"{base}/v1/debug/trace/{ctx.trace_id}")
         tree = json.loads(body)["spans"]
         spans = list(walk(tree))
         names = {s["name"] for s in spans}
         pids = {s["pid"] for s in spans}
-        shard_ids = {
-            s["args"].get("shard") for s in spans
-            if s["name"] == "shard.compute"
-        }
         assert len(tree) == 1, f"expected 1 root, got {len(tree)}"
-        assert {"serve.scheduler.enqueue", "serve.batch",
-                "shard.compute"} <= names, names
-        assert len(pids) >= 3, f"expected >=3 pids, got {pids}"
-        assert shard_ids == {0, 1}, (
-            f"expected computes from both shards, got {shard_ids}"
-        )
+        assert {"cluster.request", "serve.scheduler.enqueue",
+                "serve.batch"} <= names, names
+        assert len(pids) >= 2, f"expected >=2 pids, got {pids}"
         print(f"merged trace: {len(spans)} spans across "
-              f"{len(pids)} processes, shards {sorted(shard_ids)}")
+              f"{len(pids)} processes")
     finally:
-        stop_server(httpd)
+        router.close()
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+        proc.stdout.close()
     print("OK: observe smoke passed")
 
 

@@ -6,19 +6,18 @@ The CI perf-smoke job runs this:
 
 1. measure the runner's machine ceilings with a small STREAM-style
    suite (no cache file — CI runners are ephemeral),
-2. boot the HTTP service over a 2-shard group with perf-watch on and
-   every matrix forced onto the sharded path,
-3. register a small suite of matrices and fire SpMV/SpMM requests at
-   each; assert ``/metrics`` shows per-shard ``perf.gflops`` and
-   ``perf.roofline_fraction`` series and that every observed roofline
-   fraction is finite and in (0, 1.5],
+2. boot the HTTP service with perf-watch on,
+3. register a small suite of matrices and fire SpMV requests at each;
+   assert ``/metrics`` shows ``perf.gflops`` and
+   ``perf.roofline_fraction`` series for every served format/backend
+   pair and that every observed roofline fraction is finite and in
+   (0, 1.5],
 4. fetch ``GET /v1/debug/perf`` and assert the ceilings envelope and
    per-matrix fraction EWMAs are reported,
-5. throttle the sharded compute path (sleep-injected wrapper around
-   the shard group's SpMV) and assert the sustained slowdown trips
-   the watchdog:
-   ``perf.regressions`` increments and the event names the regressed
-   matrix.
+5. throttle the in-process kernel (a sleep-injected wrapper around
+   the ``spmv_backend`` a served batch calls) and assert the sustained
+   slowdown trips the watchdog: ``perf.regressions`` increments and
+   the event names the regressed matrix.
 
 Exits 0 on success, 1 (with a traceback) on any failure.
 
@@ -34,7 +33,9 @@ import numpy as np
 
 from repro.matrices import generate
 from repro.observe.perf import measure_ceilings
+from repro.observe.perf.attribution import format_label
 from repro.serve import ServeClient, start_server, stop_server
+from repro.serve import scheduler
 
 SUITE = ["Dense", "FEM-Har", "Epidem"]
 N_REQUESTS = 12
@@ -60,13 +61,10 @@ def main() -> None:
           f"({ceilings.n_cores} cores)")
     assert ceilings.sustained_gbs > 0 and ceilings.peak_gflops > 0
 
-    client = ServeClient(
-        shards=2, shard_threshold_bytes=1, flush_deadline_s=0.05,
-        perf_watch=ceilings,
-    )
+    client = ServeClient(flush_deadline_s=0.05, perf_watch=ceilings)
     httpd = start_server(client, port=0)
     base = f"http://127.0.0.1:{httpd.port}"
-    print(f"serving on {base} with 2 shards, perf-watch on")
+    print(f"serving on {base}, perf-watch on")
 
     try:
         rng = np.random.default_rng(0)
@@ -83,21 +81,21 @@ def main() -> None:
                      {"fingerprint": fps[name], "x": x.tolist()})
         print(f"{len(SUITE) * N_REQUESTS} requests served")
 
-        # 3. per-shard roofline series on the merged scrape page
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            _, metrics = get(f"{base}/metrics")
-            if ("repro_perf_gflops_bucket{" in metrics
-                    and "repro_perf_roofline_fraction_bucket{"
-                    in metrics
-                    and 'shard="0"' in metrics
-                    and 'shard="1"' in metrics):
-                break
-            time.sleep(0.1)
-        else:
-            raise AssertionError(
-                "perf.* histograms never reached the parent scrape")
-        print("merged /metrics shows per-shard roofline series")
+        # 3. roofline series per served format/backend: the kernel
+        # call records them before the request returns
+        _, metrics = get(f"{base}/metrics")
+        served = set()
+        for fp in fps.values():
+            entry = client.registry.get(fp)
+            served.add((format_label(entry.matrix), entry.plan.backend))
+        for fmt, backend in sorted(served):
+            labels = f'backend="{backend}",format="{fmt}"'
+            for name in ("repro_perf_gflops_bucket",
+                         "repro_perf_roofline_fraction_bucket"):
+                assert f"{name}{{{labels}" in metrics, (
+                    f"{name} has no {labels} series")
+        print(f"/metrics shows roofline series for "
+              f"{', '.join(f'{f}/{b}' for f, b in sorted(served))}")
 
         # every recorded fraction is finite and physically plausible:
         # the compulsory-traffic model allows >1.0 only for
@@ -122,23 +120,20 @@ def main() -> None:
         assert rpt["top_fractions"], "no per-matrix fractions reported"
         print("GET /v1/debug/perf reports ceilings + fractions")
 
-        # 5. sleep-injected kernel wrapper: every matrix here runs on
-        # the sharded path, so throttle the shard group's SpMV entry
-        # point — the sustained slowdown must trip the watchdog
-        # within a handful of requests.
-        from repro.dist.group import ShardGroup
-
+        # 5. sleep-injected kernel wrapper around the kernel entry a
+        # served batch calls — the sustained slowdown must trip the
+        # watchdog within a handful of requests.
         wd = client.watchdog
         wd.min_samples, wd.sustain = 3, 2
-        real_spmv = ShardGroup.spmv
+        real_spmv = scheduler.spmv_backend
 
-        def throttled(self, fingerprint, x):
+        def throttled(matrix, x, y=None, *, backend="numpy"):
             time.sleep(0.05)
-            return real_spmv(self, fingerprint, x)
+            return real_spmv(matrix, x, y, backend=backend)
 
         name = SUITE[0]
         n_before = len(wd.events)
-        ShardGroup.spmv = throttled
+        scheduler.spmv_backend = throttled
         try:
             for _ in range(8):
                 x = rng.standard_normal(ncols[name])
@@ -147,7 +142,7 @@ def main() -> None:
                 if len(wd.events) > n_before:
                     break
         finally:
-            ShardGroup.spmv = real_spmv
+            scheduler.spmv_backend = real_spmv
         fired = [e for e in wd.events[n_before:]
                  if e.fingerprint == fps[name]]
         assert fired, "throttled backend never tripped the watchdog"

@@ -12,8 +12,8 @@ info FILE           Structure report for a MatrixMarket/.npz file.
 validate            Analytic-vs-exact cache traffic validation sweep.
 serve               Long-running batched SpMV HTTP service.
 trace TRACE_ID      Fetch one request's merged span tree (HTTP →
-                    scheduler → worker → shard children) from a
-                    running server and render it as an ASCII tree;
+                    scheduler → worker, and router → node on a
+                    cluster) from a running server and render it as an ASCII tree;
                     ``--slow`` lists recent SLO outliers instead.
 plan-cache          Inspect or clear the on-disk tuned-plan cache
                     (its tuned envelopes are the autoplan training
@@ -313,8 +313,6 @@ def _cmd_serve(args) -> int:
             flush_deadline_s=args.flush_deadline_ms / 1e3,
             max_queue=args.max_queue,
             n_workers=args.workers,
-            shards=args.shards,
-            shard_threshold_bytes=int(args.shard_threshold_mb * 1e6),
             backend=args.backend,
             trace_sample_rate=args.trace_sample_rate,
             slo_ms=args.slo_ms,
@@ -347,8 +345,7 @@ def _cmd_cluster(args) -> int:
     if args.action == "node":
         return _cmd_serve(args)
 
-    from .cluster import start_router
-    from .dist.fault import RetryPolicy
+    from .cluster.router import RetryPolicy, start_router
 
     nodes = [n.strip() for n in (args.nodes or "").split(",")
              if n.strip()]
@@ -720,12 +717,6 @@ def _add_server_flags(sp, *, port: int) -> None:
                     help="admission bound (full queue answers 429)")
     sp.add_argument("--workers", type=int, default=None,
                     help="worker threads (default: machine cores)")
-    sp.add_argument("--shards", type=int, default=None,
-                    help="back large matrices with N persistent "
-                         "shard worker processes")
-    sp.add_argument("--shard-threshold-mb", type=float, default=4.0,
-                    help="matrix footprint (MB) above which a "
-                         "registered matrix is sharded")
     sp.add_argument("--backend", choices=["numpy", "c", "auto"],
                     default="numpy",
                     help="execution backend (c = runtime-compiled "
@@ -750,9 +741,9 @@ def _add_server_flags(sp, *, port: int) -> None:
                          "(measures host ceilings on first run, "
                          "cached; see /v1/debug/perf)")
     sp.add_argument("--profile-dir", metavar="DIR", default=None,
-                    help="opt-in stack sampling profiler: collapsed-"
-                         "stack .stacks files for the parent and each "
-                         "shard land in DIR (repro perf flame DIR)")
+                    help="opt-in stack sampling profiler: the "
+                         "server's collapsed-stack .stacks file lands "
+                         "in DIR (repro perf flame DIR)")
 
 
 def build_parser() -> argparse.ArgumentParser:

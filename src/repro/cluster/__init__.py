@@ -4,8 +4,8 @@ The paper's bound is per-host: SpMV is memory-bandwidth limited, so
 once a socket's measured ceiling is reached, more threads buy nothing
 (:mod:`repro.observe.perf` quantifies exactly where that is). Serving
 more traffic than one host's ceiling therefore means more hosts, and
-this package is that tier, layered over :mod:`repro.serve` and
-:mod:`repro.dist`:
+this package is that tier, layered over :mod:`repro.serve` (and
+reusing :mod:`repro.dist`'s shared-memory codec and retry policy):
 
 * :mod:`.wire` — the binary protocol: length-prefixed, version-stamped
   frames carrying float64 vectors as raw bytes
@@ -19,14 +19,14 @@ this package is that tier, layered over :mod:`repro.serve` and
   ``content_fingerprint()``: replication factor, minimal key movement
   when the node set changes.
 * :mod:`.node` — one serving node: a
-  :class:`~repro.serve.client.ServeClient` (with its shard group,
-  plan cache, observability plane) behind the async front end. An
+  :class:`~repro.serve.client.ServeClient` (with its plan cache and
+  observability plane) behind the async front end. An
   SPMV frame runs on the node's handler pool through
   ``ServeClient.spmv``, the synchronous entry HTTP requests take.
 * :mod:`.router` — the front door: forwards to owner nodes, fails
   over across replicas with bounded backoff, health-checks the node
   set, and merges per-node span exports into one
-  router→node→shard trace tree.
+  router→node trace tree.
 * :mod:`.client` — ``ClusterClient``: persistent binary connection,
   solver-protocol operators, JSON cold path.
 * :mod:`.bench` — ``banded_matrix``, a test matrix the end-to-end

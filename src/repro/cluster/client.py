@@ -286,7 +286,7 @@ class ClusterClient:
         return self._http("GET", "/metrics", parse=bytes.decode)
 
     def trace(self, trace_id: str) -> list[dict]:
-        """The merged router→node→shard span tree for one trace."""
+        """The merged router→node span tree for one trace."""
         try:
             return self._http(
                 "GET", f"/v1/debug/trace/{trace_id}").get("spans", [])

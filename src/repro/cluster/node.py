@@ -12,7 +12,7 @@ runs a kernel.
 
 Trace propagation: an ``SPMV`` frame's header may carry ``"trace"``
 (the ``X-Repro-Trace`` value). The request runs under that context, so
-the node's ``serve.request`` span — and the shard spans below it —
+the node's ``serve.request`` span — and the batch spans below it —
 parent onto whatever span the router (or end client) opened upstream.
 The flat span export at ``GET /v1/debug/spans/{trace_id}`` is what a
 router pulls to merge one tree across processes.

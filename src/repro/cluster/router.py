@@ -23,7 +23,7 @@ Tracing: a sampled inbound context makes the router record
 ``cluster.request``/``cluster.forward`` spans and propagate the
 context down the wire, so ``GET /v1/debug/trace/{id}`` — which merges
 the router's own spans with every node's ``/v1/debug/spans/{id}``
-export — returns one tree spanning router→node→shard processes.
+export — returns one tree spanning router→node processes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 
-import numpy as np
 
 from ..dist.fault import RetryPolicy
 from ..errors import ClusterError, ReproError, WireError
@@ -51,7 +50,8 @@ from ..serve.routes import (
     Request,
     Response,
     error_response,
-    matrix_from_body,
+    registration_from_body,
+    vector_from_body,
 )
 from .aserver import AsyncFrontEnd
 from .client import http_fetch
@@ -248,7 +248,7 @@ class ClusterRouter:
     # ---------------------------------------------------- registration
     def _register(self, req: Request) -> Response:
         body = req.json()
-        coo = matrix_from_body(body)
+        coo, _ = registration_from_body(body)
         fingerprint = coo.content_fingerprint()
         owners = self.placement.owners(fingerprint)
         results, errors = {}, {}
@@ -387,10 +387,7 @@ class ClusterRouter:
         (the body is re-encoded as a wire frame for the hop)."""
         _metrics.inc("cluster.requests", proto="http")
         body = req.json()
-        if "fingerprint" not in body or "x" not in body:
-            raise ClusterError(
-                "spmv body needs 'fingerprint' and 'x'", status=400)
-        x = np.asarray(body["x"], dtype=np.float64)
+        x = vector_from_body(body)
         arr, view = wire.vector_payload(x)
         header = {"fingerprint": body["fingerprint"],
                   "n": int(arr.shape[0])}

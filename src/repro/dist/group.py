@@ -48,7 +48,6 @@ from __future__ import annotations
 import atexit
 import itertools
 import multiprocessing as mp
-import os
 import threading
 import time
 import weakref
@@ -166,7 +165,6 @@ class ShardGroup:
         compute_timeout_s: float = 30.0,
         retry: RetryPolicy | None = None,
         backend: str = "numpy",
-        profile_dir: str | None = None,
     ):
         from ..kernels.registry import resolve_backend
 
@@ -183,9 +181,6 @@ class ShardGroup:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.compute_timeout_s = compute_timeout_s
         self.retry = retry if retry is not None else RetryPolicy()
-        self.profile_dir = profile_dir
-        if profile_dir is not None:
-            os.makedirs(profile_dir, exist_ok=True)
         self.serial = (
             n_shards < 2 or "fork" not in mp.get_all_start_methods()
         )
@@ -222,17 +217,11 @@ class ShardGroup:
     # -------------------------------------------------------- lifecycle
     def _spawn(self, shard_id: int) -> _ShardHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # Profiles are per shard *slot*: a respawned shard overwrites its
-        # predecessor's .stacks file on the next flush.
-        profile_path = None
-        if self.profile_dir is not None:
-            profile_path = os.path.join(self.profile_dir,
-                                        f"shard-{shard_id}.stacks")
         self._hb_view[shard_id] = time.monotonic()
         proc = self._ctx.Process(
             target=shard_main,
             args=(shard_id, child_conn, self._hb_spec,
-                  self.heartbeat_interval_s, profile_path),
+                  self.heartbeat_interval_s),
             name=f"dist-shard-{shard_id}",
             daemon=True,
         )

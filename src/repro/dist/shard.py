@@ -43,7 +43,6 @@ from ..observe import metrics as _metrics
 from ..observe import trace as _trace
 from ..observe.perf.attribution import KernelCounts as _KernelCounts
 from ..observe.perf.attribution import observe_kernel as _observe_kernel
-from ..observe.perf.sampler import StackSampler
 from .shm import SegmentSpec, attach_array, attach_csr
 
 
@@ -142,7 +141,7 @@ def _telemetry(spans: list) -> dict:
 
 
 def shard_main(shard_id: int, conn, hb_spec: SegmentSpec,
-               hb_interval_s: float, profile_path=None) -> None:
+               hb_interval_s: float) -> None:
     """Entry point of a shard worker process."""
     # Shards share the terminal's foreground process group, so a Ctrl-C
     # aimed at the parent would interrupt conn.recv() with a traceback.
@@ -163,10 +162,6 @@ def shard_main(shard_id: int, conn, hb_spec: SegmentSpec,
         tele = _telemetry(spans)
         conn.send((*msg, tele) if tele else msg)
 
-    sampler = None
-    if profile_path is not None:
-        sampler = StackSampler(profile_path)
-        sampler.start()
     stop = threading.Event()
     threading.Thread(
         target=_beat, args=(hb_spec, shard_id, hb_interval_s, stop),
@@ -210,8 +205,6 @@ def shard_main(shard_id: int, conn, hb_spec: SegmentSpec,
                 reply("err", None, None, f"unknown op {op!r}")
     finally:
         stop.set()
-        if sampler is not None:
-            sampler.stop()
         for m in resident.values():
             m.close()
         try:

@@ -15,9 +15,9 @@ on. Observations land in fixed-bucket histograms
 child's observations ride its next reply to the parent, so ``/metrics``
 shows per-shard roofline efficiency with no extra plumbing.
 
-Ceilings are held in a module global set by :func:`configure` — the
-serve parent configures them *before* forking shard children, so the
-children inherit the measured roofline and tag their own computes.
+Ceilings are held in a module global set by :func:`configure`; a
+process that configures them before forking shard children hands the
+children the measured roofline, so they tag their own computes.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ def get_attributor() -> PerfAttributor:
 def configure(ceilings: MachineCeilings | None, *, watchdog=None) -> None:
     """Install measured ceilings (and optionally a watchdog) process-wide.
 
-    The serve parent calls this *before* forking shard children, so
-    forked workers inherit the roofline and attribute their own
+    Called before a :class:`~repro.dist.group.ShardGroup` forks, it
+    lets the workers inherit the roofline and attribute their own
     computes with real fractions.
     """
     with _CONF_LOCK:

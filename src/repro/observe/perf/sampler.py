@@ -6,8 +6,8 @@ into a ``module:function`` frame chain — the collapsed-stack format
 flamegraph tooling consumes directly (``frame;frame;frame count``).
 Aggregation happens in memory (one dict entry per distinct stack, not
 per sample), and the counts are flushed atomically to a ``.stacks``
-file at a coarser period so shard children crash-safely leave partial
-profiles behind for the parent to collate.
+file at a coarser period, so a process that dies leaves a partial
+profile behind to collate.
 
 Pure-Python sampling can't see inside a C kernel while it holds the
 CPU, but the ctypes backend releases the GIL — samples taken during a
@@ -144,8 +144,8 @@ def parse_collapsed(text: str) -> dict[str, int]:
 
 
 def collate_stacks(directory: str) -> dict[str, int]:
-    """Merge every ``*.stacks`` profile under ``directory`` (parent +
-    shard children) into one collapsed-count dict."""
+    """Merge every ``*.stacks`` profile under ``directory`` into one
+    collapsed-count dict."""
     merged: dict[str, int] = {}
     try:
         names = sorted(os.listdir(directory))

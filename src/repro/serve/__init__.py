@@ -9,12 +9,10 @@ thousands of multiplies:
 * :mod:`.plancache` — lossless JSON plan serialization plus a
   version-stamped on-disk store keyed by
   ``(machine, fingerprint, repro.__version__)``.
-* :mod:`.executor` — how one registered matrix executes (in-process or
-  on a shard group): chosen once at registration, held on the registry
-  entry, swapped only by a predicted plan's background re-tune.
 * :mod:`.scheduler` — coalesces concurrent same-matrix requests into
   multi-vector SpMM batches (size/deadline triggered) with bounded-
-  queue admission control; runs each batch on the entry's executor.
+  queue admission control; runs each batch on the entry's tuned
+  structure, in this process, through the plan's kernel backend.
 * :mod:`.worker` — instrumented thread pool sized to the machine model.
 * :mod:`.routes` — transport-independent request routing
   (``/v1/spmv``, ``/v1/matrices``, ``/healthz``, Prometheus
@@ -24,11 +22,6 @@ thousands of multiplies:
   (:mod:`repro.cluster.aserver`).
 * :mod:`.client` — the in-process client; its ``operator(fp)`` handle
   satisfies the solver ``LinearOperator`` protocol.
-
-With ``ServeClient(shards=N)`` the registry backs large matrices with
-the persistent sharded-execution tier (:mod:`repro.dist`): slabs pin
-in shared memory once and batches execute on fault-tolerant worker
-processes instead of in-process threads.
 """
 
 from .client import ServeClient

@@ -59,8 +59,6 @@ class ServeClient:
         flush_deadline_s: float = 0.002,
         max_queue: int = 1024,
         n_workers: int | None = None,
-        shards: int | None = None,
-        shard_threshold_bytes: int = 4 << 20,
         backend: str = "numpy",
         trace_sample_rate: float = 0.0,
         slo_ms: float | None = None,
@@ -80,20 +78,19 @@ class ServeClient:
         if isinstance(machine, str):
             machine = get_machine(machine)
         self.machine = machine
-        # What close() releases. The sampler, the shard group, the pool
-        # and the scheduler each start threads or processes, and the
-        # objects built between them validate their own arguments, so a
-        # constructor that raises half-way closes what already started.
+        # What close() releases. The sampler, the pool and the scheduler
+        # each start threads, and the objects built between them
+        # validate their own arguments, so a constructor that raises
+        # half-way closes what already started.
         self._closed = False
-        self._sampler = self.shard_group = None
+        self._sampler = None
         self.pool = self.scheduler = None
         try:
             # Roofline observability: resolve measured ceilings and install
-            # them process-wide *before* any shard fork below, so children
-            # inherit the host roofline and tag their computes with real
-            # fractions. perf_watch=True loads (or measures once and
-            # caches) this host's ceilings; passing a MachineCeilings uses
-            # it directly (tests, pre-measured fleets).
+            # them process-wide, so every kernel call tags its computes
+            # with real fractions. perf_watch=True loads (or measures once
+            # and caches) this host's ceilings; passing a MachineCeilings
+            # uses it directly (tests, pre-measured fleets).
             self.ceilings = None
             if perf_watch:
                 if isinstance(perf_watch, MachineCeilings):
@@ -101,14 +98,11 @@ class ServeClient:
                 else:
                     self.ceilings = _perf.get_ceilings()
                 _perf.configure(self.ceilings)
-            self.profile_dir = (
-                os.path.expanduser(os.fspath(profile_dir))
-                if profile_dir is not None else None
-            )
-            if self.profile_dir is not None:
-                os.makedirs(self.profile_dir, exist_ok=True)
+            if profile_dir is not None:
+                profile_dir = os.path.expanduser(os.fspath(profile_dir))
+                os.makedirs(profile_dir, exist_ok=True)
                 self._sampler = _perf.start_sampler(
-                    os.path.join(self.profile_dir, "serve-parent.stacks")
+                    os.path.join(profile_dir, "serve-parent.stacks")
                 )
             # Learned plan selection: with plan_mode "auto", cold
             # registrations try the model first (trained from the plan
@@ -123,22 +117,9 @@ class ServeClient:
                     from ..autoplan import AutoPlanner
 
                     self.autoplanner = AutoPlanner(plan_cache_dir)
-            # With `shards`, matrices whose materialized footprint reaches
-            # `shard_threshold_bytes` are backed by a persistent shard
-            # group (slabs pinned in shared memory, fault-tolerant
-            # workers); smaller matrices stay on the in-process path where
-            # dispatch overhead would dominate.
-            if shards is not None and shards > 0:
-                from ..dist import ShardGroup
-                self.shard_group = ShardGroup(
-                    shards, k_cap=max_batch, backend=backend,
-                    profile_dir=self.profile_dir,
-                )
             self.registry = MatrixRegistry(
                 machine, n_threads=n_threads,
                 capacity_bytes=capacity_bytes, plan_cache=plan_cache,
-                shard_group=self.shard_group,
-                shard_threshold_bytes=shard_threshold_bytes,
                 backend=backend,
                 plan_mode=plan_mode,
                 autoplanner=self.autoplanner,
@@ -248,7 +229,7 @@ class ServeClient:
             with _span("serve.request", fingerprint=fingerprint):
                 return enqueue(entry, x)
         # Sampled request: everything downstream (scheduler enqueue,
-        # batch, shards) runs under a context whose span *is* the
+        # batch) runs under a context whose span *is* the
         # "serve.request" boundary span, recorded when the future
         # resolves. An inbound context stays the tree's parent: the
         # boundary span links onto it, so a caller that records its own
@@ -273,9 +254,8 @@ class ServeClient:
 
     # ---------------------------------------------------- observability
     def trace(self, trace_id: str) -> list[dict]:
-        """The merged span tree for one trace — parent spans and the
-        shard children's, which arrived on their compute replies.
-        Empty list when the trace is unknown."""
+        """The span tree for one trace, from the hub. Empty list when
+        the trace is unknown."""
         return self.hub.tree(trace_id)
 
     def trace_chrome(self, trace_id: str) -> list[dict]:
@@ -309,8 +289,6 @@ class ServeClient:
             queued=self.scheduler.queued,
             workers=self.pool.n_workers,
             max_batch=self.scheduler.max_batch,
-            shards=(self.shard_group.describe()
-                    if self.shard_group is not None else None),
         )
         return d
 
@@ -321,9 +299,9 @@ class ServeClient:
     def close(self) -> None:
         """Graceful shutdown: drain the scheduler, stop the pool.
 
-        A drain that times out still releases the pool, the shard
-        group and the sampler (the pool without waiting on the stuck
-        batch) before its :class:`ServeError` propagates.
+        A drain that times out still releases the pool and the sampler
+        (the pool without waiting on the stuck batch) before its
+        :class:`ServeError` propagates.
         """
         if self._closed:
             return
@@ -336,8 +314,6 @@ class ServeClient:
         finally:
             if self.pool is not None:
                 self.pool.shutdown(drain=drained)
-            if self.shard_group is not None:
-                self.shard_group.close()
             if self._sampler is not None:
                 _perf.stop_sampler()
 

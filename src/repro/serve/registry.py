@@ -13,16 +13,12 @@ entries until the new matrix fits. Eviction drops only the in-memory
 materialization — the tuned plan stays on disk, so a re-registration
 of an evicted matrix is a plan-cache hit plus one materialization.
 
-Execution: how an entry computes ``y = A·x`` is decided here, once,
-and held on ``RegistryEntry.executor`` (:mod:`repro.serve.executor`).
-When the registry is built with a :class:`~repro.dist.group.ShardGroup`,
-matrices whose materialized footprint reaches ``shard_threshold_bytes``
-are additionally registered with the group — their slabs ship into
-shared memory once — and get a shards executor; everything else runs
-in-process. :meth:`MatrixRegistry.swap` is the one way a live entry's
-plan, structure or executor changes afterwards, and the background
-re-tune of a predicted plan is its one caller. Eviction closes the
-executor, which for a shard-backed matrix frees its segments.
+Execution: a registered matrix runs as its tuned structure
+(``RegistryEntry.matrix``) in this process, through the kernel backend
+the registry resolved once (``plan.backend``).
+:meth:`MatrixRegistry.swap` is the one way a live entry's plan or
+structure changes afterwards, and the background re-tune of a
+predicted plan is its one caller.
 """
 
 from __future__ import annotations
@@ -40,9 +36,7 @@ from ..formats.coo import COOMatrix
 from ..kernels.registry import resolve_backend
 from ..machines.model import Machine
 from ..observe import metrics as _metrics
-from ..observe.perf.attribution import format_label
 from ..observe.trace import span as _span
-from .executor import InProcessExecutor, ShardsExecutor
 from .plancache import PlanCache
 
 
@@ -57,8 +51,6 @@ class RegistryEntry:
     matrix: SparseFormat
     footprint_bytes: int
     from_plan_cache: bool     #: tuning came from the disk cache
-    #: How batches for this matrix execute (:mod:`repro.serve.executor`).
-    executor: object = field(repr=False)
     hits: int = field(default=0)
     #: True while the plan came from the autoplan predictor and no
     #: background re-tune has claimed it yet.
@@ -77,13 +69,6 @@ class RegistryEntry:
     def ncols(self) -> int:
         return self.shape[1]
 
-    @property
-    def watchdog_key(self) -> str:
-        """``<format>/<backend>``: the perf-watchdog baseline series
-        this entry's batches feed."""
-        return (f"{format_label(self.matrix)}/"
-                f"{self.executor.describe()['backend']}")
-
     def describe(self) -> dict:
         return {
             "fingerprint": self.fingerprint,
@@ -94,7 +79,6 @@ class RegistryEntry:
             "backend": self.plan.backend,
             "plan_cache_hit": self.from_plan_cache,
             "hits": self.hits,
-            "sharded": self.executor.describe()["sharded"],
             "plan_path": self.plan_path,
             "predicted": self.predicted,
             "autoplan_label": self.autoplan_label,
@@ -112,8 +96,6 @@ class MatrixRegistry:
         n_threads: int | None = None,
         capacity_bytes: int | None = None,
         plan_cache: PlanCache | None = None,
-        shard_group=None,
-        shard_threshold_bytes: int = 0,
         backend: str = "numpy",
         plan_mode: str = "heuristic",
         autoplanner=None,
@@ -132,8 +114,6 @@ class MatrixRegistry:
         self.backend = resolve_backend(backend)
         self.capacity_bytes = capacity_bytes
         self.plan_cache = plan_cache
-        self.shard_group = shard_group
-        self.shard_threshold_bytes = shard_threshold_bytes
         #: How cold registrations plan: "heuristic" is the paper's
         #: one-pass choice; "auto" consults the learned model and
         #: falls back to the sweep; "tune" always sweeps.
@@ -227,17 +207,6 @@ class MatrixRegistry:
             footprint = matrix.footprint_bytes()
             s.set(plan_cache_hit=from_cache, plan_path=path,
                   footprint_bytes=footprint)
-            if (self.shard_group is not None
-                    and footprint >= self.shard_threshold_bytes):
-                # Back the matrix with the persistent shard workers:
-                # slabs ship into shared memory once, here. The shard
-                # tier executes plain CSR regardless of the tuned
-                # in-process format.
-                self.shard_group.register(coo, fingerprint=fingerprint)
-                executor = ShardsExecutor(self.shard_group, fingerprint)
-                s.set(sharded=True)
-            else:
-                executor = InProcessExecutor(matrix, plan.backend)
             entry = RegistryEntry(
                 fingerprint=fingerprint,
                 shape=coo.shape,
@@ -246,15 +215,12 @@ class MatrixRegistry:
                 matrix=matrix,
                 footprint_bytes=footprint,
                 from_plan_cache=from_cache,
-                executor=executor,
                 predicted=(path == "predict"),
                 plan_path=path,
                 autoplan_label=outcome.label if outcome else "",
                 autoplan_confidence=outcome.confidence if outcome else 0.0,
             )
             if self.plan_cache is not None and not from_cache:
-                # Stored after the shard decision so tuning provenance
-                # records the shard count it will actually run with.
                 self.plan_cache.store(
                     fingerprint, plan,
                     autoplan=self._provenance(entry, outcome),
@@ -266,14 +232,10 @@ class MatrixRegistry:
         if existing is not None:
             # Lost a race with a concurrent registration of the same
             # matrix (both passed the check above). The admitted entry
-            # serves everyone; this one is dropped *unclosed* — a shards
-            # executor shares the group's per-fingerprint record with
-            # the winner's.
+            # serves everyone; this one is dropped.
             _metrics.inc("serve.registry_rehits")
             return existing
         _metrics.inc("serve.matrices_registered")
-        if isinstance(executor, ShardsExecutor):
-            _metrics.inc("serve.matrices_sharded")
         _metrics.observe("autoplan.registration_seconds",
                          time.perf_counter() - t_start, path=path)
         return entry
@@ -295,7 +257,6 @@ class MatrixRegistry:
             "features": outcome.features.to_list(),
             "feature_version": outcome.features.version,
             "n_threads": entry.plan.n_threads,
-            "shards": entry.executor.describe()["shards"],
         }
 
     # -------------------------------------------------- background retune
@@ -326,15 +287,9 @@ class MatrixRegistry:
         )
         overridden = outcome.label != predicted_label
         if overridden:
-            # Materialize outside the lock; swap under it. Shard-backed
-            # entries keep their executor (the slabs are plain CSR,
-            # whatever the plan); the rest execute the new structure.
+            # Materialize outside the lock; swap under it.
             matrix = outcome.plan.materialize(coo)
-            executor = entry.executor
-            if not executor.describe()["sharded"]:
-                executor = InProcessExecutor(matrix, outcome.plan.backend)
-            if self.swap(entry, plan=outcome.plan, executor=executor,
-                         matrix=matrix):
+            if self.swap(entry, plan=outcome.plan, matrix=matrix):
                 entry.plan_path = "tune"
             _metrics.inc("autoplan.predictions", outcome="override")
         else:
@@ -352,29 +307,27 @@ class MatrixRegistry:
                                   autoplan=autoplan)
         return overridden
 
-    def swap(self, entry: RegistryEntry, *, plan: SpmvPlan, executor,
-             matrix: SparseFormat | None = None) -> bool:
-        """Change how a live entry executes: new plan and executor,
-        plus a new structure (re-accounted against the memory budget)
-        when ``matrix`` is given.
+    def swap(self, entry: RegistryEntry, *, plan: SpmvPlan,
+             matrix: SparseFormat) -> bool:
+        """Change how a live entry executes: a new plan and the
+        structure it materialized, re-accounted against the memory
+        budget.
 
         Identity-checked under the lock: returns False and changes
         nothing when ``entry`` was evicted or re-registered since the
         caller looked it up (a re-tune runs for a while off the request
-        path). A batch that already read the old executor finishes on
+        path). A batch that already read the old structure finishes on
         it.
         """
         with self._lock:
             if self._entries.get(entry.fingerprint) is not entry:
                 return False
-            if matrix is not None:
-                self._total_bytes -= entry.footprint_bytes
-                entry.matrix = matrix
-                entry.footprint_bytes = matrix.footprint_bytes()
-                self._total_bytes += entry.footprint_bytes
-                _metrics.gauge("serve.registry_bytes", self._total_bytes)
+            self._total_bytes -= entry.footprint_bytes
+            entry.matrix = matrix
+            entry.footprint_bytes = matrix.footprint_bytes()
+            self._total_bytes += entry.footprint_bytes
+            _metrics.gauge("serve.registry_bytes", self._total_bytes)
             entry.plan = plan
-            entry.executor = executor
             return True
 
     def _admit(self, entry: RegistryEntry) -> None:
@@ -386,7 +339,6 @@ class MatrixRegistry:
                    > self.capacity_bytes):
                 _, victim = self._entries.popitem(last=False)
                 self._total_bytes -= victim.footprint_bytes
-                victim.executor.close()
                 _metrics.inc("serve.registry_evictions")
         self._entries[entry.fingerprint] = entry
         self._total_bytes += entry.footprint_bytes

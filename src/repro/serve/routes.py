@@ -22,17 +22,16 @@ Routes
 ``GET /healthz``
     Service/registry summary (status, matrices, queue depth).
 ``GET /metrics``
-    Prometheus text exposition of the process metrics registry —
-    including shard-child counters, which arrive on every shard reply.
+    Prometheus text exposition of the process metrics registry.
 ``GET /v1/debug/trace/{trace_id}``
-    Merged span tree for one sampled request (parent and shard spans,
-    all held by the hub). ``?format=chrome``
+    Span tree for one sampled request (held by the hub).
+    ``?format=chrome``
     returns Chrome trace-event JSON instead of the nested tree.
 ``GET /v1/debug/spans/{trace_id}``
-    The same merged spans as a *flat* JSON event list (the
+    The same spans as a *flat* JSON event list (the
     :meth:`~repro.observe.trace.SpanEvent.to_json` schema) — the
     cross-node export a cluster router pulls from each node to stitch
-    one tree spanning router→node→shard processes.
+    one tree spanning router→node processes.
 ``GET /v1/debug/slow``
     Recent SLO outliers with phase breakdowns and trace ids.
 ``GET /v1/debug/perf``
@@ -92,12 +91,18 @@ class Request:
         return default
 
     def json(self) -> dict:
+        """The body as a JSON object; anything else is a
+        :class:`ServeError` (400)."""
         if not self.body:
             raise ServeError("missing request body")
         try:
-            return json.loads(self.body)
-        except json.JSONDecodeError as exc:
+            body = json.loads(self.body)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ServeError(f"invalid JSON body: {exc}") from exc
+        if not isinstance(body, dict):
+            raise ServeError(
+                f"JSON body must be an object, got {type(body).__name__}")
+        return body
 
 
 @dataclass
@@ -205,9 +210,8 @@ class Router:
                                    "events": events})
 
     def trace_events(self, trace_id: str) -> list[dict]:
-        """Flat merged span events for one trace (parent and shard
-        spans), in the :meth:`SpanEvent.to_json` schema. Empty when
-        unknown."""
+        """Flat span events for one trace, in the
+        :meth:`SpanEvent.to_json` schema. Empty when unknown."""
         return [e.to_json() for e in self.client.hub.get(trace_id)]
 
     # ------------------------------------------------------------ POST
@@ -222,13 +226,8 @@ class Router:
         """Register a matrix described by a JSON body (triplet or
         generator reference) — shared with the cluster router, which
         fans the same body out to every owner node."""
-        coo = matrix_from_body(body)
-        entry = self.client.register(
-            coo,
-            n_threads=(
-                int(body["n_threads"]) if "n_threads" in body else None
-            ),
-        )
+        coo, n_threads = registration_from_body(body)
+        entry = self.client.register(coo, n_threads=n_threads)
         return Response.json(200, {
             "fingerprint": entry.fingerprint,
             "shape": list(entry.shape),
@@ -254,9 +253,7 @@ class Router:
 
     def _post_spmv(self, req: Request) -> Response:
         body = req.json()
-        if "fingerprint" not in body or "x" not in body:
-            raise ServeError("spmv body needs 'fingerprint' and 'x'")
-        x = np.asarray(body["x"], dtype=np.float64)
+        x = vector_from_body(body)
         y, echo = self.spmv(body["fingerprint"], x,
                             req.header(TRACE_HEADER))
         headers = {TRACE_HEADER: echo} if echo is not None else {}
@@ -266,19 +263,33 @@ class Router:
         }, headers)
 
 
-def matrix_from_body(body: dict) -> COOMatrix:
-    """Build the COO a registration body describes (explicit triplet
-    or a deterministic suite-generator reference)."""
+def _convert(body: dict, key: str, convert, default=None):
+    """``convert(body[key])``, or ``default`` when the key is absent;
+    a value that does not convert is a :class:`ServeError` (400)."""
+    if key not in body:
+        return default
+    try:
+        return convert(body[key])
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"bad {key!r} in request body: {exc}") from exc
+
+
+def registration_from_body(body: dict) -> tuple[COOMatrix, int | None]:
+    """The COO a registration body describes (explicit triplet or a
+    deterministic suite-generator reference) and its ``n_threads``
+    (None when absent). Every value is checked here, so the cluster
+    router rejects a malformed body before it fans it out."""
+    n_threads = _convert(body, "n_threads", int)
     if "generate" in body:
         from ..matrices import generate
 
         return generate(
-            body["generate"],
-            scale=float(body.get("scale", 0.05)),
-            seed=int(body.get("seed", 0)),
-        )
+            str(body["generate"]),
+            scale=_convert(body, "scale", float, 0.05),
+            seed=_convert(body, "seed", int, 0),
+        ), n_threads
     try:
-        return COOMatrix(
+        coo = COOMatrix(
             tuple(body["shape"]), body["row"], body["col"], body["val"],
         )
     except KeyError as exc:
@@ -286,6 +297,22 @@ def matrix_from_body(body: dict) -> COOMatrix:
             f"matrix body needs shape/row/col/val (missing "
             f"{exc.args[0]!r}) or a 'generate' name"
         ) from exc
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"bad matrix triplet: {exc}") from exc
+    return coo, n_threads
+
+
+def vector_from_body(body: dict) -> np.ndarray:
+    """The ``x`` of an spmv body as a 1-D float64 vector; a body
+    without ``fingerprint`` and ``x``, or an ``x`` that is not a flat
+    list of numbers, is a :class:`ServeError` (400)."""
+    if "fingerprint" not in body or "x" not in body:
+        raise ServeError("spmv body needs 'fingerprint' and 'x'")
+    x = _convert(body, "x", lambda v: np.asarray(v, dtype=np.float64))
+    if x.ndim != 1:
+        raise ServeError(f"'x' must be a flat list of numbers, got "
+                         f"{x.ndim} dimension(s)")
+    return x
 
 
 __all__ = [
@@ -295,5 +322,6 @@ __all__ = [
     "Response",
     "Router",
     "error_response",
-    "matrix_from_body",
+    "registration_from_body",
+    "vector_from_body",
 ]

@@ -25,28 +25,29 @@ flusher. Admission control, the same for both entries, is a bound on
 the total number of queued-but-undispatched requests; past it, they
 raise :class:`~repro.errors.ServeAdmissionError` (HTTP 429 upstream).
 
-A batch runs on ``entry.executor`` (:mod:`repro.serve.executor`) — the
-scheduler does not know whether that is in-process or a shard group.
-Single-request batches go through the executor's exact ``spmv``,
-so a solver issuing dependent matvecs through the service gets
-bit-for-bit the numbers the direct library path produces. On the
-compiled in-process path a coalesced batch keeps that promise too: the
-fused CSR, BCSR and BCOO kernels compute each column in its SpMV's
-exact order, so on the scalar and prefetch rungs a request's answer has
-the same bits whether it ran alone or in a batch of eight. Where a
-batch runs the NumPy SpMM or the simd rung's reassociating reductions,
-it matches the lone answer to rounding, not bits.
+A batch runs the entry's tuned structure in this process through the
+plan's kernel backend (:func:`~repro.kernels.registry.spmv_backend` /
+:func:`~repro.kernels.registry.spmm_backend`). Single-request batches
+go through the exact ``spmv``, so a solver issuing dependent matvecs
+through the service gets bit-for-bit the numbers the direct library
+path produces. On the compiled path a coalesced batch keeps that
+promise too: the fused CSR, BCSR and BCOO kernels compute each column
+in its SpMV's exact order, so on the scalar and prefetch rungs a
+request's answer has the same bits whether it ran alone or in a batch
+of eight. Where a batch runs the NumPy SpMM or the simd rung's
+reassociating reductions, it matches the lone answer to rounding, not
+bits.
 
 Counters/histograms: ``serve.requests``, ``serve.batches`` (one per
-executor call), ``serve.batched_requests``, ``serve.batch_size``
-(histogram), ``serve.rejected``.
+kernel call), ``serve.batched_requests``, ``serve.batch_size``
+(histogram), ``serve.rejected``, ``serve.c_backend_batches`` (batches
+served on the compiled backend).
 
 Observability (v2): each request captures the submitter's
 :class:`~repro.observe.context.TraceContext` and its enqueue time; the
 batch executes under the first sampled request's context (re-installed
 in the worker thread; a request run on its caller's thread already has
-it), so the ``serve.batch`` span — and the dist spans and shard-child
-spans below it — stitch into the request's tree.
+it), so the ``serve.batch`` span stitches into the request's tree.
 When the scheduler holds an :class:`~repro.observe.slo.SloTracker`,
 every completed request reports its queue-wait / compute / gather
 phase breakdown there.
@@ -62,9 +63,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ServeAdmissionError, ServeError
+from ..kernels.registry import spmm_backend, spmv_backend
 from ..observe import context as _context
 from ..observe import metrics as _metrics
-from ..observe.perf.attribution import sample_kernel as _sample_kernel
+from ..observe.perf.attribution import (
+    format_label,
+    sample_kernel as _sample_kernel,
+)
 from ..observe.slo import SloTracker
 from ..observe.trace import span as _span
 from .registry import RegistryEntry
@@ -233,8 +238,8 @@ class BatchScheduler:
             self._claim(fp)
         # A coalesced batch serves several requests but executes once:
         # it runs under the first *sampled* requester's context, so at
-        # least one trace gets the full sub-tree (batch → kernel/dist →
-        # shard spans). The batch span itself lists every member trace.
+        # least one trace gets the full sub-tree. The batch span itself
+        # lists every member trace.
         ctx = next((r.ctx for r in group.requests
                     if r.ctx is not None and r.ctx.sampled), None)
         try:
@@ -252,34 +257,34 @@ class BatchScheduler:
         member_traces = sorted({r.ctx.trace_id for r in requests
                                 if r.ctx is not None and r.ctx.sampled})
         try:
-            # Read once: a re-tune may swap entry.executor while this
+            # Read once: a re-tune may swap entry.matrix while this
             # batch runs, and the batch must be counted as what ran.
-            executor = entry.executor
-            info = executor.describe()
-            backend, sharded = info["backend"], info["sharded"]
+            matrix, backend = entry.matrix, entry.plan.backend
             with _span("serve.batch", fingerprint=entry.fingerprint,
-                       batch_size=k, sharded=sharded, backend=backend,
+                       batch_size=k, backend=backend,
                        traces=member_traces):
                 if k == 1:
-                    ys = [executor.spmv(requests[0].x)]
+                    ys = [spmv_backend(matrix, requests[0].x,
+                                       backend=backend)]
                 else:
                     x_block = np.stack([r.x for r in requests], axis=1)
-                    y_block = executor.spmm(x_block)
+                    y_block = spmm_backend(matrix, x_block,
+                                           backend=backend)
                     t_g = time.perf_counter()
                     ys = [np.ascontiguousarray(y_block[:, j])
                           for j in range(k)]
                     gather_s = time.perf_counter() - t_g
-                # Per-tier batch counters (sharded / compiled), so
-                # /metrics shows where flops run.
-                for name in info["batch_counters"]:
-                    _metrics.inc(name)
+                if backend == "c":
+                    # So /metrics shows how many batches ran compiled.
+                    _metrics.inc("serve.c_backend_batches")
             _metrics.inc("serve.batches")
             _metrics.inc("serve.batched_requests", k)
             _metrics.observe("serve.batch_size", k)
             t_done = time.perf_counter()
             compute_s = max(t_done - t_exec - gather_s, 0.0)
             if self.watchdog is not None:
-                self._feed_watchdog(entry, backend, k, compute_s)
+                self._feed_watchdog(entry.fingerprint, matrix, backend,
+                                    k, compute_s)
             for req, y in zip(requests, ys):
                 req.future.set_result(y)
             if self.slo is not None:
@@ -304,24 +309,24 @@ class BatchScheduler:
         finally:
             self._release(entry.fingerprint)
 
-    def _feed_watchdog(self, entry, backend: str, k: int,
-                       compute_s: float) -> None:
+    def _feed_watchdog(self, fingerprint: str, matrix, backend: str,
+                       k: int, compute_s: float) -> None:
         """Feed the perf watchdog one attributed batch.
 
-        Attribution here is *pure* (no histograms): the kernel layer —
-        spmv/spmm_backend, or the shard children for sharded entries —
+        Attribution here is *pure* (no histograms): spmv/spmm_backend
         already emitted perf.* for this batch; the scheduler only
         tracks the per-matrix baseline against the whole-batch wall
-        time, the quantity a regression actually degrades.
+        time, the quantity a regression actually degrades. The
+        baseline series is ``<format>/<backend>`` of the structure the
+        batch ran.
         """
-        matrix = entry.matrix
-        if matrix is None or compute_s <= 0:
+        if compute_s <= 0:
             return
         try:
             sample = _sample_kernel(matrix, compute_s, k=k,
                                     backend=backend)
             self.watchdog.observe(
-                entry.fingerprint, entry.watchdog_key,
+                fingerprint, f"{format_label(matrix)}/{backend}",
                 sample.gflops, sample.fraction,
             )
         except Exception:  # pragma: no cover - watchdog is best effort

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import glob
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -73,6 +74,68 @@ def register_racing(registry, coo: COOMatrix, n: int = 4) -> list:
         t.join(timeout=30.0)
     assert not any(t.is_alive() for t in threads)
     return got
+
+
+class KernelSeam:
+    """The serve scheduler's two kernel entry points, wrapped.
+
+    Once :meth:`watch` names a structure, every batch that runs on it
+    is recorded in ``calls`` as ``(thread name, width)`` and sets
+    ``entered``; it can raise ``error`` instead of computing, sleep
+    ``delay_s`` first, or (``hold=True``) wait for :meth:`release`.
+    Every other structure runs untouched."""
+
+    def __init__(self, spmv, spmm):
+        self._spmv, self._spmm = spmv, spmm
+        self.lock = threading.Lock()
+        self.calls: list[tuple[str, int]] = []
+        self.entered = threading.Event()
+        self._gate = threading.Event()
+        self._matrix = None
+        self._delay_s = 0.0
+        self._error: BaseException | None = None
+
+    def watch(self, matrix, *, hold: bool = False, delay_s: float = 0.0,
+              error: BaseException | None = None) -> "KernelSeam":
+        self._matrix, self._delay_s, self._error = matrix, delay_s, error
+        if not hold:
+            self._gate.set()
+        return self
+
+    def release(self) -> None:
+        self._gate.set()
+
+    def _enter(self, matrix, k: int) -> None:
+        if matrix is not self._matrix:
+            return
+        with self.lock:
+            self.calls.append((threading.current_thread().name, k))
+        self.entered.set()
+        if self._error is not None:
+            raise self._error
+        time.sleep(self._delay_s)
+        assert self._gate.wait(30.0), "gate never opened"
+
+    def spmv(self, matrix, x, y=None, *, backend="numpy"):
+        self._enter(matrix, 1)
+        return self._spmv(matrix, x, y, backend=backend)
+
+    def spmm(self, matrix, x, y=None, *, backend="numpy"):
+        self._enter(matrix, x.shape[1])
+        return self._spmm(matrix, x, y, backend=backend)
+
+
+@pytest.fixture
+def kernel_seam(monkeypatch):
+    """A :class:`KernelSeam` patched into ``repro.serve.scheduler`` —
+    the one place a served batch calls a kernel."""
+    from repro.serve import scheduler
+
+    seam = KernelSeam(scheduler.spmv_backend, scheduler.spmm_backend)
+    monkeypatch.setattr(scheduler, "spmv_backend", seam.spmv)
+    monkeypatch.setattr(scheduler, "spmm_backend", seam.spmm)
+    yield seam
+    seam.release()
 
 
 @pytest.fixture

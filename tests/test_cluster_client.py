@@ -57,14 +57,17 @@ class TestServeClientClose:
         {"flush_deadline_s": -1.0},
         {"max_queue": -1},
         {"plan_mode": "no-such-mode"},
-        {"max_queue": -1, "shards": 2},
+        {"max_queue": -1, "profile_dir": "profiles"},
         # "auto" trains from and stores its model in the plan cache
         {"plan_mode": "auto", "plan_cache_dir": None},
     ], ids=lambda kw: ",".join(kw))
-    def test_rejected_argument_leaks_nothing(self, bad):
+    def test_rejected_argument_leaks_nothing(self, bad, tmp_path,
+                                             monkeypatch):
         """Regression: the argument checks ran after the worker pool
-        (and, with ``shards=``, the forked shard group) had started,
-        so every rejected constructor left its threads behind."""
+        (and, with ``profile_dir=``, the stack sampler) had started,
+        so every rejected constructor left its threads behind. No
+        constructor starts a child process."""
+        monkeypatch.chdir(tmp_path)     # profile_dir is relative
         threads = threading.active_count()
         children = len(multiprocessing.active_children())
         with pytest.raises(ReproError):
@@ -72,28 +75,18 @@ class TestServeClientClose:
         assert threading.active_count() == threads
         assert len(multiprocessing.active_children()) == children
 
-    def test_drain_timeout_still_stops_the_workers(self, monkeypatch):
+    def test_drain_timeout_still_stops_the_workers(self, monkeypatch,
+                                                   kernel_seam):
         """Regression: a drain that timed out raised out of ``close()``
         before the pool was shut down, and the closed flag made every
         later ``close()`` a no-op, so the workers outlived the client."""
-        release = threading.Event()
-
-        class StuckExecutor:
-            def spmv(self, x):
-                release.wait(timeout=30)
-                return x
-
-            def describe(self):
-                return {"backend": "numpy", "sharded": False,
-                        "shards": 0, "batch_counters": ()}
-
         before = set(threading.enumerate())
         client = ServeClient("AMD X2", n_threads=1)
         workers = [t for t in set(threading.enumerate()) - before
                    if t.name.startswith("serve-worker-")]
         assert workers
         entry = client.register(banded_matrix(64))
-        entry.executor = StuckExecutor()
+        kernel_seam.watch(entry.matrix, hold=True)
         fut = client.submit(entry.fingerprint, np.ones(64))
         monkeypatch.setattr(client.scheduler, "drain", functools.partial(
             BatchScheduler.drain, client.scheduler, timeout=0.2))
@@ -102,7 +95,7 @@ class TestServeClientClose:
                 client.close()
             client.close()          # a no-op, not a second timeout
         finally:
-            release.set()
+            kernel_seam.release()
         fut.result(timeout=10)
         deadline = time.monotonic() + 5.0
         for t in workers:

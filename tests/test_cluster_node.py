@@ -25,37 +25,6 @@ from tests.conftest import random_coo
 LOOP_THREAD = "cluster-node-loop"
 
 
-class RecordingExecutor:
-    """Wraps an entry's executor: records the thread and width of every
-    call, optionally sleeping first so concurrent requests pile up."""
-
-    def __init__(self, inner, delay_s: float = 0.0):
-        self.inner = inner
-        self.delay_s = delay_s
-        self.lock = threading.Lock()
-        self.calls: list[tuple[str, int]] = []
-
-    def _record(self, k: int) -> None:
-        with self.lock:
-            self.calls.append((threading.current_thread().name, k))
-        if self.delay_s:
-            time.sleep(self.delay_s)
-
-    def spmv(self, x):
-        self._record(1)
-        return self.inner.spmv(x)
-
-    def spmm(self, x_block):
-        self._record(x_block.shape[1])
-        return self.inner.spmm(x_block)
-
-    def describe(self):
-        return self.inner.describe()
-
-    def close(self):
-        self.inner.close()
-
-
 def batches() -> float:
     return get_registry().counter("serve.batches")
 
@@ -88,9 +57,9 @@ class TestLoneWireRequest:
         np.testing.assert_allclose(y, spmv_reference(coo, x),
                                    rtol=0, atol=1e-12)
 
-    def test_runs_on_a_handler_thread(self, served, rng):
+    def test_runs_on_a_handler_thread(self, served, rng, kernel_seam):
         node, client, coo, entry = served
-        rec = entry.executor = RecordingExecutor(entry.executor)
+        rec = kernel_seam.watch(entry.matrix)
         with ClusterClient(node.address) as cc:
             for _ in range(3):
                 cc.spmv(entry.fingerprint, rng.standard_normal(coo.ncols))
@@ -113,7 +82,8 @@ class TestLoneWireRequest:
 
 
 class TestCoalescingUnderConcurrency:
-    def test_concurrent_wire_clients_share_batches(self, rng):
+    def test_concurrent_wire_clients_share_batches(self, rng,
+                                                   kernel_seam):
         coo = random_coo(400, 400, 0.02, seed=9)
         client = ServeClient(machine="AMD X2")
         node = ClusterNode(client).start()
@@ -124,8 +94,7 @@ class TestCoalescingUnderConcurrency:
             entry = client.register(coo)
             fp = entry.fingerprint
             lone = [[client.spmv(fp, x) for x in row] for row in xs]
-            rec = entry.executor = RecordingExecutor(entry.executor,
-                                                     delay_s=0.05)
+            rec = kernel_seam.watch(entry.matrix, delay_s=0.05)
             ys: list[list] = [[] for _ in range(n_clients)]
             errors: list[BaseException] = []
             start = threading.Barrier(n_clients)

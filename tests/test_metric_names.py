@@ -5,8 +5,9 @@ the names ``render_prometheus()`` exposes, and the names the README
 documents are the *same* names. This test pins the documented set:
 
 * ``DOCUMENTED`` is the canonical contract — every name here must be
-  emitted by a smoke run of the full serve→dist stack and must appear
-  in the README's Observability/Serving/Distributed sections;
+  emitted by one smoke run of the serve tier, a shard group driven
+  directly and a one-node cluster, and must appear in the README's
+  Observability/Serving/Distributed sections;
 * the Prometheus rendering of each name must appear on ``/metrics``.
 
 Adding a metric? Emit it, document it in README.md, then add it here.
@@ -93,7 +94,8 @@ def _prom_name(name: str) -> str:
 
 @pytest.fixture(scope="module")
 def smoke_registry(tmp_path_factory):
-    """One serve→dist smoke run; yields the parent registry text."""
+    """One smoke run of the serve, dist and cluster tiers; yields the
+    registry and its Prometheus text."""
     if "fork" not in __import__("multiprocessing").get_all_start_methods():
         pytest.skip("needs the fork start method")
     rng = np.random.default_rng(7)
@@ -111,11 +113,14 @@ def smoke_registry(tmp_path_factory):
         n_cores=2, spmv_probe_gflops={},
     )
     client = ServeClient(
-        shards=2, shard_threshold_bytes=1, trace_sample_rate=1.0,
+        trace_sample_rate=1.0,
         plan_mode="auto",   # no model yet: emits the fallback outcome
         plan_cache_dir=tmp_path_factory.mktemp("plans"),
         perf_watch=ceilings,  # hand-built: no measurement in tests
     )
+    # The dist tier's names come from a shard group of its own: the
+    # serve tier runs every matrix in-process.
+    group = ShardGroup(2)
     try:
         fp = client.register(coo).fingerprint
         x = rng.standard_normal(n)
@@ -123,12 +128,19 @@ def smoke_registry(tmp_path_factory):
             client.spmv(fp, x)
         for _ in range(3):
             client.spmv(fp, x)
-        # every shard reply carries the child's counters and perf.*
-        # histograms, so they are home the moment spmv returns
-        snap = get_registry().snapshot()
+        # a lone spmv runs on its caller's thread; submit() queues, so
+        # this one runs on a worker (serve.worker_*)
+        client.submit(fp, x).result(timeout=10)
+        assert any(k.startswith("perf.gflops")
+                   for k in get_registry().snapshot()["histograms"])
+        gfp = group.register(coo)
+        with context.use(new_trace(sampled=True)):
+            group.spmv(gfp, x)
+        group.spmv(gfp, x)
+        # every shard reply carries the child's counters, so they are
+        # home the moment spmv returns
         assert {f"dist.child_computes{{shard={i}}}" for i in range(2)} \
-            <= set(snap["counters"])
-        assert any(k.startswith("perf.gflops") for k in snap["histograms"])
+            <= set(get_registry().snapshot()["counters"])
         # exercise admission control so serve.rejected exists
         from repro.errors import ServeAdmissionError
         from repro.serve.scheduler import BatchScheduler
@@ -178,9 +190,10 @@ def smoke_registry(tmp_path_factory):
         sample_process_gauges()
         # the heartbeat monitor exports its gauges on an interval; run
         # one scan rather than wait for it
-        client.shard_group._heartbeat_scan()
+        group._heartbeat_scan()
         yield get_registry(), render_prometheus()
     finally:
+        group.close()
         client.close()
         uninstall_hub()
 

@@ -3,9 +3,10 @@
 Covers the ``repro.observe.perf`` package end to end: measured-ceilings
 cache discipline, flop/byte attribution math, the regression watchdog's
 EWMA/force-sampling semantics, the collapsed-stack sampler, and the
-acceptance path — one sharded ``ServeClient(perf_watch=...)`` request
-producing per-shard ``perf.*`` series on the parent registry, plus a
-sleep-injected kernel slowdown tripping ``perf.regressions``.
+acceptance path — one ``ServeClient(perf_watch=...)`` request
+producing ``perf.*`` series labelled with the served format and
+backend, plus a sleep-injected kernel slowdown tripping
+``perf.regressions``.
 """
 
 from __future__ import annotations
@@ -353,46 +354,29 @@ class TestSampler:
         assert collate_stacks(str(tmp_path / "nope")) == {}
 
 
-def _wait_for(pred, timeout_s=10.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if pred():
-            return True
-        time.sleep(0.05)
-    return pred()
-
-
 class TestServeIntegration:
-    """Acceptance criteria: sharded perf series, /v1/debug/perf, and a
-    synthetic slowdown tripping the watchdog."""
+    """Acceptance criteria: per-format/backend perf series,
+    /v1/debug/perf, and a synthetic slowdown tripping the watchdog."""
 
-    def test_sharded_request_yields_perf_series(self):
-        mp = pytest.importorskip("multiprocessing")
-        if "fork" not in mp.get_all_start_methods():
-            pytest.skip("needs the fork start method")
+    def test_served_request_yields_perf_series(self):
+        from repro.observe.perf.attribution import format_label
         from repro.serve.client import ServeClient
 
-        client = ServeClient(shards=2, shard_threshold_bytes=1,
-                             perf_watch=TEST_CEILINGS)
+        client = ServeClient(perf_watch=TEST_CEILINGS)
         try:
             coo = generate("FEM-Har", scale=0.1, seed=0)
-            fp = client.register(coo).fingerprint
+            entry = client.register(coo)
             x = np.random.default_rng(1).standard_normal(coo.shape[1])
-            client.spmv(fp, x)
+            client.spmv(entry.fingerprint, x)
 
-            def shard_series_arrived():
-                snap = get_registry().snapshot()
-                gf = [k for k in snap["histograms"]
-                      if k.startswith("perf.gflops") and "shard=" in k]
-                rf = [k for k in snap["histograms"]
-                      if k.startswith("perf.roofline_fraction")
-                      and "shard=" in k]
-                return len(gf) >= 2 and len(rf) >= 2
-
-            assert _wait_for(shard_series_arrived), \
-                "per-shard perf.* series never reached the parent"
-            # fractions are finite and sane
+            # the kernel call records its series before spmv returns
+            labels = (f"backend={entry.plan.backend},"
+                      f"format={format_label(entry.matrix)}")
             snap = get_registry().snapshot()
+            for name in ("perf.gflops", "perf.roofline_fraction"):
+                assert f"{name}{{{labels}}}" in snap["histograms"], (
+                    f"{name} has no {labels} series")
+            # fractions are finite and sane
             for k, h in snap["histograms"].items():
                 if k.startswith("perf.roofline_fraction"):
                     assert 0 < h.max < math.inf
@@ -411,8 +395,7 @@ class TestServeIntegration:
         finally:
             client.close()
 
-    def test_synthetic_slowdown_trips_watchdog(self, monkeypatch):
-        from repro.serve import executor as exec_mod
+    def test_synthetic_slowdown_trips_watchdog(self, kernel_seam):
         from repro.serve.client import ServeClient
 
         client = ServeClient(perf_watch=TEST_CEILINGS)
@@ -421,19 +404,14 @@ class TestServeIntegration:
             assert wd is not None
             wd.min_samples, wd.sustain = 3, 2
             coo = generate("FEM-Har", scale=0.05, seed=0)
-            fp = client.register(coo).fingerprint
+            entry = client.register(coo)
+            fp = entry.fingerprint
             x = np.random.default_rng(2).standard_normal(coo.shape[1])
             for _ in range(8):
                 client.spmv(fp, x)
             assert not wd.events, "no regression before the slowdown"
             # sleep-injected kernel wrapper: ~50x slowdown
-            real_spmv = exec_mod.spmv_backend
-
-            def throttled(matrix, x, y=None, *, backend="numpy"):
-                time.sleep(0.05)
-                return real_spmv(matrix, x, y, backend=backend)
-
-            monkeypatch.setattr(exec_mod, "spmv_backend", throttled)
+            kernel_seam.watch(entry.matrix, delay_s=0.05)
             for _ in range(4):
                 client.spmv(fp, x)
             assert wd.events, "sustained slowdown never fired"

@@ -1,40 +1,35 @@
-"""The execution seam: executor kinds, scheduler dispatch through
-``entry.executor``, the identity-checked swap that changes it, and the
-threaded SpMV driver.
+"""How a served batch executes: the tuned structure, in this process,
+through ``spmv_backend`` / ``spmm_backend`` with the plan's backend;
+the counters a served batch bumps; the identity-checked swap that
+replaces the structure; and the threaded SpMV driver.
 
 Numeric contract (the repo's two tolerance classes): row-partitioned
 tiers are bit-identical to their serial kernel — ``threaded_spmv`` to
-the in-process compiled CSR kernel, shards to ``csr.spmv`` — and
-everything else is within 1e-12 of ``spmv_reference``.
+the in-process compiled CSR kernel — and everything else is within
+1e-12 of ``spmv_reference``.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import threading
 
 import numpy as np
 import pytest
 
-from repro.dist import ShardGroup
 from repro.formats import COOMatrix, coo_to_csr, to_bcsr
 from repro.kernels.cbackend import c_backend_available
 from repro.kernels.reference import spmv_reference
+from repro.kernels.registry import spmm_backend, spmv_backend
 from repro.machines import get_machine
 from repro.observe.metrics import get_registry
+from repro.observe.perf.attribution import format_label
 from repro.parallel import threaded_spmv
 from repro.serve import BatchScheduler, MatrixRegistry, WorkerPool
-from repro.serve.executor import InProcessExecutor, ShardsExecutor
-from repro.serve.registry import RegistryEntry
 from tests.conftest import random_coo
 
 needs_cc = pytest.mark.skipif(
     not c_backend_available(),
     reason="C backend unavailable (no compiler or REPRO_DISABLE_CC)",
-)
-needs_fork = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="shard workers need the fork start method",
 )
 
 K = 3
@@ -66,70 +61,40 @@ def _assert_close(got: np.ndarray, expected: np.ndarray) -> None:
 
 
 # ----------------------------------------------------------------------
-# (a) every executor kind x spmv / spmm
+# (a) every (structure, backend) kind x spmv / spmm
 # ----------------------------------------------------------------------
 @pytest.fixture(params=[
     "inprocess-numpy",
     pytest.param("inprocess-c", marks=needs_cc),
     pytest.param("inprocess-bcsr-c", marks=needs_cc),
-    pytest.param("shards-row", marks=needs_fork),
 ])
 def executor(request):
-    """``(executor, bit-identical reference pair or None)``."""
+    """``(structure, backend)`` as a served batch runs it."""
     kind = request.param
-    if kind == "shards-row":
-        group = ShardGroup(2, k_cap=K)
-        fp = group.register(COO)
-        exact = (CSR.spmv(X), np.stack(
-            [CSR.spmv(X_BLOCK[:, j]) for j in range(K)], axis=1))
-        yield ShardsExecutor(group, fp), exact
-        group.close()
-    elif kind == "inprocess-bcsr-c":
-        yield InProcessExecutor(to_bcsr(COO, 2, 2), "c"), None
-    else:
-        yield InProcessExecutor(CSR, kind.split("-")[1]), None
+    if kind == "inprocess-bcsr-c":
+        return to_bcsr(COO, 2, 2), "c"
+    return CSR, kind.split("-")[1]
 
 
 class TestExecutorKinds:
     def test_spmv(self, executor):
-        ex, exact = executor
-        y = ex.spmv(X)
-        _assert_close(y, Y_REF)
-        if exact is not None:
-            assert np.array_equal(y, exact[0])
+        matrix, backend = executor
+        _assert_close(spmv_backend(matrix, X, backend=backend), Y_REF)
 
     def test_spmm(self, executor):
-        ex, exact = executor
-        y_block = ex.spmm(X_BLOCK)
+        matrix, backend = executor
+        y_block = spmm_backend(matrix, X_BLOCK, backend=backend)
         assert y_block.shape == (COO.nrows, K)
         _assert_close(y_block, Y_BLOCK_REF)
-        if exact is not None:
-            assert np.array_equal(y_block, exact[1])
-
-    def test_describe_keys(self, executor):
-        ex, _ = executor
-        d = ex.describe()
-        assert set(d) == {"backend", "sharded", "shards",
-                          "batch_counters"}
-        assert d["sharded"] == isinstance(ex, ShardsExecutor)
-
-    def test_shards_close_frees_the_record(self):
-        with ShardGroup(1) as group:        # serial mode: no fork needed
-            ex = ShardsExecutor(group, group.register(COO))
-            assert group.describe()["matrices"] == 1
-            ex.close()
-            assert group.describe()["matrices"] == 0
 
 
 # ----------------------------------------------------------------------
-# (b) the scheduler runs whatever executor the entry holds
+# (b) the scheduler runs the entry's structure on the plan's backend
 # ----------------------------------------------------------------------
-def _entry(executor, matrix=CSR) -> RegistryEntry:
-    return RegistryEntry(
-        fingerprint="adhoc", shape=COO.shape, nnz=COO.nnz_logical,
-        plan=None, matrix=matrix, footprint_bytes=0,
-        from_plan_cache=False, executor=executor,
-    )
+@pytest.fixture
+def registry():
+    return MatrixRegistry(get_machine("AMD X2"), n_threads=1,
+                          backend="auto")
 
 
 @pytest.fixture
@@ -142,40 +107,37 @@ def scheduler():
 
 
 class TestSchedulerDispatch:
-    def test_served_batches_bump_the_executor_counters(self, scheduler):
-        with ShardGroup(1, k_cap=K) as group:   # serial: no fork needed
-            entry = _entry(ShardsExecutor(group, group.register(COO)))
-            reg = get_registry()
-            before = reg.counter("serve.sharded_batches")
-            _assert_close(scheduler.submit(entry, X).result(timeout=10),
-                          Y_REF)                   # k = 1: spmv
-            futs = [scheduler.submit(entry, X_BLOCK[:, j])
-                    for j in range(K)]
-            for j, f in enumerate(futs):           # k = 3: one spmm
-                _assert_close(f.result(timeout=10), Y_BLOCK_REF[:, j])
-            assert reg.counter("serve.sharded_batches") == before + 2
+    def test_served_batches_bump_the_executor_counters(self, registry,
+                                                       scheduler):
+        entry = registry.register(COO)
+        compiled = 1 if entry.plan.backend == "c" else 0
+        reg = get_registry()
+        batches = reg.counter("serve.batches")
+        c_batches = reg.counter("serve.c_backend_batches")
+        _assert_close(scheduler.submit(entry, X).result(timeout=10),
+                      Y_REF)                       # k = 1: spmv
+        futs = [scheduler.submit(entry, X_BLOCK[:, j]) for j in range(K)]
+        for j, f in enumerate(futs):               # k = 3: one spmm
+            _assert_close(f.result(timeout=10), Y_BLOCK_REF[:, j])
+        assert reg.counter("serve.batches") == batches + 2
+        assert reg.counter("serve.c_backend_batches") \
+            == c_batches + 2 * compiled
 
-    def test_direct_call_is_not_a_batch(self):
-        with ShardGroup(1) as group:
-            ex = ShardsExecutor(group, group.register(COO))
-            reg = get_registry()
-            before = reg.counter("serve.sharded_batches")
-            ex.spmv(X)
-            assert reg.counter("serve.sharded_batches") == before
+    def test_direct_call_is_not_a_batch(self, registry):
+        entry = registry.register(COO)
+        reg = get_registry()
+        before = (reg.counter("serve.batches"),
+                  reg.counter("serve.c_backend_batches"))
+        spmv_backend(entry.matrix, X, backend=entry.plan.backend)
+        assert (reg.counter("serve.batches"),
+                reg.counter("serve.c_backend_batches")) == before
 
-    def test_executor_exception_reaches_every_future(self, scheduler):
-        class BrokenExecutor:
-            def describe(self):
-                return {"backend": "numpy", "sharded": False,
-                        "batch_counters": ()}
-
-            def spmv(self, x):
-                raise RuntimeError("kernel exploded")
-
-            def spmm(self, x_block):
-                raise RuntimeError("kernel exploded")
-
-        entry = _entry(BrokenExecutor(), matrix=None)
+    def test_executor_exception_reaches_every_future(self, registry,
+                                                     scheduler,
+                                                     kernel_seam):
+        entry = registry.register(COO)
+        kernel_seam.watch(entry.matrix,
+                          error=RuntimeError("kernel exploded"))
         lone = scheduler.submit(entry, X)
         with pytest.raises(RuntimeError, match="exploded"):
             lone.result(timeout=10)
@@ -186,26 +148,40 @@ class TestSchedulerDispatch:
 
 
 # ----------------------------------------------------------------------
-# (c) MatrixRegistry.swap is identity-checked
+# (c) MatrixRegistry.swap is identity-checked, and a running batch
+#     finishes on the structure it read
 # ----------------------------------------------------------------------
+class _KeyRecorder:
+    """A perf watchdog that only records the series each batch feeds."""
+
+    def __init__(self):
+        self.keys: list[str] = []
+
+    def observe(self, fingerprint, key, gflops, fraction):
+        self.keys.append(key)
+
+
 class TestSwap:
     def test_swap_replaces_plan_and_executor(self):
         registry = MatrixRegistry(get_machine("AMD X2"), n_threads=1)
         entry = registry.register(COO)
-        new = InProcessExecutor(entry.matrix, "numpy")
-        assert registry.swap(entry, plan=entry.plan, executor=new)
-        assert registry.get(entry.fingerprint).executor is new
+        new = to_bcsr(COO, 2, 2)
+        assert registry.swap(entry, plan=entry.plan, matrix=new)
+        live = registry.get(entry.fingerprint)
+        assert live.matrix is new
+        assert live.footprint_bytes == new.footprint_bytes()
+        assert registry.total_bytes == new.footprint_bytes()
 
     def test_swap_after_eviction_changes_nothing(self):
         registry = MatrixRegistry(get_machine("AMD X2"), n_threads=1)
         entry = registry.register(COO)
-        old = entry.executor
+        old = entry.matrix
         registry.capacity_bytes = entry.footprint_bytes
         registry.register(random_coo(50, 50, 0.1, seed=30))  # evicts
         assert entry.fingerprint not in registry
-        new = InProcessExecutor(entry.matrix, "numpy")
-        assert not registry.swap(entry, plan=entry.plan, executor=new)
-        assert entry.executor is old
+        assert not registry.swap(entry, plan=entry.plan,
+                                 matrix=to_bcsr(COO, 2, 2))
+        assert entry.matrix is old
 
     def test_swap_of_a_replaced_entry_changes_nothing(self):
         """Evicted, then registered again: the caller's stale entry is
@@ -216,11 +192,44 @@ class TestSwap:
         registry.register(random_coo(50, 50, 0.1, seed=30))  # evicts
         live = registry.register(COO)
         assert live is not stale
-        live_executor = live.executor
-        assert not registry.swap(
-            stale, plan=stale.plan,
-            executor=InProcessExecutor(stale.matrix, "numpy"))
-        assert live.executor is live_executor
+        live_matrix = live.matrix
+        assert not registry.swap(stale, plan=stale.plan,
+                                 matrix=to_bcsr(COO, 2, 2))
+        assert live.matrix is live_matrix
+
+    def test_running_batch_finishes_on_the_structure_it_read(
+            self, kernel_seam):
+        """The swap lands while a batch is inside the kernel: that
+        batch's y and watchdog key both come from the old structure;
+        the next batch runs the new one."""
+        registry = MatrixRegistry(get_machine("AMD X2"), n_threads=1)
+        entry = registry.register(COO)
+        old = entry.matrix
+        # Twice the matrix, so an answer from the new structure shows.
+        new = to_bcsr(COOMatrix(COO.shape, COO.row, COO.col,
+                                2.0 * COO.val), 2, 2)
+        assert format_label(new) != format_label(old)
+        backend = entry.plan.backend
+        watchdog = _KeyRecorder()
+        pool = WorkerPool(1)
+        sched = BatchScheduler(pool, flush_deadline_s=0.001,
+                               watchdog=watchdog)
+        try:
+            kernel_seam.watch(old, hold=True)
+            running = sched.submit(entry, X)
+            assert kernel_seam.entered.wait(10.0)
+            assert registry.swap(entry, plan=entry.plan, matrix=new)
+            kernel_seam.release()
+            assert np.array_equal(running.result(timeout=10),
+                                  spmv_backend(old, X, backend=backend))
+            assert watchdog.keys == [f"{format_label(old)}/{backend}"]
+            _assert_close(sched.submit(entry, X).result(timeout=10),
+                          2.0 * Y_REF)
+            assert watchdog.keys[-1] == f"{format_label(new)}/{backend}"
+        finally:
+            kernel_seam.release()
+            sched.close()
+            pool.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +237,7 @@ class TestSwap:
 # ----------------------------------------------------------------------
 @needs_cc
 def test_threaded_spmv_bit_identical_to_serial_c():
-    serial = InProcessExecutor(CSR, "c").spmv(X)
+    serial = spmv_backend(CSR, X, backend="c")
     y = threaded_spmv(CSR, X, n_threads=2)
     _assert_close(y, Y_REF)
     assert np.array_equal(y, serial)

@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from repro.serve import ServeClient, start_server, stop_server
+from repro.cluster import ClusterNode, ClusterRouter
+from repro.serve import Request, Router, ServeClient, start_server, \
+    stop_server
 from tests.conftest import random_coo
 
 
@@ -101,6 +104,43 @@ class TestRoutes:
         assert "repro_serve_http_requests" in text
 
 
+#: ``(id, path, body)``: bodies that parse as JSON but carry a value the
+#: service cannot convert. An spmv body gets a registered fingerprint.
+MALFORMED_IDS = [
+    ("spmv-number", "/v1/spmv", b"5"),
+    ("spmv-null", "/v1/spmv", b"null"),
+    ("matrices-number", "/v1/matrices", b"5"),
+    ("matrices-null", "/v1/matrices", b"null"),
+    ("scale", "/v1/matrices", {"generate": "FEM-Har", "scale": "abc"}),
+    ("seed", "/v1/matrices", {"generate": "FEM-Har", "seed": "s"}),
+    ("n_threads", "/v1/matrices",
+     {"generate": "FEM-Har", "n_threads": "x"}),
+    ("x-strings", "/v1/spmv", {"x": ["a", "b"]}),
+    ("x-ragged", "/v1/spmv", {"x": [[1, 2], [3]]}),
+]
+MALFORMED = [(path, body) for _, path, body in MALFORMED_IDS]
+
+
+@pytest.fixture(scope="module")
+def fronts():
+    """Both JSON front doors, each with one matrix registered:
+    ``{name: (handler, fingerprint)}``."""
+    coo = random_coo(20, 20, 0.2, seed=8)
+    client = ServeClient(machine="AMD X2", n_threads=1)
+    node = ClusterNode(machine="AMD X2", n_threads=1).start()
+    router = ClusterRouter([node.address], replication=1,
+                           health_interval_s=60.0).start()
+    try:
+        fp = client.register(coo).fingerprint
+        node.client.register(coo)
+        yield {"router": (Router(client).handle, fp),
+               "cluster": (router.handle_request, fp)}
+    finally:
+        router.close()
+        node.close()
+        client.close()
+
+
 class TestErrors:
     def test_unknown_routes(self, served):
         httpd, _ = served
@@ -136,6 +176,22 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as e:
             urllib.request.urlopen(req, timeout=10)
         assert e.value.code == 400
+
+    @pytest.mark.parametrize("front", ["router", "cluster"])
+    @pytest.mark.parametrize("path,body", MALFORMED,
+                             ids=[i for i, _, _ in MALFORMED_IDS])
+    def test_malformed_body_400(self, fronts, front, path, body):
+        """A value the service cannot convert is the client's error on
+        the single-host router and on the cluster router alike."""
+        handler, fingerprint = fronts[front]
+        if isinstance(body, dict) and "x" in body:
+            body = {"fingerprint": fingerprint, **body}
+        raw = body if isinstance(body, bytes) else json.dumps(body).encode()
+        resp = handler(Request("POST", path, {}, raw))
+        if isinstance(resp, Future):
+            resp = resp.result(timeout=30)
+        assert resp.status == 400, resp.body
+        assert "internal error" not in json.loads(resp.body)["error"]
 
     def test_backpressure_429(self, rng):
         client = ServeClient(machine="AMD X2", n_threads=1,

@@ -35,38 +35,6 @@ def worker_tasks() -> float:
                if key.startswith("serve.worker_tasks"))
 
 
-class GatedExecutor:
-    """Wraps an entry's executor: every call blocks until ``gate`` is
-    set, and records how many vectors it computed."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.entered = threading.Event()
-        self.gate = threading.Event()
-        self.calls: list[int] = []
-
-    def _hold(self, k: int) -> None:
-        self.calls.append(k)
-        self.entered.set()
-        assert self.gate.wait(10.0), "gate never opened"
-
-    def spmv(self, x):
-        self._hold(1)
-        return self.inner.spmv(x)
-
-    def spmm(self, x_block):
-        self._hold(x_block.shape[1])
-        return self.inner.spmm(x_block)
-
-    def describe(self):
-        return self.inner.describe()
-
-
-class FailingExecutor(GatedExecutor):
-    def _hold(self, k: int) -> None:
-        raise ArithmeticError("kernel failed")
-
-
 class TestCoalescing:
     def test_n_requests_one_kernel(self, entry, rng):
         """Acceptance: N concurrent requests for one matrix produce
@@ -248,8 +216,9 @@ class TestSynchronousEntry:
         finally:
             client.close()
 
-    def test_call_on_a_busy_matrix_coalesces(self, entry, rng):
-        gated = entry.executor = GatedExecutor(entry.executor)
+    def test_call_on_a_busy_matrix_coalesces(self, entry, rng,
+                                             kernel_seam):
+        gated = kernel_seam.watch(entry.matrix, hold=True)
         pool, sched = make_scheduler(max_batch=8, flush_deadline_s=30.0)
         try:
             xs = [rng.standard_normal(entry.ncols) for _ in range(3)]
@@ -260,23 +229,24 @@ class TestSynchronousEntry:
             assert not joined.done() and sched.queued == 1
             other = sched.submit(entry, xs[2])
             assert sched.queued == 2
-            gated.gate.set()
+            gated.release()
             running.result(timeout=10)
             assert sched.flush() == 1
             ys = [joined.result(timeout=10), other.result(timeout=10)]
-            assert gated.calls == [1, 2]
+            assert [k for _, k in gated.calls] == [1, 2]
             for x, y in zip(xs[1:], ys):
                 np.testing.assert_allclose(y, entry.matrix.spmv(x),
                                            rtol=1e-10, atol=1e-12)
         finally:
-            gated.gate.set()
+            gated.release()
             sched.close()
             pool.shutdown()
 
-    def test_a_busy_matrix_never_queues_another(self, entry, rng):
+    def test_a_busy_matrix_never_queues_another(self, entry, rng,
+                                                kernel_seam):
         registry = MatrixRegistry(get_machine("AMD X2"), n_threads=2)
         second = registry.register(random_coo(120, 120, 0.05, seed=2))
-        gated = entry.executor = GatedExecutor(entry.executor)
+        gated = kernel_seam.watch(entry.matrix, hold=True)
         pool, sched = make_scheduler(max_batch=8, flush_deadline_s=30.0)
         try:
             running = sched.submit(entry, rng.standard_normal(entry.ncols))
@@ -287,10 +257,10 @@ class TestSynchronousEntry:
             assert fut.done() and sched.queued == 0
             np.testing.assert_array_equal(fut.result(),
                                           second.matrix.spmv(x))
-            gated.gate.set()
+            gated.release()
             running.result(timeout=10)
         finally:
-            gated.gate.set()
+            gated.release()
             sched.close()
             pool.shutdown()
 
@@ -315,8 +285,10 @@ class TestSynchronousEntry:
 
     @pytest.mark.parametrize("entry_point", ["submit", "call"])
     def test_executor_error_reaches_both_entries(self, entry, rng,
-                                                 entry_point):
-        entry.executor = FailingExecutor(entry.executor)
+                                                 entry_point,
+                                                 kernel_seam):
+        kernel_seam.watch(entry.matrix,
+                          error=ArithmeticError("kernel failed"))
         pool, sched = make_scheduler(flush_deadline_s=0.001)
         try:
             fut = getattr(sched, entry_point)(
@@ -330,8 +302,8 @@ class TestSynchronousEntry:
 
     @pytest.mark.parametrize("stop", ["drain", "close"])
     def test_drain_and_close_wait_for_a_running_call(self, entry, rng,
-                                                     stop):
-        gated = entry.executor = GatedExecutor(entry.executor)
+                                                     stop, kernel_seam):
+        gated = kernel_seam.watch(entry.matrix, hold=True)
         pool, sched = make_scheduler()
         futs = []
         caller = threading.Thread(target=lambda: futs.append(
@@ -343,13 +315,13 @@ class TestSynchronousEntry:
             stopper.start()
             stopper.join(0.2)
             assert stopper.is_alive(), f"{stop}() did not wait"
-            gated.gate.set()
+            gated.release()
             stopper.join(10.0)
             caller.join(10.0)
             assert not stopper.is_alive() and not caller.is_alive()
             assert futs[0].result().shape == (entry.nrows,)
         finally:
-            gated.gate.set()
+            gated.release()
             caller.join(10.0)
             sched.close()
             pool.shutdown()
