@@ -7,15 +7,13 @@ socket, dual-socket full system, plus the OSKI (circle) and OSKI-PETSc
 
 from __future__ import annotations
 
-from _harness import bench_scale, best_serial, figure1_data, run_once
+from _harness import bench_scale, figure1_data, ladder_labels, run_once
 
 from repro.analysis import format_table, median
 
 MACHINE = "AMD X2"
 
-COLS = ["1 Core - Naive", "1 Core[PF]", "1 Core[PF,RB]",
-        "1 Core[PF,RB,CB]", "2 Core[*]", "Dual Socket x 2 Core[*]",
-        "OSKI", "OSKI-PETSc"]
+COLS = ladder_labels(MACHINE) + ["OSKI", "OSKI-PETSc"]
 
 
 def test_fig1_amd_x2(benchmark):

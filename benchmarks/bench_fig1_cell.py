@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from _harness import bench_scale, figure1_data, run_once
+from _harness import bench_scale, figure1_data, ladder_labels, run_once
 
 from repro.analysis import format_table, median
 
@@ -16,15 +16,10 @@ def test_fig1_cell(benchmark):
         return ps3, blade
 
     ps3, blade = run_once(benchmark, compute)
-    cols = ["1 SPE(PS3)", "6 SPEs(PS3)", "8 SPEs",
-            "Dual Socket x 8 SPEs"]
-    rows = []
-    for name in ps3:
-        rows.append([
-            name, ps3[name]["1 SPE(PS3)"], ps3[name]["6 SPEs(PS3)"],
-            blade[name]["8 SPEs"], blade[name]["Dual Socket x 8 SPEs"],
-        ])
-    meds = [median([r[i] for r in rows]) for i in range(1, 5)]
+    cols = ladder_labels("Cell (PS3)") + ladder_labels("Cell Blade")
+    rows = [[name] + [{**ps3[name], **blade[name]}[c] for c in cols]
+            for name in ps3]
+    meds = [median([r[i] for r in rows]) for i in range(1, len(cols) + 1)]
     rows.append(["MEDIAN"] + meds)
     print()
     print(format_table(["matrix"] + cols, rows,

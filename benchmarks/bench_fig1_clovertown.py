@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from _harness import bench_scale, figure1_data, run_once
+from _harness import bench_scale, figure1_data, ladder_labels, run_once
 
 from repro.analysis import format_table, median
 
 MACHINE = "Clovertown"
 
-COLS = ["1 Core - Naive", "1 Core[PF]", "1 Core[PF,RB]",
-        "1 Core[PF,RB,CB]", "2 Core[*]", "4 Core[*]",
-        "2 Socket x 4 Core[*]", "OSKI", "OSKI-PETSc"]
+COLS = ladder_labels(MACHINE) + ["OSKI", "OSKI-PETSc"]
 
 
 def test_fig1_clovertown(benchmark):

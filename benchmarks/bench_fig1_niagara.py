@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from _harness import bench_scale, figure1_data, run_once
+from _harness import bench_scale, figure1_data, ladder_labels, run_once
 
 from repro.analysis import format_table, median
 
 MACHINE = "Niagara"
 
-COLS = ["1 Core - Naive", "1 Core[PF]", "1 Core[PF,RB]",
-        "1 Core[PF,RB,CB]", "8 Cores x 1 Thread[*]",
-        "8 Cores x 2 Threads[*]", "8 Cores x 4 Threads[*]"]
+COLS = ladder_labels(MACHINE)
 
 
 def test_fig1_niagara(benchmark):

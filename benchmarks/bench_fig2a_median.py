@@ -27,9 +27,11 @@ def compute(scale):
         data = figure1_data(name, scale)
         if name == "Cell Blade":
             # Figure 2a's Cell single-core bar is the PS3's single SPE.
-            one_core = median(b["1 SPE(PS3)"] for b in ps3.values())
+            one_core = median(
+                best_serial("Cell (PS3)", b) for b in ps3.values()
+            )
         else:
-            one_core = median(best_serial(b) for b in data.values())
+            one_core = median(best_serial(name, b) for b in data.values())
         out[name] = {
             "1 core": one_core,
             "socket": median(

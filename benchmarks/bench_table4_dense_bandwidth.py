@@ -7,10 +7,10 @@ sustained GB/s and effective Gflop/s beside the paper's measurements.
 
 from __future__ import annotations
 
-from _harness import bench_scale, plan_point, run_once
+from _harness import bench_scale, run_once
 
 from repro.analysis import format_table
-from repro.core import SpmvEngine
+from repro.core import Role, SpmvEngine, role_point
 from repro.machines import get_machine
 from repro.matrices import generate
 
@@ -28,28 +28,23 @@ PAPER = {
                    "system": (31.50, 6.30)},
 }
 
-#: Threads for (one core, one socket, full system) per machine.
-CONFIGS = {
-    # Niagara's Table 4 "socket" row is 8 cores x 1 thread (2.06 GB/s =
-    # 8 x 0.26); "system" adds the full 4-way CMT.
-    "Niagara": (1, 8, 32),
-    "Clovertown": (1, 4, 8),
-    "AMD X2": (1, 2, 4),
-    "Cell (PS3)": (1, 6, 6),
-    "Cell Blade": (1, 8, 16),
-}
+#: Table 4's rows and the ladder role each one reads.
+ROLES = {"one core": Role.SERIAL, "socket": Role.SOCKET,
+         "system": Role.SYSTEM}
 
 
 def build_table4(scale: float) -> list[list]:
     dense = generate("Dense", scale=scale, seed=0)
     rows = []
-    for name, (t1, ts, tf) in CONFIGS.items():
-        engine = SpmvEngine(get_machine(name))
-        for label, t in [("one core", t1), ("socket", ts),
-                         ("system", tf)]:
-            plan = plan_point(engine, dense, t,
-                              full_system=(label == "system"))
-            res = engine.simulate(plan)
+    for name in PAPER:
+        machine = get_machine(name)
+        points = {label: role_point(machine, role)
+                  for label, role in ROLES.items()}
+        results = SpmvEngine(machine).simulate_ladder(
+            dense, list(points.values())
+        )
+        for label, point in points.items():
+            res = results[point.label]
             gbs_paper, gf_paper = PAPER[name][label]
             rows.append([name, label, res.sustained_gbs, gbs_paper,
                          res.gflops, gf_paper])

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Compare the paper's five machines on one matrix (mini Figure 2).
 
-Tunes the same matrix for every platform, simulates serial, single
-socket and full system, prints the Gflop/s bars and the power
-efficiency ranking — the architectural-comparison story of §6.6 in one
-script.
+Tunes the same matrix for every platform, simulates the Figure 1
+points that stand for one core, one socket and the full system, prints
+the Gflop/s bars and the power efficiency ranking — the
+architectural-comparison story of §6.6 in one script.
 
 Run: ``python examples/architecture_comparison.py [matrix-name]``
 """
@@ -14,19 +14,11 @@ import sys
 from repro import SpmvEngine, generate, get_machine, machine_names
 from repro.analysis import format_table, power_efficiency
 from repro.analysis.report import format_bar_chart
+from repro.core import Role, role_point
 
 # Half scale keeps generation quick while staying out of the
 # cache-resident regime that flatters the x86 boxes at tiny sizes.
 SCALE = 0.5
-
-#: (serial, socket, system) thread counts per machine.
-SWEEPS = {
-    "AMD X2": (1, 2, 4),
-    "Clovertown": (1, 4, 8),
-    "Niagara": (1, 8, 32),
-    "Cell (PS3)": (1, 6, 6),
-    "Cell Blade": (1, 8, 16),
-}
 
 
 def main() -> None:
@@ -38,12 +30,11 @@ def main() -> None:
     rows = []
     system_rates = {}
     for mname in machine_names():
-        engine = SpmvEngine(get_machine(mname))
-        t1, ts, tf = SWEEPS[mname]
-        rates = []
-        for t in (t1, ts, tf):
-            plan = engine.plan(a, n_threads=t)
-            rates.append(engine.simulate(plan).gflops)
+        machine = get_machine(mname)
+        points = [role_point(machine, role)
+                  for role in (Role.SERIAL, Role.SOCKET, Role.SYSTEM)]
+        results = SpmvEngine(machine).simulate_ladder(a, points)
+        rates = [results[p.label].gflops for p in points]
         rows.append([mname, *rates])
         system_rates[mname] = rates[-1]
 

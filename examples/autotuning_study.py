@@ -10,7 +10,6 @@ for a single matrix, with the reasoning visible.
 Run: ``python examples/autotuning_study.py``
 """
 
-from repro import OptimizationLevel as L
 from repro import SpmvEngine, generate, get_machine
 from repro.analysis import format_table
 from repro.formats.footprint import naive_footprint_bytes
@@ -24,7 +23,7 @@ def main() -> None:
     engine = SpmvEngine(machine)
     for name in MATRICES:
         coo = generate(name, scale=SCALE, seed=0)
-        plan = engine.plan(coo, level=L.FULL, n_threads=1)
+        plan = engine.plan(coo)
         d = plan.describe()
         naive = naive_footprint_bytes(coo.nnz_logical)
         print(f"\n=== {name}: {coo.nnz_logical:,} nnz ===")
@@ -35,13 +34,12 @@ def main() -> None:
               f"({naive / d['footprint_bytes']:.2f}x smaller)")
         rows = []
         prev = None
-        for lvl in [L.NAIVE, L.PF, L.PF_RB, L.PF_RB_CB]:
-            res = engine.simulate(engine.plan(coo, level=lvl))
+        for label, res in engine.simulate_ladder(coo).items():
             gain = "" if prev is None else f"+{res.gflops / prev - 1:.0%}"
-            rows.append([lvl.value, res.gflops, res.bottleneck, gain])
+            rows.append([label, res.gflops, res.bottleneck, gain])
             prev = res.gflops
         print(format_table(
-            ["rung", "Gflop/s", "bound by", "step gain"], rows,
+            ["bar", "Gflop/s", "bound by", "step gain"], rows,
         ))
 
 

@@ -41,7 +41,7 @@ import sys
 from . import __version__
 from .analysis import format_table
 from .analysis.report import format_bar_chart
-from .core import OptimizationLevel, SpmvEngine
+from .core import Role, SpmvEngine, role_point
 from .errors import ClusterError, ServeError
 from .machines import all_machines, get_machine, machine_names
 from .matrices import (
@@ -51,8 +51,6 @@ from .matrices import (
     load_matrix_market,
     suite_table,
 )
-
-L = OptimizationLevel
 
 
 def _cmd_machines(args) -> int:
@@ -116,27 +114,10 @@ def _cmd_tune(args) -> int:
 
 def _cmd_sweep(args) -> int:
     coo = _load_or_generate(args)
-    machine = get_machine(args.machine)
-    engine = SpmvEngine(machine)
-    labels, values = [], []
-    for lvl in [L.NAIVE, L.PF, L.PF_RB, L.PF_RB_CB]:
-        res = engine.simulate(engine.plan(coo, level=lvl, n_threads=1))
-        labels.append(f"1 thread [{lvl.value}]")
-        values.append(res.gflops)
-    t = 1
-    while t < machine.n_threads:
-        t *= 2
-        t_eff = min(t, machine.n_threads)
-        try:
-            res = engine.simulate(engine.plan(coo, n_threads=t_eff))
-        except Exception:
-            continue
-        labels.append(f"{t_eff} threads [full]")
-        values.append(res.gflops)
-        if t_eff == machine.n_threads:
-            break
+    results = SpmvEngine(get_machine(args.machine)).simulate_ladder(coo)
     print(format_bar_chart(
-        labels, values, unit=" GF/s",
+        list(results), [r.gflops for r in results.values()],
+        unit=" GF/s",
         title=f"{args.matrix} on {args.machine} (Figure 1 ladder)",
     ))
     return 0
@@ -147,12 +128,10 @@ def _cmd_compare(args) -> int:
     labels, values = [], []
     for name in machine_names():
         machine = get_machine(name)
-        engine = SpmvEngine(machine)
-        res = engine.simulate(
-            engine.plan(coo, n_threads=machine.n_threads)
-        )
+        point = role_point(machine, Role.SYSTEM)
+        res = SpmvEngine(machine).simulate_ladder(coo, [point])
         labels.append(name)
-        values.append(res.gflops)
+        values.append(res[point.label].gflops)
     print(format_bar_chart(
         labels, values, unit=" GF/s",
         title=f"{args.matrix}: full-system simulated performance",
@@ -166,37 +145,12 @@ def _cmd_stats(args) -> int:
     configuration — plus the engine's own counters for the run."""
     from .observe.metrics import get_registry
     from .simulator.bottleneck import BottleneckAttribution
-    from .simulator.cpu import KernelVariant
 
     coo = _load_or_generate(args)
-    machine = get_machine(args.machine)
-    engine = SpmvEngine(machine)
     att = BottleneckAttribution()
-
-    def add(label, res):
+    engine = SpmvEngine(get_machine(args.machine))
+    for label, res in engine.simulate_ladder(coo).items():
         att.add(res, matrix=args.matrix, label=label)
-
-    # Serial ladder (naive shares the PF plan, prefetch/codegen off).
-    pf_plan = engine.plan(coo, level=L.PF, n_threads=1)
-    add("1 thread [naive]", engine.simulate(
-        pf_plan, sw_prefetch=False, variant=KernelVariant()
-    ))
-    add("1 thread [pf]", engine.simulate(pf_plan))
-    for lvl in [L.PF_RB, L.PF_RB_CB]:
-        add(f"1 thread [{lvl.value}]", engine.simulate(
-            engine.plan(coo, level=lvl, n_threads=1)
-        ))
-    t = 1
-    while t < machine.n_threads:
-        t *= 2
-        t_eff = min(t, machine.n_threads)
-        try:
-            res = engine.simulate(engine.plan(coo, n_threads=t_eff))
-        except Exception:
-            continue
-        add(f"{t_eff} threads [full]", res)
-        if t_eff == machine.n_threads:
-            break
     print(att.table(
         group_by=("label",),
         title=f"{args.matrix} on {args.machine}: bottleneck attribution "
@@ -244,6 +198,7 @@ def _cmd_figures(args) -> int:
         return 1
     with open(path) as f:
         data = json.load(f)
+    data = data.get("data", data)   # the benchmarks' stamped envelope
     columns: list[str] = []
     for bars in data.values():
         for k in bars:

@@ -25,19 +25,24 @@ from .heuristics import (
     choose_block_format,
     sparse_cache_block_specs,
 )
-from .optimizer import OPTIMIZATION_TABLE, OptimizationLevel, optimization_config
+from .optimizer import (OPTIMIZATION_TABLE, LadderPoint, OptimizationLevel,
+                        Role, ladder, optimization_config, role_point)
 from .plan import OptimizationConfig, SpmvPlan
 
 __all__ = [
     "FormatChoice",
+    "LadderPoint",
     "OPTIMIZATION_TABLE",
     "OptimizationConfig",
     "OptimizationLevel",
+    "Role",
     "SpmvEngine",
     "SpmvPlan",
     "TunedSpMV",
     "cell_block_specs",
     "choose_block_format",
+    "ladder",
     "optimization_config",
+    "role_point",
     "sparse_cache_block_specs",
 ]

@@ -9,7 +9,7 @@ one pass, then either *simulate* the run on the machine model or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .heuristics import (
 )
 
 
-from .optimizer import OptimizationLevel, optimization_config
+from .optimizer import (LadderPoint, OptimizationLevel, ladder,
+                        optimization_config)
 from .plan import OptimizationConfig, SpmvPlan, forced_index_width
 
 
@@ -457,6 +458,35 @@ class SpmvEngine:
                 ),
                 variant=plan.config.variant if variant is None else variant,
             )
+
+    def simulate_ladder(
+        self, coo: COOMatrix, points: list[LadderPoint] | None = None,
+    ) -> dict[str, SimResult]:
+        """Simulate Figure 1's bars for one matrix: ``{label: result}``
+        in the figure's order.
+
+        ``points`` defaults to the machine's whole
+        :func:`~repro.core.optimizer.ladder`. Naive and PF share one
+        data structure and differ only in code generation, so the naive
+        bar is the PF plan simulated with prefetch and codegen off.
+        """
+        if points is None:
+            points = ladder(self.machine)
+        plans: dict[tuple, SpmvPlan] = {}
+        results: dict[str, SimResult] = {}
+        for point in points:
+            shared = point
+            if point.level is OptimizationLevel.NAIVE:
+                shared = replace(point, level=OptimizationLevel.PF)
+            key = (shared.level, shared.n_threads, shared.packed)
+            if key not in plans:
+                plans[key] = self.plan(coo, n_threads=shared.n_threads,
+                                       config=shared.config(self.machine))
+            cfg = point.config(self.machine)
+            results[point.label] = self.simulate(
+                plans[key], sw_prefetch=cfg.sw_prefetch, variant=cfg.variant
+            )
+        return results
 
     def numa_assignment(self, plan: SpmvPlan):
         """Thread placement the plan implies (affinity bookkeeping)."""

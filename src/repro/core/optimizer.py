@@ -1,4 +1,5 @@
-"""Per-architecture optimization selection (paper Table 2).
+"""Per-architecture optimization selection (paper Table 2) and the
+Figure 1 experiment points.
 
 Maps the cumulative optimization rungs of Figure 1 (naive → +PF → +RB →
 +CB → fully parallel) onto concrete :class:`OptimizationConfig` objects,
@@ -6,11 +7,16 @@ honoring Table 2's applicability matrix: which optimization classes each
 architecture received, and the Cell-specific reduced path ("only dense
 cache blocks and virtually no other optimization aside from the
 mandatory DMAs and compressed 2 byte indices").
+
+:func:`ladder` is the one place that decides each machine's Figure 1
+bars — label, rung, thread count, placement — and which of them stand
+for one core, one socket and the full system in Figure 2a and Table 4.
 """
 
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, replace
 
 from ..errors import TuningError
 from ..machines.model import Machine, PlacementPolicy
@@ -130,13 +136,96 @@ def optimization_config(
     )
 
 
-def ladder(machine: Machine) -> list[OptimizationLevel]:
-    """The serial optimization rungs shown for this machine in Fig 1."""
-    if arch_family(machine) == "cell":
-        return [OptimizationLevel.FULL]
-    return [
-        OptimizationLevel.NAIVE,
-        OptimizationLevel.PF,
-        OptimizationLevel.PF_RB,
-        OptimizationLevel.PF_RB_CB,
+class Role(enum.Flag):
+    """What a ladder point stands for in Figure 2a and Table 4."""
+
+    NONE = 0
+    SERIAL = enum.auto()    #: a single-core bar
+    SOCKET = enum.auto()    #: "1 socket, all cores"
+    SYSTEM = enum.auto()    #: "all sockets, cores, threads"
+
+
+@dataclass(frozen=True)
+class LadderPoint:
+    """One bar of a machine's Figure 1 panel.
+
+    A system point uses the paper's parallel placement (NUMA-aware on
+    x86, page interleave on the Cell blade, §4.4); every other point
+    packs its threads onto as few sockets as possible, data on that
+    node.
+    """
+
+    label: str
+    level: OptimizationLevel
+    n_threads: int
+    role: Role = Role.NONE
+
+    @property
+    def packed(self) -> bool:
+        return not self.role & Role.SYSTEM
+
+    def config(self, machine: Machine) -> OptimizationConfig:
+        cfg = optimization_config(machine, self.level,
+                                  parallel=self.n_threads > 1)
+        if self.packed:
+            cfg = replace(cfg, fill_order="pack",
+                          policy=PlacementPolicy.SINGLE_NODE)
+        return cfg
+
+
+_L = OptimizationLevel
+_SERIAL_RUNGS = tuple(
+    LadderPoint(label, level, 1, Role.SERIAL) for label, level in [
+        ("1 Core - Naive", _L.NAIVE), ("1 Core[PF]", _L.PF),
+        ("1 Core[PF,RB]", _L.PF_RB), ("1 Core[PF,RB,CB]", _L.PF_RB_CB),
     ]
+)
+
+#: Every machine's Figure 1 bars in the figure's order. Niagara's
+#: socket bar is all cores at ONE thread each: threads join only in the
+#: full-system bar (this is what makes the paper's 12.8x
+#: blade-vs-Niagara socket ratio work out). The Cell panels show no
+#: serial rungs: the DMA path is the same at every rung.
+_FIGURE1: dict[str, tuple[LadderPoint, ...]] = {
+    "AMD X2": _SERIAL_RUNGS + (
+        LadderPoint("2 Core[*]", _L.FULL, 2, Role.SOCKET),
+        LadderPoint("Dual Socket x 2 Core[*]", _L.FULL, 4, Role.SYSTEM),
+    ),
+    "Clovertown": _SERIAL_RUNGS + (
+        LadderPoint("2 Core[*]", _L.FULL, 2),
+        LadderPoint("4 Core[*]", _L.FULL, 4, Role.SOCKET),
+        LadderPoint("2 Socket x 4 Core[*]", _L.FULL, 8, Role.SYSTEM),
+    ),
+    "Niagara": _SERIAL_RUNGS + (
+        LadderPoint("8 Cores x 1 Thread[*]", _L.FULL, 8, Role.SOCKET),
+        LadderPoint("8 Cores x 2 Threads[*]", _L.FULL, 16),
+        LadderPoint("8 Cores x 4 Threads[*]", _L.FULL, 32, Role.SYSTEM),
+    ),
+    "Cell (PS3)": (
+        LadderPoint("1 SPE(PS3)", _L.FULL, 1, Role.SERIAL),
+        LadderPoint("6 SPEs(PS3)", _L.FULL, 6, Role.SOCKET | Role.SYSTEM),
+    ),
+    "Cell Blade": (
+        LadderPoint("8 SPEs", _L.FULL, 8, Role.SOCKET),
+        LadderPoint("Dual Socket x 8 SPEs", _L.FULL, 16, Role.SYSTEM),
+    ),
+}
+
+
+def ladder(machine: Machine) -> list[LadderPoint]:
+    """The machine's Figure 1 bars, in the figure's order."""
+    if machine.name not in _FIGURE1:
+        raise TuningError(f"Figure 1 has no panel for {machine.name!r}")
+    return list(_FIGURE1[machine.name])
+
+
+def role_point(machine: Machine, role: Role) -> LadderPoint:
+    """The point that stands for ``role`` in Figure 2a and Table 4: the
+    last (most optimized) ladder point carrying it.
+
+    The blade's panel has no single-SPE bar; its serial point is the
+    PS3's, the same SPE.
+    """
+    points = ([p for p in ladder(machine) if p.role & role]
+              or [p for p in _FIGURE1["Cell (PS3)"] if p.role & role])
+    return points[-1]

@@ -115,17 +115,14 @@ class PerfAttributor:
     """Turns (counts, seconds) into :class:`PerfSample` and emits metrics.
 
     A single process-wide instance (see :func:`get_attributor`) holds
-    the measured ceilings and an optional watchdog. ``record`` is the
-    emitting path; ``sample`` is the pure computation used by callers
-    that must not double-count (the serve scheduler observes batches
-    for the watchdog while the kernel layer already emitted metrics).
+    the measured ceilings. ``record`` is the emitting path; ``sample``
+    is the pure computation used by callers that must not double-count
+    (the serve scheduler observes batches for the watchdog while the
+    kernel layer already emitted metrics).
     """
 
-    def __init__(self, ceilings: MachineCeilings | None = None,
-                 watchdog=None):
+    def __init__(self, ceilings: MachineCeilings | None = None):
         self.ceilings = ceilings
-        self.watchdog = watchdog
-        self._lock = threading.Lock()
 
     # -- pure computation -------------------------------------------------
 
@@ -204,8 +201,8 @@ def get_attributor() -> PerfAttributor:
     return _ATTRIBUTOR
 
 
-def configure(ceilings: MachineCeilings | None, *, watchdog=None) -> None:
-    """Install measured ceilings (and optionally a watchdog) process-wide.
+def configure(ceilings: MachineCeilings | None) -> None:
+    """Install measured ceilings process-wide.
 
     Called before a :class:`~repro.dist.group.ShardGroup` forks, it
     lets the workers inherit the roofline and attribute their own
@@ -213,8 +210,6 @@ def configure(ceilings: MachineCeilings | None, *, watchdog=None) -> None:
     """
     with _CONF_LOCK:
         _ATTRIBUTOR.ceilings = ceilings
-        if watchdog is not None:
-            _ATTRIBUTOR.watchdog = watchdog
 
 
 def global_ceilings() -> MachineCeilings | None:

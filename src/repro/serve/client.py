@@ -144,7 +144,6 @@ class ServeClient:
             self.watchdog = None
             if perf_watch:
                 self.watchdog = PerfWatchdog(slo=self.slo)
-                _perf.configure(self.ceilings, watchdog=self.watchdog)
             self.scheduler = BatchScheduler(
                 self.pool, max_batch=max_batch,
                 flush_deadline_s=flush_deadline_s, max_queue=max_queue,

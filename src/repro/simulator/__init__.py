@@ -39,7 +39,7 @@ from .events import SimResult, TrafficBreakdown
 from .executor import simulate_plan, simulate_spmv
 from .memory import BandwidthReport, sustained_bandwidth
 from .tlb import tlb_misses
-from .traffic import BlockProfile, PlanProfile, profile_plan
+from .traffic import BlockProfile, PlanProfile
 
 __all__ = [
     "AttributionRecord",
@@ -55,7 +55,6 @@ __all__ = [
     "attribute",
     "bottleneck_shares",
     "kernel_cycles",
-    "profile_plan",
     "simulate_access_stream",
     "simulate_plan",
     "simulate_spmv",

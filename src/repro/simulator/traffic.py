@@ -274,8 +274,3 @@ def profile_from_matrix(
     t = int(thread_of_block[0]) if thread_of_block is not None else 0
     prof = _profile_one(0, m, 0, n, matrix, machine, t)
     return PlanProfile(matrix.shape, (prof,), n_threads)
-
-
-def profile_plan(*args, **kwargs) -> PlanProfile:
-    """Alias of :func:`profile_from_matrix` (public API name)."""
-    return profile_from_matrix(*args, **kwargs)

@@ -16,20 +16,26 @@ import _harness  # noqa: E402
 
 class TestLabels:
     def test_parallel_points_cover_all_machines(self):
-        from repro.machines import machine_names
+        from repro.core import ladder
+        from repro.machines import get_machine, machine_names
 
-        assert set(_harness.PARALLEL_POINTS) == set(machine_names())
+        for name in machine_names():
+            assert any(p.n_threads > 1 for p in ladder(get_machine(name)))
 
     def test_full_system_flag_once_per_machine(self):
-        for name, points in _harness.PARALLEL_POINTS.items():
-            assert sum(1 for *_, full in points if full) == 1, name
+        from repro.core import ladder
+        from repro.machines import get_machine, machine_names
+
+        for name in machine_names():
+            points = ladder(get_machine(name))
+            assert sum(1 for p in points if not p.packed) == 1, name
 
     def test_socket_and_system_selectors(self):
         bars = {
             "1 Core[PF,RB,CB]": 1.0, "2 Core[*]": 1.5,
             "Dual Socket x 2 Core[*]": 2.5,
         }
-        assert _harness.best_serial(bars) == 1.0
+        assert _harness.best_serial("AMD X2", bars) == 1.0
         assert _harness.best_socket("AMD X2", bars) == 1.5
         assert _harness.best_system("AMD X2", bars) == 2.5
 
@@ -64,6 +70,24 @@ class TestSweep:
         path.write_text("{not json")
         assert _harness._load_disk_cache("AMD X2", 0.5) is None
 
+    def test_disk_cache_from_other_sources_is_stale(self, tmp_path,
+                                                    monkeypatch):
+        """Regression: the stamp was ``repro.__version__``, which no
+        simulator or baseline change bumped, so a local cache kept
+        serving bars from older code."""
+        from repro.observe.metrics import get_registry
+
+        reg = get_registry()
+        reg.reset()
+        monkeypatch.setattr(_harness, "_CACHE_DIR", str(tmp_path))
+        current = _harness.model_stamp
+        monkeypatch.setattr(_harness, "model_stamp", lambda: "older")
+        _harness._save_disk_cache("AMD X2", 0.5, {"M": {"bar": 1.0}})
+        monkeypatch.setattr(_harness, "model_stamp", current)
+        assert _harness._load_disk_cache("AMD X2", 0.5) is None
+        assert reg.counter("bench.cache_stale") == 1
+        reg.reset()
+
     def test_disk_cache_rejects_version_mismatch(self, tmp_path,
                                                  monkeypatch):
         monkeypatch.setattr(_harness, "_CACHE_DIR", str(tmp_path))
@@ -87,14 +111,12 @@ class TestSweep:
 
     def test_disk_cache_envelope_is_stamped(self, tmp_path,
                                             monkeypatch):
-        import repro
-
         monkeypatch.setattr(_harness, "_CACHE_DIR", str(tmp_path))
         _harness._save_disk_cache("AMD X2", 0.5, {"M": {"bar": 1.0}})
         raw = json.loads(
             Path(_harness._cache_path("AMD X2", 0.5)).read_text()
         )
-        assert raw["model_version"] == repro.__version__
+        assert raw["model_version"] == _harness.model_stamp()
         assert raw["machine"] == "AMD X2" and raw["scale"] == 0.5
 
     def test_failed_save_keeps_the_good_envelope(self, tmp_path,
@@ -124,13 +146,12 @@ class TestSweep:
         reg.reset()
 
     def test_plan_point_socket_vs_system(self):
-        from repro.core import SpmvEngine
+        from repro.core import Role, role_point
         from repro.machines import PlacementPolicy, get_machine
-        from repro.matrices import generate
 
-        coo = generate("Epidem", scale=0.03, seed=0)
-        eng = SpmvEngine(get_machine("AMD X2"))
-        socket = _harness.plan_point(eng, coo, 2, full_system=False)
-        system = _harness.plan_point(eng, coo, 4, full_system=True)
-        assert socket.config.policy is PlacementPolicy.SINGLE_NODE
-        assert system.config.policy is PlacementPolicy.NUMA_AWARE
+        machine = get_machine("AMD X2")
+        socket = role_point(machine, Role.SOCKET)
+        system = role_point(machine, Role.SYSTEM)
+        assert (socket.n_threads, system.n_threads) == (2, 4)
+        assert socket.config(machine).policy is PlacementPolicy.SINGLE_NODE
+        assert system.config(machine).policy is PlacementPolicy.NUMA_AWARE

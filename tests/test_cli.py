@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.matrices import save_matrix, save_matrix_market
+from repro.matrices import generate, save_matrix, save_matrix_market
 from tests.conftest import random_coo
 
 
@@ -46,7 +46,30 @@ class TestCLI:
         code, out = run(capsys, "sweep", "QCD", "--scale", "0.02",
                         "--machine", "AMD X2")
         assert code == 0
-        assert "naive" in out and "4 threads" in out
+        assert "1 Core - Naive" in out and "Dual Socket x 2 Core[*]" in out
+
+    def test_sweep_prints_the_figure_bars(self, capsys):
+        """Regression: the sweep placed its 2-thread point with the
+        full-system NUMA policy across both sockets (5.104 Gflop/s)
+        where Figure 1's socket bar packs both threads onto one
+        (3.41)."""
+        from repro.core import Role, SpmvEngine, role_point
+        from repro.machines import get_machine
+
+        code, out = run(capsys, "sweep", "FEM-Cant", "--scale", "0.1",
+                        "--machine", "AMD X2")
+        assert code == 0
+        printed = {}
+        for line in out.splitlines()[1:]:
+            label, _, bar = line.partition(" | ")
+            printed[label.strip()] = bar.split()[-2]
+        machine = get_machine("AMD X2")
+        lib = SpmvEngine(machine).simulate_ladder(
+            generate("FEM-Cant", scale=0.1, seed=0)
+        )
+        assert printed == {k: f"{r.gflops:.3f}" for k, r in lib.items()}
+        socket = role_point(machine, Role.SOCKET).label
+        assert printed[socket] == "3.410"
 
     def test_compare(self, capsys):
         code, out = run(capsys, "compare", "Epidem", "--scale", "0.02")
@@ -78,6 +101,22 @@ class TestCLI:
         path.write_text(json.dumps(
             {"MatX": {"naive": 0.5, "full": 2.0}}
         ))
+        code, out = run(capsys, "figures", str(path),
+                        "--machine", "AMD X2")
+        assert code == 0
+        assert "MatX" in out and "median" in out
+
+    def test_figures_from_stamped_envelope(self, capsys, tmp_path):
+        """Regression: the command iterated the envelope the benchmark
+        harness writes ({"model_version", ..., "data"}) as if it were
+        the bare sweep and crashed on its first string field."""
+        import json
+
+        path = tmp_path / "fig1.json"
+        path.write_text(json.dumps({
+            "model_version": "abc", "machine": "AMD X2", "scale": 0.02,
+            "data": {"MatX": {"naive": 0.5, "full": 2.0}},
+        }))
         code, out = run(capsys, "figures", str(path),
                         "--machine", "AMD X2")
         assert code == 0
@@ -132,6 +171,20 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_version_has_one_source(self):
+        """pyproject.toml reads the package version from
+        ``repro.__version__`` instead of repeating it."""
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")
+        doc = tomllib.loads(
+            (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        )
+        assert "version" not in doc["project"]
+        assert doc["project"]["dynamic"] == ["version"]
+        assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"}
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

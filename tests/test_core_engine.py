@@ -9,9 +9,11 @@ from repro.core import SpmvEngine, OptimizationLevel
 from repro.core.engine import config_rectangle
 from repro.core.optimizer import (
     OPTIMIZATION_TABLE,
+    Role,
     arch_family,
     ladder,
     optimization_config,
+    role_point,
 )
 from repro.errors import TuningError
 from repro.machines import PlacementPolicy, get_machine, machine_names
@@ -59,8 +61,12 @@ class TestOptimizer:
         assert clv.policy is PlacementPolicy.SINGLE_NODE  # non-NUMA
 
     def test_ladder_shapes(self):
-        assert len(ladder(get_machine("AMD X2"))) == 4
-        assert ladder(get_machine("Cell (PS3)")) == [L.FULL]
+        def serial_rungs(name):
+            return [p.level for p in ladder(get_machine(name))
+                    if p.role & Role.SERIAL]
+
+        assert len(serial_rungs("AMD X2")) == 4
+        assert serial_rungs("Cell (PS3)") == [L.FULL]
 
     def test_table2_contents(self):
         assert OPTIMIZATION_TABLE["register_blocking"]["cell"] == "no"
@@ -70,6 +76,45 @@ class TestOptimizer:
     def test_bad_level(self):
         with pytest.raises(TuningError):
             optimization_config(get_machine("AMD X2"), "super")
+
+
+class TestLadder:
+    def test_one_socket_and_one_system_point_per_machine(self):
+        for name in machine_names():
+            m = get_machine(name)
+            points = ladder(m)
+            for role in (Role.SOCKET, Role.SYSTEM):
+                assert sum(1 for p in points if p.role & role) == 1
+            assert role_point(m, Role.SYSTEM).n_threads == m.n_threads
+        ps3 = get_machine("Cell (PS3)")
+        assert role_point(ps3, Role.SOCKET) is role_point(ps3, Role.SYSTEM)
+
+    def test_blade_serial_point_is_the_ps3_spe(self):
+        blade, ps3 = get_machine("Cell Blade"), get_machine("Cell (PS3)")
+        assert not any(p.role & Role.SERIAL for p in ladder(blade))
+        assert role_point(blade, Role.SERIAL) == role_point(ps3,
+                                                            Role.SERIAL)
+
+    def test_machine_without_a_panel(self):
+        from dataclasses import replace
+
+        other = replace(get_machine("AMD X2"), name="Other")
+        with pytest.raises(TuningError):
+            ladder(other)
+
+    def test_simulate_ladder_in_figure_order(self):
+        m = get_machine("AMD X2")
+        eng = SpmvEngine(m)
+        coo = generate("Epidem", scale=0.02, seed=0)
+        results = eng.simulate_ladder(coo)
+        assert list(results) == [p.label for p in ladder(m)]
+        # The naive bar is the PF structure run without prefetch or
+        # codegen, the same as planning the naive rung on its own.
+        naive = eng.simulate(eng.plan(coo, level=L.NAIVE))
+        assert results["1 Core - Naive"].gflops == naive.gflops
+        socket = role_point(m, Role.SOCKET)
+        assert (eng.simulate_ladder(coo, [socket])[socket.label].gflops
+                == results[socket.label].gflops)
 
 
 class TestConfigRectangle:
