@@ -11,6 +11,7 @@ only, no software prefetch, and no cache blocking.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,39 +53,32 @@ def oski_config() -> OptimizationConfig:
     )
 
 
+@functools.cache
+def machine_profile(machine: Machine) -> dict[tuple[int, int], float]:
+    """Dense r×c BCSR Gflop/s per block size: OSKI's off-line install
+    benchmark, run on the machine model, built once per machine."""
+    with _span("oski.machine_profile", machine=machine.name):
+        dense = dense_in_sparse(_PROFILE_N, seed=0)
+        prof: dict[tuple[int, int], float] = {}
+        for (r, c) in POWER_OF_TWO_BLOCKS:
+            mat = to_bcsr(dense, r, c, index_width=IndexWidth.I32)
+            prof[(r, c)] = simulate_spmv(
+                machine, mat, n_threads=1, sw_prefetch=False,
+                variant=oski_config().variant).gflops
+    _metrics.inc("oski.profile_builds", machine=machine.name)
+    return prof
+
+
 @dataclass
 class OskiTuner:
     """Serial SPARSITY-style register-block autotuner for one machine."""
 
     machine: Machine
 
-    def __post_init__(self):
-        self._profile: dict[tuple[int, int], float] | None = None
-
     # ------------------------------------------------------------------
     def machine_profile(self) -> dict[tuple[int, int], float]:
-        """Dense r×c BCSR Gflop/s per block size (memoized).
-
-        This is OSKI's off-line installation benchmark, run here on the
-        machine model instead of real silicon.
-        """
-        if self._profile is None:
-            with _span("oski.machine_profile",
-                       machine=self.machine.name):
-                dense = dense_in_sparse(_PROFILE_N, seed=0)
-                prof: dict[tuple[int, int], float] = {}
-                for (r, c) in POWER_OF_TWO_BLOCKS:
-                    mat = to_bcsr(dense, r, c, index_width=IndexWidth.I32)
-                    res = simulate_spmv(
-                        self.machine, mat, n_threads=1,
-                        sw_prefetch=False,
-                        variant=oski_config().variant,
-                    )
-                    prof[(r, c)] = res.gflops
-            _metrics.inc("oski.profile_builds",
-                         machine=self.machine.name)
-            self._profile = prof
-        return self._profile
+        """The machine's OSKI install profile (see :func:`machine_profile`)."""
+        return machine_profile(self.machine)
 
     def estimate_fill(self, coo: COOMatrix, r: int, c: int,
                       *, max_sample_rows: int = 4096,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import VALUE_BYTES
-from ..errors import PartitionError
+from ..errors import PartitionError, TuningError
 from ..formats.coo import COOMatrix
 from ..machines.model import Machine, PlacementPolicy
 from ..observe import metrics as _metrics
@@ -191,7 +191,9 @@ def best_petsc(
     coo: COOMatrix, machine: Machine, max_procs: int | None = None
 ) -> PetscResult:
     """The paper "ran PETSc with up to 8 tasks, but only present the
-    fastest results": sweep process counts, keep the best."""
+    fastest results": sweep process counts, keep the best. A count that
+    does not fit (PartitionError, TuningError) is skipped; any other
+    error is a fault in the model and propagates."""
     if max_procs is None:
         max_procs = min(8, machine.n_cores)
     best: PetscResult | None = None
@@ -199,7 +201,7 @@ def best_petsc(
     while p <= max_procs:
         try:
             res = petsc_spmv_model(coo, machine, p)
-        except Exception:
+        except (PartitionError, TuningError):
             p *= 2
             continue
         if best is None or res.gflops > best.gflops:

@@ -184,26 +184,19 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    """Render a cached Figure 1 sweep (produced by the benchmarks)."""
+    """Render one machine's Figure 1 panel from the paper snapshot."""
     import json
     import os
 
     from .analysis.figures import render_figure1_panel
 
-    path = args.cache
-    if not os.path.exists(path):
-        print(f"no cached sweep at {path}; run "
-              f"`pytest benchmarks/bench_fig1_*.py --benchmark-only` "
-              f"first", file=sys.stderr)
+    if not os.path.exists(args.snapshot):
+        print(f"no paper snapshot at {args.snapshot}; run "
+              f"`python benchmarks/paper.py` first", file=sys.stderr)
         return 1
-    with open(path) as f:
-        data = json.load(f)
-    data = data.get("data", data)   # the benchmarks' stamped envelope
-    columns: list[str] = []
-    for bars in data.values():
-        for k in bars:
-            if k not in columns:
-                columns.append(k)
+    with open(args.snapshot) as f:
+        data = json.load(f)["figure1"][args.machine]
+    columns = list(dict.fromkeys(k for bars in data.values() for k in bars))
     print(render_figure1_panel(args.machine, data, columns))
     return 0
 
@@ -760,10 +753,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scale", type=float, default=0.02)
 
     sp = sub.add_parser("figures",
-                        help="render a cached Figure 1 sweep as ASCII",
+                        help="render a Figure 1 panel of the paper "
+                             "snapshot as ASCII",
                         parents=[common])
-    sp.add_argument("cache", help="benchmarks/.bench_cache/fig1_*.json")
-    sp.add_argument("--machine", default="(cached sweep)")
+    sp.add_argument("snapshot", nargs="?",
+                    default="benchmarks/snapshots/PAPER.json",
+                    help="written by benchmarks/paper.py")
+    sp.add_argument("--machine", default="AMD X2", choices=machine_names())
 
     sp = sub.add_parser("serve", help="run the batched SpMV service",
                         parents=[common])

@@ -10,7 +10,7 @@ the same way:
   materialize pipeline.
 * :mod:`.metrics` — a process-wide registry of counters, gauges, and
   histograms (``plan.blocks_created``,
-  ``heuristic.format_chosen{fmt=...}``, ``bench.cache_hit``, ...).
+  ``heuristic.format_chosen{fmt=...}``, ``oski.profile_builds``, ...).
 
 The simulator's own explanation — per-machine/per-matrix bottleneck
 tables of memory vs compute vs latency time shares, the paper's §6

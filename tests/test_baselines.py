@@ -102,6 +102,32 @@ class TestPetscModel:
         one = petsc_spmv_model(coo, m, 1)
         assert best.gflops >= one.gflops
 
+    def test_best_petsc_skips_only_counts_that_do_not_fit(
+            self, monkeypatch):
+        from repro.baselines import petsc
+        from repro.errors import PartitionError
+
+        coo = generate("Circuit", scale=SCALE, seed=0)
+        m = get_machine("Clovertown")
+        model = petsc.petsc_spmv_model
+
+        def no_two(coo, machine, n_procs):
+            if n_procs == 2:
+                raise PartitionError("2 ranks do not fit")
+            return model(coo, machine, n_procs)
+
+        monkeypatch.setattr(petsc, "petsc_spmv_model", no_two)
+        assert best_petsc(coo, m).n_procs != 2
+
+        def broken(coo, machine, n_procs):
+            if n_procs == 2:
+                raise ValueError("bug in the model")
+            return model(coo, machine, n_procs)
+
+        monkeypatch.setattr(petsc, "petsc_spmv_model", broken)
+        with pytest.raises(ValueError, match="bug in the model"):
+            best_petsc(coo, m)
+
     def test_pthreads_beats_mpi(self):
         """§7: "the Pthreads strategy resulted in runtimes more than
         twice as fast as the message passing implementation"."""

@@ -97,34 +97,37 @@ class TestCLI:
     def test_figures_from_cache(self, capsys, tmp_path):
         import json
 
-        path = tmp_path / "fig1.json"
-        path.write_text(json.dumps(
-            {"MatX": {"naive": 0.5, "full": 2.0}}
-        ))
+        path = tmp_path / "PAPER.json"
+        path.write_text(json.dumps({"scale": 0.02, "figure1": {
+            "AMD X2": {"MatX": {"naive": 0.5, "full": 2.0}},
+            "Niagara": {"MatY": {"naive": 0.1}},
+        }}))
         code, out = run(capsys, "figures", str(path),
                         "--machine", "AMD X2")
         assert code == 0
-        assert "MatX" in out and "median" in out
+        assert "MatX" in out and "median" in out and "MatY" not in out
 
-    def test_figures_from_stamped_envelope(self, capsys, tmp_path):
-        """Regression: the command iterated the envelope the benchmark
-        harness writes ({"model_version", ..., "data"}) as if it were
-        the bare sweep and crashed on its first string field."""
+    def test_figures_from_stamped_envelope(self, capsys):
+        """The committed snapshot is the command's default input: it
+        renders the machine's panel of ``snapshot["figure1"]``, not the
+        envelope's other sections."""
         import json
+        from pathlib import Path
 
-        path = tmp_path / "fig1.json"
-        path.write_text(json.dumps({
-            "model_version": "abc", "machine": "AMD X2", "scale": 0.02,
-            "data": {"MatX": {"naive": 0.5, "full": 2.0}},
-        }))
-        code, out = run(capsys, "figures", str(path),
-                        "--machine", "AMD X2")
+        root = Path(__file__).parent.parent
+        snapshot = root / "benchmarks" / "snapshots" / "PAPER.json"
+        code, out = run(capsys, "figures", str(snapshot),
+                        "--machine", "Cell Blade")
         assert code == 0
-        assert "MatX" in out and "median" in out
+        panel = json.loads(snapshot.read_text())["figure1"]["Cell Blade"]
+        assert "Figure 1 — Cell Blade" in out
+        assert all(name in out for name in panel)
+        assert "claims" not in out and "OSKI" not in out
 
-    def test_figures_missing_cache(self, tmp_path):
+    def test_figures_missing_cache(self, tmp_path, capsys):
         code = main(["figures", str(tmp_path / "nope.json")])
         assert code == 1
+        assert "benchmarks/paper.py" in capsys.readouterr().err
 
     def test_stats(self, capsys):
         code, out = run(capsys, "stats", "dense2", "--scale", "0.05",

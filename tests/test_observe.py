@@ -301,7 +301,11 @@ class TestPipelineInstrumentation:
 class TestBaselineInstrumentation:
     def test_oski_spans_and_counters(self):
         from repro.baselines import OskiTuner
+        from repro.baselines.oski import machine_profile
 
+        # The install profile is memoized per machine for the whole
+        # process; start from an empty memo so the build is counted here.
+        machine_profile.cache_clear()
         t = trace_mod.enable()
         tuner = OskiTuner(get_machine("AMD X2"))
         coo = generate("Circuit", scale=0.05, seed=0)
@@ -312,8 +316,8 @@ class TestBaselineInstrumentation:
         reg = get_registry()
         assert reg.counter("oski.profile_builds", machine="AMD X2") == 1
         assert reg.counter("oski.fill_estimates") > 0
-        # Second tune reuses the memoized profile.
-        tuner.simulate(coo)
+        # A second tune, even by a fresh tuner, reuses the profile.
+        OskiTuner(get_machine("AMD X2")).simulate(coo)
         assert reg.counter("oski.profile_builds", machine="AMD X2") == 1
 
     def test_petsc_spans_and_comm_fraction(self):
