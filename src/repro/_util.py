@@ -123,6 +123,22 @@ def segment_sums(values: np.ndarray, starts: np.ndarray, total: int) -> np.ndarr
     return out
 
 
+def balanced_bounds(counts: np.ndarray, n_parts: int) -> np.ndarray:
+    """``n_parts + 1`` bounds cutting ``counts``' items into contiguous
+    runs of (nearly) equal sums: a cut follows the first item at which
+    the running sum reaches each multiple of ``sum / n_parts``."""
+    m = len(counts)
+    csum = np.cumsum(counts)
+    total = int(csum[-1]) if m else 0
+    targets = (np.arange(1, n_parts) * total) / n_parts
+    cuts = np.searchsorted(csum, targets, side="left") + 1
+    bounds = np.concatenate([[0], cuts, [m]]).astype(np.int64)
+    # Monotonicity guard: empty leading items can produce repeated cuts.
+    bounds = np.maximum.accumulate(bounds)
+    bounds[-1] = m
+    return bounds
+
+
 def unique_count(a: np.ndarray) -> int:
     """Number of distinct values in integer array ``a`` (0 for empty
     input). Sorts and counts the steps: ``np.unique`` can take a hash

@@ -143,7 +143,9 @@ class SpmvPlan:
             blocks.append(
                 CacheBlock(r0, r1, c0, c1, _build_format(local, choice))
             )
-        return CacheBlockedMatrix(coo.shape, blocks)
+        matrix = CacheBlockedMatrix(coo.shape, blocks)
+        matrix.n_threads = self.n_threads
+        return matrix
 
     def to_dict(self) -> dict:
         """Lossless JSON-safe encoding of the whole plan.

@@ -83,6 +83,10 @@ class CacheBlockedMatrix(SparseFormat):
     """
 
     format_name = "cache_blocked"
+    #: Threads the plan that built this matrix runs it on (set by
+    #: :meth:`repro.core.plan.SpmvPlan.materialize`); the compiled
+    #: backend spreads its row panels over that many.
+    n_threads = 1
 
     def __init__(self, shape, blocks: Sequence[CacheBlock]):
         super().__init__(shape)

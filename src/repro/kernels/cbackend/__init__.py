@@ -3,9 +3,10 @@
 The paper's code generator emitted specialized C per (format, r×c,
 index width) variant; this package is that generator plus the runtime
 around it: codegen → one-shot compile into an on-disk cache → ctypes
-load → load-time validation against the reference kernel → dispatch.
-Compiled kernels release the GIL, which is what makes
-:mod:`repro.parallel.threaded` a real parallel path.
+load → load-time validation against the reference kernel → dispatch
+through one generated runner that walks a matrix's bound program in a
+single C call, its row panels on a persistent pthread team
+(:mod:`repro.kernels.cbackend.program`).
 
 Public surface::
 
@@ -49,7 +50,6 @@ from .dispatch import (
     c_backend_available,
     spmm_c,
     spmv_c,
-    supports_format,
 )
 from .loader import (
     VALIDATION_RTOL,
@@ -89,5 +89,4 @@ __all__ = [
     "reset_for_tests",
     "spmm_c",
     "spmv_c",
-    "supports_format",
 ]

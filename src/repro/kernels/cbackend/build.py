@@ -19,6 +19,9 @@ compiles two tiny probe programs once per compiler identity:
 
 A compiler that fails a probe simply never gets asked to build the
 corresponding variants; the scalar emitter is the guaranteed fallback.
+A third probe, :func:`thread_flags`, links a small pthread program: the
+program runner (:func:`build_runner`) gets its thread team only where
+it passes, and runs every program serially otherwise.
 
 Environment knobs
 -----------------
@@ -55,7 +58,7 @@ import threading
 
 from ...errors import KernelError
 from ...observe import metrics as _metrics
-from .codegen import Variant, c_kernel_source
+from .codegen import Variant, c_kernel_source, runner_source
 
 #: Flag set baked into every build (and into the cache key).
 #: ``-ffp-contract=off`` keeps results identical across FMA and
@@ -71,8 +74,9 @@ _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
 
 _lock = threading.Lock()
 _compiler_cache: dict[str, tuple[str, str] | None] = {}
-_caps_cache: dict[str, frozenset[str]] = {}
-_native_cache: dict[str, tuple[str, ...]] = {}
+#: (probe or object name, compiler identity) -> what the probe found,
+#: or where the object was built.
+_per_compiler: dict[tuple[str, str], object] = {}
 
 
 class CBackendUnavailable(KernelError):
@@ -172,18 +176,16 @@ _CAP_PROBES: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
-def _probe_capability(cc_path: str, cap: str) -> bool:
-    """Compile the tiny probe for one capability; True on success."""
-    source, flags = _CAP_PROBES[cap]
+def _compiles(cc_path: str, source: str, flags: tuple[str, ...]) -> bool:
+    """Does ``source`` build under ``flags`` (plus ``REPRO_CC``'s)?"""
     tmpdir = tempfile.mkdtemp(prefix="repro_ccprobe_")
     src = os.path.join(tmpdir, "probe.c")
-    obj = os.path.join(tmpdir, "probe.o")
     try:
         with open(src, "w") as f:
             f.write(source)
         proc = subprocess.run(
-            [cc_path, *compiler_extra_flags(), *flags, "-c", src,
-             "-o", obj],
+            [cc_path, *compiler_extra_flags(), *flags, src,
+             "-o", os.path.join(tmpdir, "probe.o")],
             capture_output=True, text=True, timeout=30,
         )
         return proc.returncode == 0
@@ -191,6 +193,18 @@ def _probe_capability(cc_path: str, cap: str) -> bool:
         return False
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def _probed(name: str, probe, absent):
+    """``probe(cc_path)`` for the active compiler, run once per compiler
+    identity; ``absent`` when there is no compiler."""
+    cc = find_compiler()
+    if cc is None:
+        return absent
+    key = (name, cc[1])
+    if key not in _per_compiler:
+        _per_compiler[key] = probe(cc[0])
+    return _per_compiler[key]
 
 
 def compiler_capabilities() -> frozenset[str]:
@@ -204,21 +218,16 @@ def compiler_capabilities() -> frozenset[str]:
     if override is not None:
         tokens = {t.strip() for t in override.replace(",", " ").split()}
         return frozenset(tokens & set(CAPABILITIES))
-    cc = find_compiler()
-    if cc is None:
-        return frozenset()
-    cc_path, cc_id = cc
-    hit = _caps_cache.get(cc_id)
-    if hit is not None:
-        return hit
-    caps = frozenset(
-        cap for cap in CAPABILITIES if _probe_capability(cc_path, cap)
-    )
-    _caps_cache[cc_id] = caps
-    for cap in CAPABILITIES:
-        _metrics.gauge("c_backend.capability",
-                       1.0 if cap in caps else 0.0, cap=cap)
-    return caps
+
+    def probe(cc_path: str) -> frozenset[str]:
+        caps = frozenset(cap for cap, (source, flags) in _CAP_PROBES.items()
+                         if _compiles(cc_path, source, (*flags, "-c")))
+        for cap in CAPABILITIES:
+            _metrics.gauge("c_backend.capability",
+                           1.0 if cap in caps else 0.0, cap=cap)
+        return caps
+
+    return _probed("caps", probe, frozenset())
 
 
 def native_arch_flags() -> tuple[str, ...]:
@@ -231,40 +240,36 @@ def native_arch_flags() -> tuple[str, ...]:
     scalar rung never uses these flags — it stays the portable,
     bit-stable floor.
     """
-    cc = find_compiler()
-    if cc is None:
-        return ()
-    _, cc_id = cc
-    hit = _native_cache.get(cc_id)
-    if hit is not None:
-        return hit
-    flags: tuple[str, ...] = ()
-    for cand in ("-march=native", "-mcpu=native"):
-        if _probe_flag(cc[0], cand):
-            flags = (cand,)
-            break
-    _native_cache[cc_id] = flags
-    return flags
+    return _probed("native", lambda cc_path: next(
+        ((flag,) for flag in ("-march=native", "-mcpu=native")
+         if _compiles(cc_path, "int repro_probe(int a) { return a; }\n",
+                      (flag, "-Werror", "-c"))), ()), ())
 
 
-def _probe_flag(cc_path: str, flag: str) -> bool:
-    """Does a trivial translation unit compile cleanly under ``flag``?"""
-    tmpdir = tempfile.mkdtemp(prefix="repro_ccprobe_")
-    src = os.path.join(tmpdir, "probe.c")
-    obj = os.path.join(tmpdir, "probe.o")
-    try:
-        with open(src, "w") as f:
-            f.write("int repro_probe(int a) { return a + 1; }\n")
-        proc = subprocess.run(
-            [cc_path, *compiler_extra_flags(), flag, "-Werror",
-             "-c", src, "-o", obj],
-            capture_output=True, text=True, timeout=30,
-        )
-        return proc.returncode == 0
-    except (OSError, subprocess.TimeoutExpired):
-        return False
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
+_THREADS_PROBE = """\
+#include <pthread.h>
+static void *repro_probe_run(void *arg) { return arg; }
+int repro_probe(void)
+{
+    pthread_t tid;
+    if (pthread_create(&tid, NULL, repro_probe_run, NULL) != 0)
+        return -1;
+    return pthread_join(tid, NULL);
+}
+"""
+
+
+def _probe_threads(cc_path: str) -> bool:
+    """Does a shared object that starts a pthread build and link?"""
+    return _compiles(cc_path, _THREADS_PROBE, (*CFLAGS, "-pthread"))
+
+
+def thread_flags() -> tuple[str, ...]:
+    """Flags that give the program runner its thread team, probed once
+    per compiler: ``-pthread`` plus the ``REPRO_TEAM`` switch, or
+    nothing (every program then runs serially)."""
+    return _probed("threads", lambda cc_path: (
+        ("-DREPRO_TEAM", "-pthread") if _probe_threads(cc_path) else ()), ())
 
 
 def isa_build_flags(isa: str) -> tuple[str, ...]:
@@ -335,11 +340,11 @@ def _host_cpu_id() -> str:
     return platform.machine() or "unknown-cpu"
 
 
-def object_key(variant: Variant, source: str, compiler_id: str) -> str:
+def object_key(source: str, compiler_id: str,
+               flags: tuple[str, ...]) -> str:
     """Content hash identifying one compiled object."""
     from ... import __version__
 
-    flags = build_flags(variant)
     parts = [source, compiler_id, " ".join(flags), __version__]
     if any(f.endswith("=native") for f in flags):
         parts.append(_host_cpu_id())
@@ -350,20 +355,24 @@ def object_key(variant: Variant, source: str, compiler_id: str) -> str:
     return h.hexdigest()[:16]
 
 
+def _require_compiler() -> tuple[str, str]:
+    cc = find_compiler()
+    if cc is None:
+        raise CBackendUnavailable(
+            "no C compiler available (REPRO_DISABLE_CC set, or no "
+            "cc/gcc/clang on PATH)"
+        )
+    return cc
+
+
 def object_path(variant: Variant, *, compiler_id: str | None = None,
                 source: str | None = None) -> str:
     """Cache path a variant's shared object lives at (existing or not)."""
     if source is None:
         source = c_kernel_source(variant)
     if compiler_id is None:
-        cc = find_compiler()
-        if cc is None:
-            raise CBackendUnavailable(
-                "no C compiler available (REPRO_DISABLE_CC set, or no "
-                "cc/gcc/clang on PATH)"
-            )
-        compiler_id = cc[1]
-    key = object_key(variant, source, compiler_id)
+        compiler_id = _require_compiler()[1]
+    key = object_key(source, compiler_id, build_flags(variant))
     return os.path.join(cache_dir(), f"{variant.name}_{key}.so")
 
 
@@ -374,27 +383,44 @@ def build_variant(variant: Variant) -> str:
     :class:`KernelError` when compilation itself fails or the variant's
     ISA level is beyond this compiler's probed capabilities.
     """
-    cc = find_compiler()
-    if cc is None:
-        raise CBackendUnavailable(
-            "no C compiler available (REPRO_DISABLE_CC set, or no "
-            "cc/gcc/clang on PATH)"
-        )
-    cc_path, cc_id = cc
+    cc_path, cc_id = _require_compiler()
     flags = build_flags(variant)   # raises on missing ISA capability
     source = c_kernel_source(variant)
     out_path = object_path(variant, compiler_id=cc_id, source=source)
+    return _compile(cc_path, variant.name, source, flags, out_path,
+                    variant.isa)
+
+
+def build_runner() -> str:
+    """Compile (or fetch from the disk cache) the program runner, once
+    per compiler; returns the .so path. Built with :func:`thread_flags`,
+    so it has a thread team exactly where the compiler links pthreads."""
+    cc_path, cc_id = _require_compiler()
+    key = ("runner", cc_id)
+    if key not in _per_compiler:
+        flags = (*CFLAGS, *compiler_extra_flags(), *thread_flags())
+        source = runner_source()
+        out_path = os.path.join(
+            cache_dir(), f"runner_{object_key(source, cc_id, flags)}.so")
+        _per_compiler[key] = _compile(cc_path, "runner", source, flags,
+                                      out_path, "runner")
+    return _per_compiler[key]
+
+
+def _compile(cc_path: str, name: str, source: str,
+             flags: tuple[str, ...], out_path: str, label: str) -> str:
+    """``source`` built with ``flags`` into ``out_path``, unless the
+    cache already holds it; counted under ``isa=label``."""
     if os.path.exists(out_path):
-        _metrics.inc("c_backend.cache_hits", isa=variant.isa)
+        _metrics.inc("c_backend.cache_hits", isa=label)
         return out_path
     with _lock:
         if os.path.exists(out_path):  # lost the race inside the process
-            _metrics.inc("c_backend.cache_hits", isa=variant.isa)
+            _metrics.inc("c_backend.cache_hits", isa=label)
             return out_path
         os.makedirs(cache_dir(), exist_ok=True)
         fd, tmp_so = tempfile.mkstemp(
-            suffix=".so.tmp", prefix=variant.name + "_",
-            dir=cache_dir(),
+            suffix=".so.tmp", prefix=name + "_", dir=cache_dir(),
         )
         os.close(fd)
         src_path = tmp_so + ".c"
@@ -407,14 +433,14 @@ def build_variant(variant: Variant) -> str:
             )
             if proc.returncode != 0:
                 raise KernelError(
-                    f"C compilation of {variant.name} failed "
+                    f"C compilation of {name} failed "
                     f"({cc_path}): {proc.stderr.strip()[:2000]}"
                 )
             os.replace(tmp_so, out_path)   # atomic publish
-            _metrics.inc("c_backend.compiles", isa=variant.isa)
+            _metrics.inc("c_backend.compiles", isa=label)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise KernelError(
-                f"C compilation of {variant.name} failed: {exc}"
+                f"C compilation of {name} failed: {exc}"
             ) from exc
         finally:
             for path in (src_path, tmp_so):

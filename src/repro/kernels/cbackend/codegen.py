@@ -21,15 +21,20 @@ Formats: CSR, register-blocked BCSR/BCOO, and (v2) **SELL-C-σ** —
 sorted sliced ELLPACK (:mod:`repro.formats.sellcs`), whose column-major
 slices make the C-lane loop trivially vectorizable.
 
-CSR and SELL-C-σ kernels take a ``[r0, r1)`` row/slice range so the
-threaded execution path (:mod:`repro.parallel.threaded`) can run
-disjoint slabs of one shared destination vector concurrently. All four
+CSR, BCSR and SELL-C-σ kernels take a ``[r0, r1)`` row/slice range
+so disjoint slabs of one shared destination vector can run
+concurrently (:func:`repro.parallel.threaded.threaded_spmv`). All four
 formats export a fused multi-vector ``repro_spmm`` entry point — the
 paper's multiple-vector optimization: the matrix streams once per chunk
 of :data:`SPMM_CHUNK` right-hand sides. The CSR, BCSR and BCOO fused
 kernels repeat each column's arithmetic in the scalar ``repro_spmv``
 order, so on the scalar and ``prefetch`` rungs column j of the fused
 result is bit-identical to the same variant's SpMV of column j.
+
+:func:`runner_source` is the one translation unit that is not a
+kernel: the program runner that walks a bound program's packed leaf
+table in one call and owns the thread team that runs its row panels
+(layout: :data:`PROGRAM_HEADER`, :data:`TABLE_FIELDS`).
 
 Floating-point contraction is disabled at build time
 (``-ffp-contract=off``), so results are reproducible across hosts with
@@ -630,3 +635,317 @@ def c_kernel_source(variant: Variant) -> str:
     body = body.replace("{V}", str(SPMM_VEC))
     body = body.replace("{r}", str(r)).replace("{c}", str(c))
     return src + body
+
+
+# ----------------------------------------------------------------------
+# The program runner: one C call walks a bound program's leaf table
+# ----------------------------------------------------------------------
+#: Leading int64 words of a packed program (see
+#: :mod:`repro.kernels.cbackend.program`): row-panel count, thread-team
+#: width, scratch rows per vector column, and the word offset of the
+#: leaf table. The panel bounds (entry indices, ``panels + 1`` words)
+#: follow the header, then each team slot's first panel (``width + 1``
+#: words).
+PROGRAM_HEADER = ("panels", "width", "scratch", "table")
+
+#: int64 words of one leaf-table entry: the kernel kind, the SpMV and
+#: fused-SpMM function addresses, up to four matrix-array addresses,
+#: the ``[lo, hi)`` unit range (BCOO: ``hi`` tiles), SELL-C-σ's row
+#: count, the x/y offsets in vector rows, the x/y scratch offsets in
+#: rows (-1: none), and the leaf's column and row extents.
+TABLE_FIELDS = ("kind", "spmv", "spmm", "a0", "a1", "a2", "a3", "lo", "hi",
+                "post", "x", "y", "xs", "ys", "cols", "rows")
+
+#: ``kind`` values: a ranged three-array kernel (csr, bcsr), SELL-C-σ
+#: (four arrays plus a row count), BCOO (three arrays, a tile count).
+KIND_RANGED, KIND_SELLCS, KIND_COUNT = 0, 1, 2
+
+_RUNNER = r"""
+#define _GNU_SOURCE
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
+#ifdef REPRO_TEAM
+#include <pthread.h>
+#include <signal.h>
+#endif
+
+typedef void (*fn6)(const void *, const void *, const void *,
+                    const double *, double *, int64_t);
+typedef void (*fn7)(const void *, const void *, const void *,
+                    const double *, double *, int64_t, int64_t);
+typedef void (*fn8)(const void *, const void *, const void *,
+                    const double *, double *, int64_t, int64_t, int64_t);
+typedef void (*fn9)(const void *, const void *, const void *, const void *,
+                    const double *, double *, int64_t, int64_t, int64_t);
+typedef void (*fn10)(const void *, const void *, const void *,
+                     const void *, const double *, double *, int64_t,
+                     int64_t, int64_t, int64_t);
+
+#define PTR(v) ((const void *)(intptr_t)(v))
+#define FN(type, v) ((type)(intptr_t)(v))
+
+/* One call's arguments, shared by every slot that runs part of it. */
+typedef struct {
+    const int64_t *prog;
+    const double *x;
+    double *y;
+    double *scratch;
+    int64_t k;          /* vector columns (1 for SpMV) */
+    int mm;             /* 1: the fused SpMM entries */
+    double *times;      /* per-slot seconds, or NULL */
+} job_t;
+
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+/* One leaf: through scratch where its tile grid overhangs (the x
+ * segment copied in, the y segment zero since the call began), then
+ * the y scratch added onto the caller's rows. */
+static void run_entry(const int64_t *e, const job_t *job)
+{
+    const int64_t k = job->k;
+    const double *xp = job->x + e[F_X] * k;
+    double *yp = job->y + e[F_Y] * k;
+    double *out = yp;
+    if (e[F_XS] >= 0) {
+        double *s = job->scratch + e[F_XS] * k;
+        memcpy(s, xp, (size_t)(e[F_COLS] * k) * sizeof(double));
+        xp = s;
+    }
+    if (e[F_YS] >= 0)
+        out = job->scratch + e[F_YS] * k;
+    const int64_t fn = e[job->mm ? F_SPMM : F_SPMV];
+    switch (e[F_KIND]) {
+    case KIND_RANGED:
+        if (job->mm)
+            FN(fn8, fn)(PTR(e[F_A0]), PTR(e[F_A1]), PTR(e[F_A2]), xp, out,
+                      e[F_LO], e[F_HI], k);
+        else
+            FN(fn7, fn)(PTR(e[F_A0]), PTR(e[F_A1]), PTR(e[F_A2]), xp, out,
+                      e[F_LO], e[F_HI]);
+        break;
+    case KIND_SELLCS:
+        if (job->mm)
+            FN(fn10, fn)(PTR(e[F_A0]), PTR(e[F_A1]), PTR(e[F_A2]),
+                       PTR(e[F_A3]), xp, out, e[F_LO], e[F_HI], k,
+                       e[F_POST]);
+        else
+            FN(fn9, fn)(PTR(e[F_A0]), PTR(e[F_A1]), PTR(e[F_A2]),
+                      PTR(e[F_A3]), xp, out, e[F_LO], e[F_HI], e[F_POST]);
+        break;
+    default:
+        if (job->mm)
+            FN(fn7, fn)(PTR(e[F_A0]), PTR(e[F_A1]), PTR(e[F_A2]), xp, out,
+                      e[F_HI], k);
+        else
+            FN(fn6, fn)(PTR(e[F_A0]), PTR(e[F_A1]), PTR(e[F_A2]), xp, out,
+                      e[F_HI]);
+    }
+    if (out != yp) {
+        const int64_t n = e[F_ROWS] * k;
+        for (int64_t i = 0; i < n; ++i)
+            yp[i] += out[i];
+    }
+}
+
+/* Panels [p0, p1): their entries in table order. */
+static void run_panels(const job_t *job, int64_t p0, int64_t p1)
+{
+    const int64_t *prog = job->prog;
+    const int64_t *bounds = prog + HEADER;
+    const int64_t *table = prog + prog[H_TABLE];
+    for (int64_t i = bounds[p0]; i < bounds[p1]; ++i)
+        run_entry(table + i * ENTRY, job);
+}
+
+#ifdef REPRO_TEAM
+/* The thread team: created once per process, grown on demand up to
+ * the widest program run so far, parked on a condition variable
+ * between calls. The caller is slot 0; a caller that finds the team
+ * busy runs serially instead of waiting behind another call. */
+#define TEAM_MAX 256
+static pthread_mutex_t team_lock = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t team_wake = PTHREAD_COND_INITIALIZER;
+static pthread_cond_t team_done = PTHREAD_COND_INITIALIZER;
+static pthread_once_t team_once = PTHREAD_ONCE_INIT;
+static int team_busy;          /* claimed by one caller (atomic) */
+static int team_size = 1;      /* slots, the caller's included */
+static uint64_t team_gen;      /* bumped once per team call */
+static uint64_t team_born[TEAM_MAX];
+static int team_width, team_pending;
+static const job_t *team_job;
+
+/* One team slot's share: its static run of panels. */
+static void run_slot(const job_t *job, int slot)
+{
+    const int64_t *prog = job->prog;
+    const int64_t *first = prog + HEADER + prog[H_PANELS] + 1;
+    const double t0 = job->times ? now() : 0.0;
+    run_panels(job, first[slot], first[slot + 1]);
+    if (job->times)
+        job->times[slot] = now() - t0;
+}
+
+static void *team_worker(void *arg)
+{
+    const int slot = (int)(intptr_t)arg;
+    uint64_t seen = team_born[slot];
+    pthread_mutex_lock(&team_lock);
+    for (;;) {
+        while (team_gen == seen)
+            pthread_cond_wait(&team_wake, &team_lock);
+        seen = team_gen;
+        if (slot >= team_width)
+            continue;
+        const job_t *job = team_job;
+        pthread_mutex_unlock(&team_lock);
+        run_slot(job, slot);
+        pthread_mutex_lock(&team_lock);
+        if (--team_pending == 0)
+            pthread_cond_signal(&team_done);
+    }
+    return NULL;
+}
+
+/* fork() copies this state but not the workers: the child starts
+ * with no team, and builds its own on its first multi-panel call. */
+static void team_prepare(void) { pthread_mutex_lock(&team_lock); }
+static void team_parent(void) { pthread_mutex_unlock(&team_lock); }
+static void team_child(void)
+{
+    pthread_mutex_init(&team_lock, NULL);
+    pthread_cond_init(&team_wake, NULL);
+    pthread_cond_init(&team_done, NULL);
+    team_busy = 0;
+    team_size = 1;
+    team_pending = 0;
+}
+static void team_register(void)
+{
+    pthread_atfork(team_prepare, team_parent, team_child);
+}
+
+/* Claim the team and make sure it has ``width`` slots; 0 when it is
+ * busy or cannot grow (the caller then runs serially). */
+static int team_claim(int width)
+{
+    if (width > TEAM_MAX
+        || __atomic_exchange_n(&team_busy, 1, __ATOMIC_ACQUIRE))
+        return 0;
+    pthread_once(&team_once, team_register);
+    if (team_size < width) {
+        pthread_attr_t attr;
+        sigset_t all, old;
+        pthread_attr_init(&attr);
+        pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+        /* Workers take no signals: they stay the interpreter's. */
+        sigfillset(&all);
+        pthread_sigmask(SIG_SETMASK, &all, &old);
+        pthread_mutex_lock(&team_lock);
+        for (; team_size < width; ++team_size) {
+            pthread_t tid;
+            team_born[team_size] = team_gen;
+            if (pthread_create(&tid, &attr, team_worker,
+                               (void *)(intptr_t)team_size) != 0)
+                break;
+        }
+        pthread_mutex_unlock(&team_lock);
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+        pthread_attr_destroy(&attr);
+    }
+    if (team_size < width) {
+        __atomic_store_n(&team_busy, 0, __ATOMIC_RELEASE);
+        return 0;
+    }
+    return 1;
+}
+
+static void team_run(const job_t *job, int width)
+{
+    pthread_mutex_lock(&team_lock);
+    team_job = job;
+    team_width = width;
+    team_pending = width - 1;
+    ++team_gen;
+    pthread_cond_broadcast(&team_wake);
+    pthread_mutex_unlock(&team_lock);
+    run_slot(job, 0);
+    pthread_mutex_lock(&team_lock);
+    while (team_pending > 0)
+        pthread_cond_wait(&team_done, &team_lock);
+    pthread_mutex_unlock(&team_lock);
+    __atomic_store_n(&team_busy, 0, __ATOMIC_RELEASE);
+}
+#endif
+
+/* The whole program on the team, or serially in this thread; returns
+ * the slots that ran it (1: serially), or -1 when scratch could not
+ * be allocated. */
+static int run_program(const int64_t *prog, const double *x, double *y,
+                       int64_t k, int mm, double *times)
+{
+    job_t job = {prog, x, y, NULL, k, mm, times};
+    int used = 1;
+    if (prog[H_SCRATCH] > 0) {
+        job.scratch = calloc((size_t)(prog[H_SCRATCH] * k), sizeof(double));
+        if (job.scratch == NULL)
+            return -1;
+    }
+#ifdef REPRO_TEAM
+    const int width = (int)prog[H_WIDTH];
+    if (width > 1 && team_claim(width)) {
+        team_run(&job, width);
+        used = width;
+    } else
+#endif
+    {
+        const double t0 = times ? now() : 0.0;
+        run_panels(&job, 0, prog[H_PANELS]);
+        if (times)
+            times[0] = now() - t0;
+    }
+    free(job.scratch);
+    return used;
+}
+
+int repro_run_spmv(const int64_t *prog, const double *x, double *y,
+                   double *times)
+{
+    return run_program(prog, x, y, 1, 0, times);
+}
+
+int repro_run_spmm(const int64_t *prog, const double *x, double *y,
+                   int64_t k, double *times)
+{
+    return run_program(prog, x, y, k, 1, times);
+}
+
+int repro_team_capable(void)
+{
+#ifdef REPRO_TEAM
+    return 1;
+#else
+    return 0;
+#endif
+}
+"""
+
+
+def runner_source() -> str:
+    """The C translation unit of the program runner. It builds with
+    ``-DREPRO_TEAM -pthread`` where the compiler supports threads and
+    runs every program serially without them."""
+    words = {**{f"H_{n}": i for i, n in enumerate(PROGRAM_HEADER)},
+             **{f"F_{n}": i for i, n in enumerate(TABLE_FIELDS)},
+             "HEADER": len(PROGRAM_HEADER), "ENTRY": len(TABLE_FIELDS),
+             "KIND_RANGED": KIND_RANGED, "KIND_SELLCS": KIND_SELLCS}
+    return ("/* repro generated program runner.\n * Auto-generated by "
+            "repro.kernels.cbackend.codegen — do not edit. */\n"
+            + "".join(f"#define {k.upper()} {v}\n" for k, v in words.items())
+            + _RUNNER)

@@ -6,10 +6,12 @@
 of padding. A matrix's first call binds it
 (:class:`~repro.kernels.cbackend.program.BoundProgram`, cached on the
 matrix): each leaf's raced best kernel and argument list are resolved
-once, and every later call only validates its vectors and walks the
-bound records. Formats without a compiled specialization (GCSR, raw
-COO) and variants whose compile or validation failed stay on the NumPy
-kernels, counted by ``c_backend.fallbacks``; compiled executions count
+once into one packed leaf table, and every later call only validates
+its vectors and makes one C call that walks the table (on the thread
+team when the plan has several row panels and threads). Formats
+without a compiled specialization (GCSR, raw COO) and variants whose
+compile or validation failed stay on the NumPy kernels, counted by
+``c_backend.fallbacks``; compiled executions count
 under ``c_backend.calls`` — one increment per block per call, both
 visible on the serve tier's Prometheus ``/metrics`` endpoint.
 """
@@ -19,11 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import KernelError, MatrixFormatError
-from ...formats.bcoo import BCOOMatrix
-from ...formats.bcsr import BCSRMatrix
-from ...formats.blocked import CacheBlockedMatrix
-from ...formats.csr import CSRMatrix
-from ...formats.sellcs import SellCSMatrix
 from ...observe import metrics as _metrics
 from .build import CBackendUnavailable, compiler_available
 from .loader import CKernel, bind_token, get_best_c_kernel
@@ -33,14 +30,6 @@ from .program import BoundProgram, kernel_key
 def c_backend_available() -> bool:
     """True when compiled kernels can run here (compiler + enabled)."""
     return compiler_available()
-
-
-def supports_format(matrix) -> bool:
-    """Does the C backend specialize this concrete format?"""
-    if isinstance(matrix, CacheBlockedMatrix):
-        return all(supports_format(b.matrix) for b in matrix.blocks)
-    return isinstance(matrix,
-                      (CSRMatrix, BCSRMatrix, BCOOMatrix, SellCSMatrix))
 
 
 def _best_kernel(leaf) -> CKernel | None:

@@ -1,8 +1,9 @@
 """Load compiled kernels via ctypes and validate before dispatch.
 
-``ctypes.CDLL`` releases the GIL for the duration of every foreign
-call, so a loaded kernel runs truly concurrently with other Python
-threads — the property :mod:`repro.parallel.threaded` builds on.
+Programs reach a loaded kernel through its function addresses, from
+the runner's one C call per matrix
+(:mod:`repro.kernels.cbackend.program`); ``ctypes`` releases the GIL
+for that call, so it runs concurrently with other Python threads.
 
 Every kernel is probed at load time: a randomized matrix (deterministic
 per variant, with deliberately empty rows) is pushed through both
@@ -59,17 +60,14 @@ _best: dict[tuple, "CKernel"] = {}
 #: Bumped by :func:`reset_for_tests`; part of :func:`bind_token`.
 _generation = 0
 
-_I64 = ctypes.c_int64
-_PTR = ctypes.c_void_p
-
 
 @dataclass(frozen=True)
 class CKernel:
     """One loaded, validated kernel: raw ctypes entry points."""
 
     variant: Variant
-    spmv: object                 #: ctypes function (format-specific)
-    spmm: object                 #: fused multi-vector entry (all formats)
+    spmv: object                 #: ctypes entry ``repro_spmv``
+    spmm: object                 #: fused multi-vector ``repro_spmm``
     path: str                    #: shared object on disk
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -77,21 +75,11 @@ class CKernel:
 
 
 def _bind(variant: Variant, path: str) -> CKernel:
+    """The two entries of a built object. Nothing calls them from
+    Python: a bound program hands their addresses to the runner."""
     lib = ctypes.CDLL(path)
-    if variant.fmt in ("csr", "bcsr"):        # ..., x, y, lo, hi
-        args = [_PTR] * 5 + [_I64] * 2
-    elif variant.fmt == "sellcs":
-        # The permutation round-trip runs inside the kernel: +perm
-        # pointer, un-permuted y, and the real row count.
-        args = [_PTR] * 6 + [_I64] * 3
-    else:                                     # bcoo: ..., x, y, ntiles
-        args = [_PTR] * 5 + [_I64]
-    spmv, spmm = lib.repro_spmv, lib.repro_spmm
-    spmv.restype = spmm.restype = None
-    spmv.argtypes = args
-    # The fused SpMM adds the column count k among the trailing int64s.
-    spmm.argtypes = args + [_I64]
-    return CKernel(variant=variant, spmv=spmv, spmm=spmm, path=path)
+    return CKernel(variant=variant, spmv=lib.repro_spmv,
+                   spmm=lib.repro_spmm, path=path)
 
 
 def _probe_matrix(seed: int) -> COOMatrix:
@@ -311,5 +299,4 @@ def reset_for_tests() -> None:
         _broken.clear()
         _best.clear()
         build._compiler_cache.clear()
-        build._caps_cache.clear()
-        build._native_cache.clear()
+        build._per_compiler.clear()

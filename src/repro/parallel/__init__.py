@@ -4,9 +4,10 @@ Implements the paper's §4.3 toolkit: row partitioning statically
 balanced by nonzeros (the strategy the paper exploits), column
 partitioning and a segmented-scan decomposition (described as future
 work — implemented here), NUMA-aware block-to-node assignment, and
-real parallel execution on the host machine: a thread-pool path over
-the GIL-free compiled C kernels (:mod:`repro.parallel.threaded`). The
-persistent multi-process tier lives in :mod:`repro.dist`.
+real parallel execution on the host machine: nnz-balanced row slabs
+on the compiled backend's persistent thread team
+(:mod:`repro.parallel.threaded`), the same team every tuned plan's
+row panels run on (:mod:`repro.kernels.cbackend.program`).
 """
 
 from .column import column_parallel_spmv, column_partition_traffic_factor

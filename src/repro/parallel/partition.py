@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import balanced_bounds
 from ..errors import PartitionError
 from ..formats.coo import COOMatrix
 
@@ -65,23 +66,21 @@ def partition_rows_balanced(coo: COOMatrix, n_parts: int) -> RowPartition:
     ``nnz / n_parts``. A row is never split, so a single gigantic row
     (LP's densest constraints) bounds the achievable balance.
     """
+    return partition_counts_balanced(coo.row_counts(), n_parts)
+
+
+def partition_counts_balanced(counts: np.ndarray,
+                              n_parts: int) -> RowPartition:
+    """:func:`partition_rows_balanced` from the per-row nonzero
+    ``counts`` alone (a CSR's ``diff(indptr)``)."""
     if n_parts < 1:
         raise PartitionError(f"n_parts must be >= 1, got {n_parts}")
-    m = coo.nrows
+    m = len(counts)
     if n_parts > max(m, 1):
         raise PartitionError(
             f"cannot make {n_parts} row parts of a {m}-row matrix"
         )
-    counts = coo.row_counts()
-    csum = np.cumsum(counts)
-    total = int(csum[-1]) if m else 0
-    targets = (np.arange(1, n_parts) * total) / n_parts
-    cuts = np.searchsorted(csum, targets, side="left") + 1
-    bounds = np.concatenate([[0], cuts, [m]]).astype(np.int64)
-    # Monotonicity guard: empty leading rows can produce repeated cuts.
-    bounds = np.maximum.accumulate(bounds)
-    bounds[-1] = m
-    return _partition_from_bounds(counts, bounds)
+    return _partition_from_bounds(counts, balanced_bounds(counts, n_parts))
 
 
 def partition_rows_equal(coo: COOMatrix, n_parts: int) -> RowPartition:

@@ -1,16 +1,14 @@
-"""Thread-pool SpMV over the GIL-free compiled kernels.
+"""Row-slab SpMV on the compiled backend's thread team.
 
-NumPy kernels hold the GIL, so threads over them only time-slice (the
-process-level answer is the persistent shard tier, :mod:`repro.dist`).
-The compiled CSR kernels in :mod:`repro.kernels.cbackend` release it
-(``ctypes`` drops the GIL for the duration of every foreign call), so
-plain threads become a real parallel path: no fork, no copy-on-write
-pages, no result shipping — each thread runs the kernel over a disjoint
-``[r0, r1)`` row range of the *same* matrix, writing disjoint slices of
-one shared destination.
+:func:`threaded_spmv` runs one CSR matrix as ``n`` row slabs from the
+same nonzero-balanced partitioner the rest of the parallel tier uses
+(the paper's static load-balancing strategy). Each slab is one entry
+``[r0, r1)`` of the matrix's compiled CSR leaf in a row panel of its
+own, so all of them run in one call on the persistent thread team of
+:mod:`repro.kernels.cbackend.program`: no fork, no pool per call, no
+result shipping — each slot writes disjoint rows of one shared
+destination, and each row is summed by one thread in serial order.
 
-Row ranges come from the same nonzero-balanced partitioner the rest of
-the parallel tier uses (the paper's static load-balancing strategy).
 Without a compiler (``REPRO_DISABLE_CC=1``) the call degrades to the
 serial NumPy kernel, counted in ``threaded.serial_fallbacks``.
 """
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,24 +24,13 @@ from ..errors import PartitionError
 from ..formats.csr import CSRMatrix
 from ..kernels.cbackend.build import CBackendUnavailable
 from ..kernels.cbackend.dispatch import program_for
+from ..kernels.cbackend.program import LeafTable, team_limit
 from ..observe import context as _context
 from ..observe import metrics as _metrics
 from ..observe import trace as _trace
 from ..observe.perf.attribution import observe_kernel as _observe_kernel
 from ..observe.trace import span as _span
-from .partition import RowPartition, partition_rows_balanced
-
-
-class _RowCountsView:
-    """Adapter so the COO-based partitioner can read a CSR directly
-    (row counts are just ``diff(indptr)`` — no conversion needed)."""
-
-    def __init__(self, csr: CSRMatrix):
-        self.nrows = csr.nrows
-        self._counts = np.diff(csr.indptr)
-
-    def row_counts(self) -> np.ndarray:
-        return self._counts
+from .partition import RowPartition, partition_counts_balanced
 
 
 def _plan_threads(csr: CSRMatrix, n_threads: int | None,
@@ -59,42 +45,13 @@ def _plan_threads(csr: CSRMatrix, n_threads: int | None,
 def _resolve_partition(csr: CSRMatrix, partition: RowPartition | None,
                        n_threads: int) -> RowPartition:
     if partition is None:
-        return partition_rows_balanced(_RowCountsView(csr), n_threads)
+        return partition_counts_balanced(np.diff(csr.indptr), n_threads)
     if partition.n_parts != n_threads:
         raise PartitionError(
             f"partition has {partition.n_parts} parts, "
             f"expected {n_threads}"
         )
     return partition
-
-
-def _run_ranges(ranges, run_one, n_threads: int) -> np.ndarray:
-    """Execute ``run_one(r0, r1)`` across a pool; returns per-thread
-    wall seconds (for the imbalance gauge).
-
-    Pool threads don't inherit the submitter's contextvars, so the
-    trace context is captured here; under a sampled one each worker's
-    slab gets its own span (via :func:`~repro.observe.trace.emit` —
-    the worker ran outside the context's execution context).
-    """
-    secs = np.empty(len(ranges), dtype=np.float64)
-    ctx = _context.current()
-    sampled = ctx is not None and ctx.sampled \
-        and _trace.get_span_sink() is not None
-
-    def timed(i: int) -> None:
-        wall0 = time.time()
-        t0 = time.perf_counter()
-        run_one(*ranges[i])
-        secs[i] = time.perf_counter() - t0
-        if sampled:
-            _trace.emit("threaded.worker", ctx, wall0, secs[i],
-                        worker=i, rows=list(map(int, ranges[i])))
-
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        # list() propagates the first worker exception, if any.
-        list(pool.map(timed, range(len(ranges))))
-    return secs
 
 
 def _record(secs: np.ndarray, s) -> None:
@@ -119,15 +76,16 @@ def threaded_spmv(
     partition: RowPartition | None = None,
     min_nnz_per_thread: int = 25_000,
 ) -> np.ndarray:
-    """``y ← y + A·x`` with one thread per nnz-balanced row slab.
+    """``y ← y + A·x`` as nnz-balanced row slabs on the thread team.
 
-    ``n_threads`` defaults to the CPU count, clamped so each thread
-    gets at least ``min_nnz_per_thread`` nonzeros; ``partition`` is an
-    optional pre-computed row partition with that many parts. Results
-    match the serial compiled kernel bitwise — each row is summed by
-    exactly one thread in the same order — and match ``csr.spmv`` to
-    ~1e-15. With one slab or no compiler it runs the serial NumPy
-    kernel instead.
+    ``n_threads`` (the slab count) defaults to the CPU count, clamped
+    so each slab gets at least ``min_nnz_per_thread`` nonzeros;
+    ``partition`` is an optional pre-computed row partition with that
+    many parts. The slabs run on at most as many team threads as this
+    process has CPUs. Results match the serial compiled kernel bitwise
+    — each row is summed by exactly one thread in the same order — and
+    match ``csr.spmv`` to ~1e-15. With one slab or no compiler it runs
+    the serial NumPy kernel instead.
     """
     x, y = csr._check_spmv_args(x, y)
     n = _plan_threads(csr, n_threads, min_nnz_per_thread)
@@ -142,18 +100,28 @@ def threaded_spmv(
         with _span("threaded.spmv", threads=1, nnz=csr.nnz_stored):
             return csr.spmv(x, y)
     part = _resolve_partition(csr, partition, n)
+    table = LeafTable(
+        [leaf.entry(0, 0, lo=r0, hi=r1) for r0, r1 in part.ranges()],
+        list(range(n + 1)), part.nnz_per_part, team_limit(), 0)
     xc = np.ascontiguousarray(x)
     yc = y if y.flags.c_contiguous else np.ascontiguousarray(y)
-    x_addr, y_addr = xc.ctypes.data, yc.ctypes.data
-
-    def run_one(r0: int, r1: int) -> None:
-        leaf.spmv(x_addr, y_addr, r0, r1)
-
+    secs = np.zeros(table.width)
     with _span("threaded.spmv", threads=n, nnz=csr.nnz_stored) as s:
+        wall0 = time.time()
         t0 = time.perf_counter()
-        secs = _run_ranges(part.ranges(), run_one, n)
+        used = table.run(xc, yc, secs)
         _observe_kernel(csr, time.perf_counter() - t0, backend="threaded")
-        _record(secs, s)
+        _record(secs[:used], s)
+        ctx = _context.current()
+        if ctx is not None and ctx.sampled \
+                and _trace.get_span_sink() is not None:
+            # One span per slot, from the seconds the runner wrote; a
+            # busy team ran every slab in slot 0.
+            slots = table.slots if used > 1 else [0, n]
+            for i in range(used):
+                rows = part.bounds[slots[i]], part.bounds[slots[i + 1]]
+                _trace.emit("threaded.worker", ctx, wall0, float(secs[i]),
+                            worker=i, rows=list(map(int, rows)))
     if yc is not y:
         y[...] = yc
     return y
