@@ -272,7 +272,7 @@ def _table(leaves, placed, panels, width: int) -> LeafTable:
     return LeafTable(entries, panels, nnz, width, scratch)
 
 
-def row_panels(extents: list[tuple[int, int]]) -> list[int]:
+def _row_panels(extents: list[tuple[int, int]]) -> list[int]:
     """Entry bounds of the row panels of blocks with row extents
     ``extents`` (in block order): a panel ends where no later block
     reaches back into a row it covers."""
@@ -346,7 +346,7 @@ class BoundProgram:
         self._steps: list[Callable] = []
         if all(self.leaves):
             extents = [(r0, r0 + sub.nrows) for sub, r0, _ in placed]
-            self.table = _table(self.leaves, placed, row_panels(extents),
+            self.table = _table(self.leaves, placed, _row_panels(extents),
                                 min(n_threads, team_limit()))
             return
         for compiled, run in groupby(range(len(placed)),
