@@ -807,7 +807,7 @@ static void *team_worker(void *arg)
         pthread_mutex_unlock(&team_lock);
         run_slot(job, slot);
         pthread_mutex_lock(&team_lock);
-        if (--team_pending == 0)
+        if (__atomic_sub_fetch(&team_pending, 1, __ATOMIC_RELEASE) == 0)
             pthread_cond_signal(&team_done);
     }
     return NULL;
@@ -876,6 +876,12 @@ static void team_run(const job_t *job, int width)
     pthread_cond_broadcast(&team_wake);
     pthread_mutex_unlock(&team_lock);
     run_slot(job, 0);
+    /* The other slots' shares end about when this one does: poll for
+     * up to 20 us before sleeping, so the hand-back needs no wake-up. */
+    const double until = now() + 20e-6;
+    while (__atomic_load_n(&team_pending, __ATOMIC_ACQUIRE) > 0
+           && now() < until)
+        ;
     pthread_mutex_lock(&team_lock);
     while (team_pending > 0)
         pthread_cond_wait(&team_done, &team_lock);
@@ -893,7 +899,9 @@ static int run_program(const int64_t *prog, const double *x, double *y,
     job_t job = {prog, x, y, NULL, k, mm, times};
     int used = 1;
     if (prog[H_SCRATCH] > 0) {
-        job.scratch = calloc((size_t)(prog[H_SCRATCH] * k), sizeof(double));
+        /* +1: a k = 0 call still gets a real (unused) buffer. */
+        job.scratch = calloc((size_t)(prog[H_SCRATCH] * k) + 1,
+                             sizeof(double));
         if (job.scratch == NULL)
             return -1;
     }

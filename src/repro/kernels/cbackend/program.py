@@ -35,7 +35,8 @@ blocks whose row extents do not overlap any later block's. A program
 runs on ``min(plan n_threads, CPUs this process may use, panels)``
 slots of the runner's thread team — created once per process, grown
 to the widest program run so far, parked on a condition variable
-between calls (no CPU while idle), the calling thread being slot 0.
+between calls (no CPU while idle), the calling thread being slot 0
+(it polls for the other slots for at most 20 µs before it sleeps).
 Each slot owns a contiguous, nonzero-balanced run of panels and runs
 its blocks in block order (the paper's static, nnz-balanced row
 partition, §4.3), so every row is summed by one thread in the serial
