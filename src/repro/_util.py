@@ -149,16 +149,6 @@ def unique_count(a: np.ndarray) -> int:
     return int(np.count_nonzero(s[1:] != s[:-1])) + 1
 
 
-def human_bytes(n: float) -> str:
-    """Render a byte count with a binary-prefix unit, e.g. ``'1.5 MiB'``."""
-    n = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(n) < 1024.0 or unit == "TiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024.0
-    raise AssertionError("unreachable")
-
-
 # ----------------------------------------------------------------------
 # On-disk artifacts
 # ----------------------------------------------------------------------

@@ -1,18 +1,10 @@
-"""Performance analysis: flop:byte bounds, roofline, power, reports."""
+"""Performance analysis: power efficiency, tables, figure rendering."""
 
-from .bounds import epidemiology_bound, flop_byte_bound, spmv_upper_bound
-from .power import power_efficiency, power_efficiency_table
+from .power import power_efficiency
 from .report import format_table, median
-from .roofline import RooflinePoint, roofline_model
 
 __all__ = [
-    "RooflinePoint",
-    "epidemiology_bound",
-    "flop_byte_bound",
     "format_table",
     "median",
     "power_efficiency",
-    "power_efficiency_table",
-    "roofline_model",
-    "spmv_upper_bound",
 ]

@@ -1,16 +1,15 @@
 """ASCII rendering of the paper's figures from sweep data.
 
 Consumes the ``{matrix: {bar_label: gflops}}`` dictionaries the
-benchmark harness produces (and caches as JSON) and renders Figure 1
-panels and Figure 2 summaries as monospace charts — the terminal
-counterpart of the paper's plots.
+paper generator produces and renders Figure 1 panels as monospace
+charts — the terminal counterpart of the paper's plots.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .report import format_bar_chart, format_table, median
+from .report import format_table, median
 
 
 def render_figure1_panel(
@@ -50,46 +49,3 @@ def render_figure1_panel(
     lines.append("")
     lines.append(format_table(["bar", "median GF/s"], med_rows))
     return "\n".join(lines)
-
-
-def render_figure2a(
-    medians: Mapping[str, Mapping[str, float]],
-) -> str:
-    """Figure 2a: median Gflop/s at 1 core / socket / system."""
-    rows = [
-        [name, v.get("1 core", float("nan")),
-         v.get("socket", float("nan")),
-         v.get("system", float("nan"))]
-        for name, v in medians.items()
-    ]
-    return format_table(
-        ["machine", "1 core", "1 socket", "full system"], rows,
-        title="Figure 2a — median matrix performance (Gflop/s)",
-    )
-
-
-def render_figure2b(
-    efficiency: Mapping[str, float],
-) -> str:
-    """Figure 2b: power-efficiency bars (Mflop/s per Watt)."""
-    return format_bar_chart(
-        list(efficiency), list(efficiency.values()),
-        unit=" Mflop/s/W",
-        title="Figure 2b — full-system power efficiency",
-    )
-
-
-def speedup(data: Mapping[str, Mapping[str, float]],
-            numerator: str, denominator: str) -> float:
-    """Median speedup between two bars across a Figure 1 panel."""
-    ratios = [
-        bars[numerator] / bars[denominator]
-        for bars in data.values()
-        if numerator in bars and denominator in bars
-        and bars[denominator] > 0
-    ]
-    if not ratios:
-        raise ValueError(
-            f"no matrices carry both {numerator!r} and {denominator!r}"
-        )
-    return median(ratios)

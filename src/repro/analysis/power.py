@@ -15,28 +15,3 @@ def power_efficiency(machine: Machine, gflops: float) -> float:
     if machine.watts_system <= 0:
         raise ReproError(f"{machine.name} has no system power figure")
     return gflops * 1e3 / machine.watts_system
-
-
-def socket_power_efficiency(machine: Machine, gflops: float) -> float:
-    """Mflop/s per Watt counting socket power only (chips, not system)."""
-    if machine.watts_sockets <= 0:
-        raise ReproError(f"{machine.name} has no socket power figure")
-    return gflops * 1e3 / machine.watts_sockets
-
-
-def power_efficiency_table(
-    results: dict[Machine, float]
-) -> list[dict]:
-    """Figure 2b rows: machine → median full-system Mflop/s/W."""
-    rows = []
-    for machine, gflops in results.items():
-        rows.append(
-            {
-                "machine": machine.name,
-                "gflops": gflops,
-                "watts_system": machine.watts_system,
-                "mflops_per_watt": power_efficiency(machine, gflops),
-            }
-        )
-    rows.sort(key=lambda r: -r["mflops_per_watt"])
-    return rows

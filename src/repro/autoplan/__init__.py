@@ -18,7 +18,9 @@ Training samples are not stored here: every tuned plan-cache envelope
 carries one (:meth:`repro.serve.PlanCache.samples`), and the model
 artifact lives in the same directory. The background re-tune that
 confirms or overrides a predicted plan on a live entry is part of the
-serve tier (:meth:`repro.serve.registry.MatrixRegistry.retune`).
+serve tier (:meth:`repro.serve.registry.MatrixRegistry.retune`), and
+nothing here imports :mod:`repro.serve`. ``examples/autoplan_smoke.py``
+scores the model against the heuristic and the sweep by regret.
 """
 
 from .features import FEATURE_VERSION, FeatureVector, extract_features

@@ -31,6 +31,10 @@ kernels             List compiled C kernel variants and cache status.
 Every command accepts ``--trace FILE`` (JSONL spans, load with
 :func:`repro.observe.read_trace`) and ``--trace-chrome FILE`` (Chrome
 trace-event JSON, open in ``about://tracing`` or Perfetto).
+
+``serve`` and ``cluster node`` are one handler over one flag
+declaration, differing in the ``--port`` default and the banner.
+Nothing here times anything: the one benchmark is ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,11 @@
 machine: partition rows across threads by nonzero count, cache/TLB-block
 each thread's slab, pick the minimum-footprint format per cache block in
 one pass, then either *simulate* the run on the machine model or
-*materialize* the real data structure and execute it numerically.
+*materialize* the real data structure and execute it numerically
+(its blocks run through :mod:`repro.kernels.registry`, on the NumPy or
+the compiled kernels). :meth:`SpmvEngine.simulate_ladder` simulates
+every Figure 1 point of a machine, ``{label: SimResult}`` in figure
+order, for the paper generator, the CLI and the examples.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from ..observe.trace import span as _span
 from ..formats.coo import COOMatrix
 from ..machines.model import Machine
 from ..parallel.numa import assign_numa
-from ..parallel.partition import RowPartition, partition_rows_balanced
+from ..parallel.partition import partition_rows_balanced
 from ..simulator.events import SimResult
 from ..simulator.executor import simulate_plan
 from ..simulator.traffic import BlockProfile, PlanProfile

@@ -10,7 +10,8 @@ mandatory DMAs and compressed 2 byte indices").
 
 :func:`ladder` is the one place that decides each machine's Figure 1
 bars — label, rung, thread count, placement — and which of them stand
-for one core, one socket and the full system in Figure 2a and Table 4.
+for one core, one socket and the full system in Figure 2a and Table 4
+(:func:`role_point`).
 """
 
 from __future__ import annotations

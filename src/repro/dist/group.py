@@ -13,9 +13,7 @@ inverted: distribute once, compute forever.
 Each shard owns a contiguous nnz-balanced row slab and writes its rows
 of the shared destination buffer directly, so results are
 bit-identical to serial ``csr.spmv`` (per-row reductions see the same
-operands in the same order regardless of slab boundaries). The
-column-partitioned alternative the paper describes stays an
-executable reference in :mod:`repro.parallel.column`.
+operands in the same order regardless of slab boundaries).
 
 Degradation: without the ``fork`` start method (or with fewer than two
 shards, or for degenerate matrices) the group runs serially in-process

@@ -30,7 +30,6 @@ from .bcsr import BCSRMatrix
 from .blocked import CacheBlock, CacheBlockedMatrix
 from .convert import (
     coo_to_csr,
-    csr_to_coo,
     to_bcoo,
     to_bcsr,
     to_cache_blocked,
@@ -39,9 +38,9 @@ from .convert import (
 )
 from .coo import COOMatrix
 from .csr import CSRMatrix
-from .footprint import format_footprint_bytes, naive_footprint_bytes
+from .footprint import naive_footprint_bytes
 from .gcsr import GCSRMatrix
-from .index import index_dtype, min_index_width, validate_index_width
+from .index import min_index_width, validate_index_width
 from .multivector import spmm, spmm_intensity_gain
 from .sellcs import SellCSMatrix
 from .symmetric import SymmetricCSRMatrix
@@ -61,9 +60,6 @@ __all__ = [
     "coo_to_csr",
     "spmm",
     "spmm_intensity_gain",
-    "csr_to_coo",
-    "format_footprint_bytes",
-    "index_dtype",
     "min_index_width",
     "naive_footprint_bytes",
     "to_bcoo",

@@ -134,6 +134,9 @@ class SparseFormat(ABC):
                 )
             if y.dtype != np.float64:
                 raise ValueError("y must be float64 to accumulate in place")
+            if np.may_share_memory(x, y):
+                # The kernels write y while they still read x.
+                x = x.copy()
         return x, y
 
     def __getstate__(self) -> dict:

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .._util import as_index, ceil_div, unique_count
+from .._util import ceil_div, unique_count
 from ..errors import ConversionError
 from .base import IndexWidth, SparseFormat
 from .bcoo import BCOOMatrix
@@ -41,11 +41,6 @@ def coo_to_csr(coo: COOMatrix, index_width: IndexWidth | None = None) -> CSRMatr
     indptr = np.zeros(coo.nrows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return CSRMatrix(coo.shape, indptr, coo.col, coo.val, index_width=width)
-
-
-def csr_to_coo(csr: CSRMatrix) -> COOMatrix:
-    """Inverse of :func:`coo_to_csr`."""
-    return csr.to_coo()
 
 
 def to_gcsr(coo: COOMatrix, index_width: IndexWidth | None = None) -> GCSRMatrix:

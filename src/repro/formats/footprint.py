@@ -22,32 +22,6 @@ def naive_footprint_bytes(nnz: int) -> int:
     return (VALUE_BYTES + 2 * POINTER_BYTES) * int(nnz)
 
 
-def format_footprint_bytes(matrix: SparseFormat) -> int:
-    """Exact stored bytes of any concrete format."""
-    return matrix.footprint_bytes()
-
-
-def compression_ratio(matrix: SparseFormat) -> float:
-    """Naive bytes divided by actual bytes (higher is better).
-
-    A well-blocked FEM matrix approaches 2.0 (half the naive footprint);
-    padding-heavy blockings can fall below 1.0, which is exactly the case
-    the footprint heuristic exists to avoid.
-    """
-    naive = naive_footprint_bytes(matrix.nnz_logical)
-    actual = matrix.footprint_bytes()
-    if actual == 0:
-        return 1.0
-    return naive / actual
-
-
-def bytes_per_nonzero(matrix: SparseFormat) -> float:
-    """Average stored bytes per logical nonzero."""
-    if matrix.nnz_logical == 0:
-        return 0.0
-    return matrix.footprint_bytes() / matrix.nnz_logical
-
-
 def spmv_compulsory_bytes(
     matrix: SparseFormat, *, write_allocate: bool = True
 ) -> int:

@@ -49,11 +49,6 @@ def validate_index_width(width: IndexWidth, span: int) -> IndexWidth:
     return width
 
 
-def index_dtype(width: IndexWidth) -> np.dtype:
-    """NumPy dtype backing a given index width."""
-    return IndexWidth(width).dtype
-
-
 def pack_indices(values: np.ndarray, width: IndexWidth, span: int) -> np.ndarray:
     """Cast an int array to the storage dtype of ``width``, validating range.
 

@@ -20,12 +20,10 @@ from .coo import COOMatrix
 from .csr import CSRMatrix
 
 
-def spmm(matrix, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """``Y ← Y + A·X`` with ``X`` of shape ``(ncols, k)``.
-
-    Dispatches on the concrete format; falls back to k SpMV calls for
-    formats without a fused kernel.
-    """
+def _check_spmm_args(matrix, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, Y)`` for ``Y ← Y + A·X`` on any backend: ``X`` as float64
+    ``(ncols, k)``, ``Y`` a float64 ``(nrows, k)`` array (zeros when
+    None), and ``X`` copied when it overlaps ``Y``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != matrix.ncols:
         raise MatrixFormatError(
@@ -33,11 +31,26 @@ def spmm(matrix, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         )
     k = x.shape[1]
     if y is None:
-        y = np.zeros((matrix.nrows, k), dtype=np.float64)
-    elif y.shape != (matrix.nrows, k):
+        return x, np.zeros((matrix.nrows, k), dtype=np.float64)
+    if y.shape != (matrix.nrows, k) or y.dtype != np.float64:
         raise MatrixFormatError(
-            f"Y must have shape ({matrix.nrows}, {k}), got {y.shape}"
+            f"Y must be float64 of shape ({matrix.nrows}, {k}), "
+            f"got {y.dtype} {y.shape}"
         )
+    if np.may_share_memory(x, y):
+        # The kernels write Y while they still read X.
+        x = x.copy()
+    return x, y
+
+
+def spmm(matrix, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """``Y ← Y + A·X`` with ``X`` of shape ``(ncols, k)``.
+
+    Dispatches on the concrete format; falls back to k SpMV calls for
+    formats without a fused kernel.
+    """
+    x, y = _check_spmm_args(matrix, x, y)
+    k = x.shape[1]
     if k == 1:
         # Single-vector batches take the exact SpMV kernel so a batch
         # of one is bit-for-bit identical to a direct spmv call (the

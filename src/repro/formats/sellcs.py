@@ -28,6 +28,11 @@ round-trip included.
 16-bit indices: column indices address the *original* column space
 (unlike BCSR's block columns), so ``IndexWidth.I16`` is refused for
 matrices wider than 64 K columns.
+
+The planner picks it through ``OptimizationConfig.sellcs_chunk`` /
+``sellcs_sigma`` (:func:`sellcs_stats` prices the fill from row
+counts alone), and the autoplan sweep offers it as a candidate with a
+``sellcs_fill_8`` feature.
 """
 
 from __future__ import annotations

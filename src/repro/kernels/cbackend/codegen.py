@@ -665,10 +665,10 @@ _RUNNER = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#include <time.h>
 #ifdef REPRO_TEAM
 #include <pthread.h>
 #include <signal.h>
+#include <time.h>
 #endif
 
 typedef void (*fn6)(const void *, const void *, const void *,
@@ -694,15 +694,7 @@ typedef struct {
     double *scratch;
     int64_t k;          /* vector columns (1 for SpMV) */
     int mm;             /* 1: the fused SpMM entries */
-    double *times;      /* per-slot seconds, or NULL */
 } job_t;
-
-static double now(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
-}
 
 /* One leaf: through scratch where its tile grid overhangs (the x
  * segment copied in, the y segment zero since the call began), then
@@ -781,15 +773,19 @@ static uint64_t team_born[TEAM_MAX];
 static int team_width, team_pending;
 static const job_t *team_job;
 
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
 /* One team slot's share: its static run of panels. */
 static void run_slot(const job_t *job, int slot)
 {
     const int64_t *prog = job->prog;
     const int64_t *first = prog + HEADER + prog[H_PANELS] + 1;
-    const double t0 = job->times ? now() : 0.0;
     run_panels(job, first[slot], first[slot + 1]);
-    if (job->times)
-        job->times[slot] = now() - t0;
 }
 
 static void *team_worker(void *arg)
@@ -894,9 +890,9 @@ static void team_run(const job_t *job, int width)
  * the slots that ran it (1: serially), or -1 when scratch could not
  * be allocated. */
 static int run_program(const int64_t *prog, const double *x, double *y,
-                       int64_t k, int mm, double *times)
+                       int64_t k, int mm)
 {
-    job_t job = {prog, x, y, NULL, k, mm, times};
+    job_t job = {prog, x, y, NULL, k, mm};
     int used = 1;
     if (prog[H_SCRATCH] > 0) {
         /* +1: a k = 0 call still gets a real (unused) buffer. */
@@ -912,26 +908,20 @@ static int run_program(const int64_t *prog, const double *x, double *y,
         used = width;
     } else
 #endif
-    {
-        const double t0 = times ? now() : 0.0;
         run_panels(&job, 0, prog[H_PANELS]);
-        if (times)
-            times[0] = now() - t0;
-    }
     free(job.scratch);
     return used;
 }
 
-int repro_run_spmv(const int64_t *prog, const double *x, double *y,
-                   double *times)
+int repro_run_spmv(const int64_t *prog, const double *x, double *y)
 {
-    return run_program(prog, x, y, 1, 0, times);
+    return run_program(prog, x, y, 1, 0);
 }
 
 int repro_run_spmm(const int64_t *prog, const double *x, double *y,
-                   int64_t k, double *times)
+                   int64_t k)
 {
-    return run_program(prog, x, y, k, 1, times);
+    return run_program(prog, x, y, k, 1);
 }
 
 int repro_team_capable(void)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...errors import KernelError, MatrixFormatError
+from ...errors import KernelError
+from ...formats.multivector import _check_spmm_args
 from ...observe import metrics as _metrics
 from .build import CBackendUnavailable, compiler_available
 from .loader import CKernel, bind_token, get_best_c_kernel
@@ -109,20 +110,8 @@ def spmm_c(matrix, x: np.ndarray,
     without a compiled specialization (GCSR, raw COO) and broken
     variants fall back to the NumPy SpMM.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != matrix.ncols:
-        raise MatrixFormatError(
-            f"X must have shape ({matrix.ncols}, k), got {x.shape}"
-        )
-    k = x.shape[1]
-    if y is None:
-        y = np.zeros((matrix.nrows, k), dtype=np.float64)
-    elif y.shape != (matrix.nrows, k) or y.dtype != np.float64:
-        raise MatrixFormatError(
-            f"Y must be float64 of shape ({matrix.nrows}, {k}), "
-            f"got {y.dtype} {y.shape}"
-        )
-    if k == 1:
+    x, y = _check_spmm_args(matrix, x, y)
+    if x.shape[1] == 1:
         # Exact single-vector kernel, mirroring the NumPy spmm's k==1
         # fast path (spmv_c handles any strides).
         spmv_c(matrix, x[:, 0], y[:, 0])

@@ -189,8 +189,8 @@ def bind_leaf(matrix, kernel) -> BoundLeaf:
 @functools.cache
 def _load_runner(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
-    lib.repro_run_spmv.argtypes = [_PTR] * 4
-    lib.repro_run_spmm.argtypes = [_PTR] * 3 + [ctypes.c_int64, _PTR]
+    lib.repro_run_spmv.argtypes = [_PTR] * 3
+    lib.repro_run_spmm.argtypes = [_PTR] * 3 + [ctypes.c_int64]
     lib.repro_team_capable.argtypes = []
     lib.repro_run_spmv.restype = lib.repro_run_spmm.restype = \
         lib.repro_team_capable.restype = ctypes.c_int
@@ -221,7 +221,7 @@ class LeafTable:
     rows of padding scratch one call needs per vector column.
     """
 
-    __slots__ = ("words", "addr", "width", "slots", "_spmv", "_spmm")
+    __slots__ = ("words", "addr", "width", "_spmv", "_spmm")
 
     def __init__(self, entries: list[list[int]], panels: list[int],
                  nnz, width: int, scratch: int):
@@ -239,20 +239,16 @@ class LeafTable:
             dtype=np.int64)
         self.addr = self.words.ctypes.data
         self.width = width
-        #: Each slot's first panel, then the panel count.
-        self.slots = slots
         self._spmv, self._spmm = lib.repro_run_spmv, lib.repro_run_spmm
 
-    def run(self, x: np.ndarray, y: np.ndarray, times=None) -> int:
+    def run(self, x: np.ndarray, y: np.ndarray) -> int:
         """``y ← y + A·x``, or ``Y ← Y + A·X`` on row-major ``(n, k)``
-        blocks; returns the slots that ran it. ``times`` (float64, one
-        per slot) receives each slot's seconds."""
-        t = None if times is None else times.ctypes.data
+        blocks; returns the slots that ran it."""
         if x.ndim == 1:
-            used = self._spmv(self.addr, x.ctypes.data, y.ctypes.data, t)
+            used = self._spmv(self.addr, x.ctypes.data, y.ctypes.data)
         else:
             used = self._spmm(self.addr, x.ctypes.data, y.ctypes.data,
-                              x.shape[1], t)
+                              x.shape[1])
         if used < 0:
             raise MemoryError("no memory for the program's padding scratch")
         return used

@@ -15,7 +15,6 @@ from .graph import power_law_graph
 from .io import load_matrix, load_matrix_market, save_matrix, save_matrix_market
 from .lp import set_cover_lp
 from .random_sparse import scattered_matrix
-from .reorder import bandwidth_of, permute, rcm_reorder, reverse_cuthill_mckee
 from .stats import (
     BandwidthStats,
     MatrixStats,
@@ -41,12 +40,8 @@ __all__ = [
     "BandwidthStats",
     "MatrixStats",
     "RowLengthStats",
-    "bandwidth_of",
     "bandwidth_stats",
     "block_fill_ratio",
-    "permute",
-    "rcm_reorder",
-    "reverse_cuthill_mckee",
     "clustered_rows_matrix",
     "compute_stats",
     "dense_in_sparse",

@@ -201,21 +201,3 @@ def nnz_per_row_per_cache_block(
     key = coo.row * (int(block.max()) + 1 if len(block) else 1) + block
     # Each distinct (row, block) pair is one inner-loop instance.
     return coo.nnz_logical / unique_count(key)
-
-
-def spyplot_grid(coo: COOMatrix, grid: int = 64) -> np.ndarray:
-    """Downsampled nonzero-density image (text spyplot substitute).
-
-    Returns a ``grid × grid`` float array with the fraction of each
-    cell's slots occupied — used by reports to visualize structure the
-    way Table 3's spyplots do.
-    """
-    m, n = coo.shape
-    out = np.zeros((grid, grid), dtype=np.float64)
-    if coo.nnz_logical == 0 or m == 0 or n == 0:
-        return out
-    gi = np.minimum((coo.row * grid) // max(m, 1), grid - 1)
-    gj = np.minimum((coo.col * grid) // max(n, 1), grid - 1)
-    np.add.at(out, (gi, gj), 1.0)
-    cell = (m / grid) * (n / grid)
-    return np.minimum(out / max(cell, 1e-12), 1.0)

@@ -40,7 +40,7 @@ collapsed-stack sampling profiler.
 """
 
 from .context import TRACE_HEADER, TraceContext, from_header, new_trace
-from .hub import TraceHub, get_hub, install_hub, uninstall_hub
+from .hub import TraceHub, install_hub, uninstall_hub
 from .metrics import (
     DEFAULT_BUCKETS,
     HistogramSummary,
@@ -92,7 +92,6 @@ __all__ = [
     "enable",
     "from_header",
     "get_ceilings",
-    "get_hub",
     "get_registry",
     "get_tracer",
     "install_hub",

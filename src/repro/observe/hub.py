@@ -162,10 +162,6 @@ def install_hub(hub: TraceHub | None = None) -> TraceHub:
     return _HUB
 
 
-def get_hub() -> TraceHub | None:
-    return _HUB
-
-
 def uninstall_hub() -> None:
     global _HUB
     _HUB = None

@@ -31,8 +31,6 @@ from .attribution import (
     PerfAttributor,
     PerfSample,
     configure,
-    get_attributor,
-    global_ceilings,
     observe_kernel,
     sample_kernel,
 )
@@ -67,9 +65,7 @@ __all__ = [
     "collate_stacks",
     "configure",
     "default_cache_path",
-    "get_attributor",
     "get_ceilings",
-    "global_ceilings",
     "host_fingerprint",
     "load_ceilings",
     "measure_ceilings",

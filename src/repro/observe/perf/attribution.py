@@ -36,8 +36,6 @@ __all__ = [
     "PerfSample",
     "configure",
     "format_label",
-    "get_attributor",
-    "global_ceilings",
     "observe_kernel",
     "sample_kernel",
 ]
@@ -114,8 +112,8 @@ class PerfSample:
 class PerfAttributor:
     """Turns (counts, seconds) into :class:`PerfSample` and emits metrics.
 
-    A single process-wide instance (see :func:`get_attributor`) holds
-    the measured ceilings. ``record`` is the emitting path; ``sample``
+    A single process-wide instance (installed by :func:`configure`)
+    holds the measured ceilings. ``record`` is the emitting path; ``sample``
     is the pure computation used by callers that must not double-count
     (the serve scheduler observes batches for the watchdog while the
     kernel layer already emitted metrics).
@@ -196,11 +194,6 @@ def _counts_for(matrix) -> KernelCounts:
     return counts
 
 
-def get_attributor() -> PerfAttributor:
-    """The process-wide attributor instance."""
-    return _ATTRIBUTOR
-
-
 def configure(ceilings: MachineCeilings | None) -> None:
     """Install measured ceilings process-wide.
 
@@ -210,11 +203,6 @@ def configure(ceilings: MachineCeilings | None) -> None:
     """
     with _CONF_LOCK:
         _ATTRIBUTOR.ceilings = ceilings
-
-
-def global_ceilings() -> MachineCeilings | None:
-    """The currently configured ceilings, if any."""
-    return _ATTRIBUTOR.ceilings
 
 
 def observe_kernel(matrix, seconds: float, *, k: int = 1,

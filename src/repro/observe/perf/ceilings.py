@@ -1,8 +1,8 @@
 """Measured machine ceilings: STREAM-style bandwidth + peak FLOPs.
 
-The paper (and :mod:`repro.analysis.roofline`) reasons against
-*modeled* 2007 machines; a live service must reason against the host
-it actually runs on. This module measures that host once:
+The paper reasons against *modeled* 2007 machines; a live service must
+reason against the host it actually runs on. This module measures that
+host once:
 
 * **copy** — ``a[:] = b`` over arrays far larger than the LLC
   (16 bytes of traffic per element);

@@ -1,4 +1,4 @@
-"""Row and column partitioning for thread-level SpMV parallelism.
+"""Row partitioning for thread-level SpMV parallelism.
 
 The paper's implementation "attempts to statically load balance the
 matrix by balancing the number of nonzeros, as the transfer of this
@@ -98,20 +98,3 @@ def partition_rows_equal(coo: COOMatrix, n_parts: int) -> RowPartition:
     sizes[:extra] += 1
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     return _partition_from_bounds(counts, bounds)
-
-
-def partition_cols_balanced(coo: COOMatrix, n_parts: int) -> RowPartition:
-    """Column partition balanced by nonzeros (the paper's described —
-    but not exploited — alternative; requires a reduction over partial
-    ``y`` vectors at execution time)."""
-    t = coo.transpose()
-    return partition_rows_balanced(t, n_parts)
-
-
-def split_rows(coo: COOMatrix, part: RowPartition) -> list[COOMatrix]:
-    """Materialize each part's row slab as an independent COO matrix
-    (local row numbering, global columns)."""
-    out = []
-    for r0, r1 in part.ranges():
-        out.append(coo.submatrix(r0, r1, 0, coo.ncols))
-    return out

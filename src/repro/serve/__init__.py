@@ -25,7 +25,7 @@ thousands of multiplies:
 """
 
 from .client import ServeClient
-from .plancache import PlanCache, plans_equal
+from .plancache import PlanCache
 from .registry import MatrixRegistry, RegistryEntry
 from .routes import Request, Response, Router
 from .scheduler import BatchScheduler
@@ -42,7 +42,6 @@ __all__ = [
     "Router",
     "ServeClient",
     "WorkerPool",
-    "plans_equal",
     "start_server",
     "stop_server",
 ]

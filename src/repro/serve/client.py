@@ -10,8 +10,8 @@ thin shell over the same client.
 :class:`~repro.solvers.operator.FingerprintOperator` whose
 ``spmv(x, y=None)``/``shape``/``__call__`` surface satisfies the
 ``LinearOperator`` protocol of :mod:`repro.solvers`, so conjugate
-gradients, the power method, and (via its ``operator=`` hook) PageRank
-run against the service unchanged::
+gradients and (via its ``operator=`` hook) PageRank run against the
+service unchanged::
 
     client = ServeClient("AMD X2", plan_cache_dir="~/.cache/repro")
     fp = client.register(coo).fingerprint

@@ -14,7 +14,9 @@ served silently after the model changes.
 A tuned envelope also records how its plan was chosen (features,
 winning label, margin, source). Those records are the autoplan
 training set: ``repro autoplan train`` reads them through
-:meth:`PlanCache.samples`, and no other file holds them.
+:meth:`PlanCache.samples`, and no other file holds them. The trained
+model sits in the same directory, so ``plan_mode="auto"`` needs a
+``plan_cache_dir``.
 
 Counters (``repro.observe.metrics``):
 
@@ -29,28 +31,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import numpy as np
-
 from .. import __version__
 from .._util import read_json, write_json_atomic
 from ..core.plan import SpmvPlan
 from ..errors import ServeError
 from ..observe import metrics as _metrics
 from ..observe.trace import span as _span
-
-
-def plans_equal(a: SpmvPlan, b: SpmvPlan) -> bool:
-    """Field-by-field plan equality (dataclass ``==`` would trip on the
-    partition's ndarray fields)."""
-    return (
-        a.machine.name == b.machine.name
-        and a.config == b.config
-        and a.profile == b.profile
-        and np.array_equal(a.partition.bounds, b.partition.bounds)
-        and np.array_equal(a.partition.nnz_per_part,
-                           b.partition.nnz_per_part)
-        and a.choices == b.choices
-    )
 
 
 def _machine_slug(name: str) -> str:

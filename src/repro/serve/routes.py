@@ -45,6 +45,8 @@ a sampled one records the full server-side span tree, retrievable at
 
 Admission control: when the scheduler's bounded queue is full the
 router answers ``429 Too Many Requests`` with a ``Retry-After`` hint.
+A body that is not a JSON object, or a value that does not convert,
+answers ``400``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Address-trace generation for the exact cache simulator.
 
-Produces the byte-address stream a CSR/BCSR SpMV issues — matrix value
+Produces the byte-address stream a CSR SpMV issues — matrix value
 and index streams, source-vector gathers, destination updates — laid
 out the way the kernels traverse memory. Feeding these traces to
 :class:`~repro.simulator.cache.CacheSim` validates the analytic traffic
@@ -16,7 +16,6 @@ import numpy as np
 
 from .._util import VALUE_BYTES
 from ..errors import SimulationError
-from ..formats.bcsr import BCSRMatrix
 from ..formats.csr import CSRMatrix
 
 
@@ -84,17 +83,3 @@ def csr_spmv_trace(
     ptr_addr = layout.pointers + rows * 4
     y_addr = layout.y + rows * VALUE_BYTES
     return np.concatenate([per_nnz, ptr_addr, y_addr])
-
-
-def bcsr_x_trace(
-    b: BCSRMatrix, *, layout: AddressLayout | None = None
-) -> np.ndarray:
-    """Source-vector gather addresses of a BCSR SpMV (c consecutive
-    elements per tile)."""
-    if not isinstance(b, BCSRMatrix):
-        raise SimulationError("bcsr_x_trace needs a BCSRMatrix")
-    layout = layout or default_layout(b)
-    base = b.bcol.astype(np.int64) * b.c
-    offs = np.arange(b.c, dtype=np.int64)
-    elems = (base[:, None] + offs[None, :]).ravel()
-    return layout.x + elems * VALUE_BYTES

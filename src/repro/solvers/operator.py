@@ -3,8 +3,8 @@
 The serve, dist and cluster tiers all address a registered matrix as
 ``owner.spmv(fingerprint, x)``; :class:`FingerprintOperator` binds one
 ``(owner, fingerprint)`` pair to the ``spmv(x, y=None)`` / ``shape`` /
-``__call__`` surface the solvers in this package accept, so CG, the
-power method and PageRank run against any tier unchanged.
+``__call__`` surface the solvers in this package accept, so CG and
+PageRank run against any tier unchanged.
 """
 
 from __future__ import annotations

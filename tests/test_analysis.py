@@ -1,141 +1,16 @@
-"""Analysis layer: bounds, roofline, power efficiency, reporting."""
+"""Analysis layer: power efficiency and reporting."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis import (
-    epidemiology_bound,
-    flop_byte_bound,
-    format_table,
-    median,
-    power_efficiency,
-    power_efficiency_table,
-    roofline_model,
-    spmv_upper_bound,
-)
+from repro.analysis import format_table, median, power_efficiency
 from repro.analysis.report import format_bar_chart
-from repro.analysis.roofline import attainable_gflops, place_point, ridge_point
 from repro.errors import ReproError
-from repro.formats import coo_to_csr
 from repro.machines import get_machine
-from tests.conftest import random_coo
-
-
-class TestBounds:
-    def test_epidemiology_worked_example(self):
-        """§5.1 computes the Epidemiology flop:byte ratio as ~0.11."""
-        assert epidemiology_bound() == pytest.approx(0.11, abs=0.005)
-
-    def test_epidemiology_rate_bounds(self):
-        """§5.1: 'we don't expect the performance of Epidemiology to
-        exceed 1.39 Gflop/s and 0.98 Gflop/s' at 12.5 / 8.6 GB/s."""
-        ratio = epidemiology_bound()
-        assert ratio * 12.5 == pytest.approx(1.39, abs=0.05)
-        assert ratio * 8.6 == pytest.approx(0.98, abs=0.04)
-
-    def test_upper_limit_quarter(self):
-        # Huge nnz, 8 bytes per nnz, negligible vectors → 0.25.
-        assert flop_byte_bound(10**9, 8.0, 10, 10) == \
-            pytest.approx(0.25, rel=1e-3)
-
-    def test_spmv_upper_bound(self):
-        coo = random_coo(500, 500, 0.02, seed=1)
-        csr = coo_to_csr(coo)
-        bound = spmv_upper_bound(csr, 10e9)
-        assert 0 < bound < 0.25 * 10  # below the absolute ceiling
-
-
-class TestRoofline:
-    def test_shape(self):
-        xs, ys = roofline_model(get_machine("AMD X2"))
-        assert len(xs) == len(ys)
-        assert (np.diff(ys) >= -1e-9).all()  # monotone non-decreasing
-        assert ys.max() == pytest.approx(17.6, rel=0.01)
-
-    def test_ridge_ordering(self):
-        """Clovertown's ridge (3.52 flop:byte at peak bandwidth) sits
-        far right of Niagara's (0.31) — Table 1's flop:byte story."""
-        clv = ridge_point(get_machine("Clovertown"), use_sustained=False)
-        nia = ridge_point(get_machine("Niagara"), use_sustained=False)
-        assert clv > 3 * nia
-
-    def test_memory_bound_region_linear(self):
-        m = get_machine("Niagara")
-        a = attainable_gflops(m, 0.1)
-        b = attainable_gflops(m, 0.2)
-        assert b == pytest.approx(2 * a, rel=1e-6)
-
-    def test_place_point(self):
-        m = get_machine("AMD X2")
-        pt = place_point(m, "dense", gflops=2.0, traffic_bytes=8e9,
-                         flops=2e9)
-        assert pt.intensity == pytest.approx(0.25)
-        assert 0 < pt.efficiency <= 1.5
-
-    def test_efficiency_nan_on_zero_bound(self):
-        """Undefined efficiency (zero bound) must be nan, not 0.0 —
-        'no attainable rate' is not 'achieved 0% of it'."""
-        from repro.analysis.roofline import RooflinePoint
-
-        pt = RooflinePoint("degenerate", intensity=0.0, gflops=1.0,
-                           bound_gflops=0.0)
-        assert np.isnan(pt.efficiency)
-
-    def test_place_point_zero_intensity(self):
-        """Zero traffic (empty kernel) places at intensity 0 with a
-        zero bound and nan efficiency."""
-        m = get_machine("AMD X2")
-        pt = place_point(m, "empty", gflops=0.0, traffic_bytes=0.0,
-                         flops=0.0)
-        assert pt.intensity == 0.0
-        assert pt.bound_gflops == 0.0
-        assert np.isnan(pt.efficiency)
-
-    def test_efficiency_defined_when_bound_positive(self):
-        from repro.analysis.roofline import RooflinePoint
-
-        pt = RooflinePoint("ok", intensity=0.2, gflops=1.0,
-                           bound_gflops=2.0)
-        assert pt.efficiency == pytest.approx(0.5)
-
-    def test_ridge_sustained_vs_peak_crossover(self):
-        """Sustained bandwidth < peak bandwidth, so the sustained ridge
-        sits at *higher* intensity: the machine stays memory-bound
-        longer than the datasheet says. Attainable rates cross over
-        consistently: equal in the compute-bound region, lower under
-        the sustained roof in the memory-bound region."""
-        m = get_machine("AMD X2")
-        ridge_sus = ridge_point(m, use_sustained=True)
-        ridge_peak = ridge_point(m, use_sustained=False)
-        assert ridge_sus > ridge_peak
-        # memory-bound side: sustained roof is strictly lower
-        low = ridge_peak / 2
-        assert attainable_gflops(m, low, use_sustained=True) < \
-            attainable_gflops(m, low, use_sustained=False)
-        # compute-bound side: both hit the same flat peak
-        high = ridge_sus * 2
-        assert attainable_gflops(m, high, use_sustained=True) == \
-            pytest.approx(attainable_gflops(m, high,
-                                            use_sustained=False))
 
 
 class TestPower:
-    def test_figure_2b_ordering(self):
-        """Fig 2b: Cell blade leads, Niagara lowest."""
-        # Median full-system Gflop/s, Figure 2a's rough values.
-        meds = {
-            get_machine("Niagara"): 0.8,
-            get_machine("Clovertown"): 1.2,
-            get_machine("AMD X2"): 1.6,
-            get_machine("Cell (PS3)"): 2.2,
-            get_machine("Cell Blade"): 3.6,
-        }
-        rows = power_efficiency_table(meds)
-        assert rows[0]["machine"] == "Cell Blade"
-        assert rows[-1]["machine"] == "Niagara"
-
     def test_cell_advantage_ratios(self):
         """Fig 2b quotes ~2.1x over AMD X2, ~3.5x over Clovertown,
         ~5.2x over Niagara."""

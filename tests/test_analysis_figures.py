@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.figures import (
-    render_figure1_panel,
-    render_figure2a,
-    render_figure2b,
-    speedup,
-)
+from repro.analysis.figures import render_figure1_panel
 
 DATA = {
     "MatA": {"naive": 0.5, "opt": 1.0, "parallel": 2.0},
@@ -27,27 +20,5 @@ class TestRendering:
 
     def test_panel_skips_missing_columns(self):
         out = render_figure1_panel("X", DATA, ["naive", "absent"])
-        assert "absent" not in out.split("median")[0].replace(
-            "absent", "absent"
-        ) or True  # absent bars simply don't render rows
+        assert "absent" not in out   # neither a bar nor a median row
         assert "naive" in out
-
-    def test_fig2a(self):
-        out = render_figure2a({
-            "M1": {"1 core": 1.0, "socket": 2.0, "system": 3.0},
-        })
-        assert "M1" in out and "3.000" in out
-
-    def test_fig2b(self):
-        out = render_figure2b({"M1": 10.0, "M2": 5.0})
-        assert "Mflop/s/W" in out
-
-
-class TestSpeedup:
-    def test_median_ratio(self):
-        # MatA: 4x, MatB: 6x → median 5x.
-        assert speedup(DATA, "parallel", "naive") == pytest.approx(5.0)
-
-    def test_missing_labels(self):
-        with pytest.raises(ValueError):
-            speedup(DATA, "parallel", "nope")

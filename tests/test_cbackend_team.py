@@ -330,20 +330,14 @@ def test_forked_child_runs_without_the_parents_team():
 # ----------------------------------------------------------------------
 # threaded_spmv: its slabs are table entries run on the team
 # ----------------------------------------------------------------------
-def test_threaded_spmv_reports_every_slot():
-    """One call on the team: the serial bits, one ``threaded.calls``,
-    one ``threaded.worker_seconds`` sample and one sampled
-    ``threaded.worker`` span per slot, parented onto ``threaded.spmv``,
-    their row ranges tiling the matrix."""
+def test_threaded_spmv_is_one_traced_team_call():
+    """The serial bits, under the one ``threaded.spmv`` span that
+    ``--trace`` documents, carrying the slab count."""
     from repro.observe import context, trace
     from repro.parallel import threaded_spmv
 
     csr = coo_to_csr(random_coo(400, 300, 0.05, seed=18))
     x = np.random.default_rng(19).standard_normal(300)
-    reg = get_registry()
-    calls = reg.counter("threaded.calls")
-    samples = reg.histogram("threaded.worker_seconds").count
-    busy = _busy()
     spans: list = []
     sink = trace.get_span_sink()
     trace.set_span_sink(spans.append)
@@ -353,15 +347,5 @@ def test_threaded_spmv_reports_every_slot():
     finally:
         trace.set_span_sink(sink)
     assert np.array_equal(y, spmv_c(csr, x))
-    width = 1 if _busy() > busy else min(4, team_limit())
-    assert reg.counter("threaded.calls") == calls + 1
-    assert reg.histogram("threaded.worker_seconds").count \
-        == samples + width
-    (parent,) = [s for s in spans if s.name == "threaded.spmv"]
-    workers = sorted((s for s in spans if s.name == "threaded.worker"),
-                     key=lambda s: s.args["worker"])
-    assert [s.args["worker"] for s in workers] == list(range(width))
-    assert all(s.parent_id == parent.span_id for s in workers)
-    rows = [tuple(s.args["rows"]) for s in workers]
-    assert rows[0][0] == 0 and rows[-1][1] == 400
-    assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+    (s,) = [s for s in spans if s.name.startswith("threaded.")]
+    assert s.name == "threaded.spmv" and s.args["threads"] == 4

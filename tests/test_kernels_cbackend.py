@@ -302,15 +302,3 @@ class TestThreaded:
         x = np.random.default_rng(17).standard_normal(90)
         got = threaded_spmv(csr, x, n_threads=4, min_nnz_per_thread=1)
         _assert_parity(got, spmv_reference(coo, x))
-
-    def test_partition_mismatch_rejected(self):
-        from repro.errors import PartitionError
-        from repro.parallel import threaded_spmv
-        from repro.parallel.partition import partition_rows_balanced
-
-        coo = random_coo(100, 100, 0.1, seed=20)
-        csr = coo_to_csr(coo)
-        part = partition_rows_balanced(coo, 2)
-        with pytest.raises(PartitionError):
-            threaded_spmv(csr, np.ones(100), n_threads=3,
-                          partition=part, min_nnz_per_thread=1)

@@ -12,7 +12,6 @@ from repro.matrices.stats import (
     compute_stats,
     nnz_per_row_per_cache_block,
     row_length_stats,
-    spyplot_grid,
     symmetry_fraction,
 )
 from tests.conftest import random_coo
@@ -75,26 +74,6 @@ class TestCacheBlockDensity:
     def test_empty(self):
         assert nnz_per_row_per_cache_block(COOMatrix.empty((5, 5)), 2) \
             == 0.0
-
-
-class TestSpyplot:
-    def test_shape_and_range(self):
-        coo = random_coo(200, 300, 0.02, seed=4)
-        g = spyplot_grid(coo, grid=32)
-        assert g.shape == (32, 32)
-        assert g.min() >= 0.0 and g.max() <= 1.0
-
-    def test_diagonal_pattern(self):
-        diag = COOMatrix((128, 128), np.arange(128), np.arange(128),
-                         np.ones(128))
-        g = spyplot_grid(diag, grid=8)
-        assert (np.diag(g) > 0).all()
-        off = g - np.diag(np.diag(g))
-        assert off.sum() == 0.0
-
-    def test_empty(self):
-        g = spyplot_grid(COOMatrix.empty((10, 10)), grid=4)
-        assert g.sum() == 0.0
 
 
 class TestRowLengthStats:

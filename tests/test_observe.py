@@ -126,14 +126,14 @@ class TestMetrics:
         reg.inc("plan.calls", 2)
         reg.inc("heuristic.format_chosen", 3, fmt="bcsr")
         reg.gauge("bench.sweep_progress", 0.5, machine="AMD X2")
-        reg.observe("threaded.worker_seconds", 0.1)
-        reg.observe("threaded.worker_seconds", 0.3)
+        reg.observe("slo.request_seconds", 0.1)
+        reg.observe("slo.request_seconds", 0.3)
         assert reg.counter("plan.calls") == 3
         assert reg.counter("heuristic.format_chosen", fmt="bcsr") == 3
         assert reg.counter("heuristic.format_chosen", fmt="csr") == 0
         assert reg.gauge_value("bench.sweep_progress",
                                machine="AMD X2") == 0.5
-        h = reg.histogram("threaded.worker_seconds")
+        h = reg.histogram("slo.request_seconds")
         assert h.count == 2 and h.min == 0.1 and h.max == 0.3
         assert h.mean == pytest.approx(0.2)
 

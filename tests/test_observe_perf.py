@@ -217,12 +217,10 @@ class TestAttribution:
         assert after == before + 1
 
     def test_configure_globals(self):
-        prev = _attribution.global_ceilings()
+        prev = _attribution._ATTRIBUTOR.ceilings
         try:
             _attribution.configure(TEST_CEILINGS)
-            assert _attribution.global_ceilings() is TEST_CEILINGS
-            assert (_attribution.get_attributor().ceilings
-                    is TEST_CEILINGS)
+            assert _attribution._ATTRIBUTOR.ceilings is TEST_CEILINGS
         finally:
             _attribution.configure(prev)
 

@@ -10,12 +10,10 @@ from repro.formats import COOMatrix, coo_to_csr
 from repro.machines import PlacementPolicy, get_machine
 from repro.parallel import (
     assign_numa,
-    partition_cols_balanced,
     partition_rows_balanced,
     partition_rows_equal,
     segmented_scan_spmv,
 )
-from repro.parallel.partition import split_rows
 from tests.conftest import random_coo
 
 
@@ -114,20 +112,6 @@ class TestRowPartition:
                 assert p.part_of_row(np.array([lo]))[0] == i
                 assert p.part_of_row(np.array([hi - 1]))[0] == i
 
-    def test_split_rows_reassembles(self, small_coo):
-        n = min(3, max(1, small_coo.nrows))
-        p = partition_rows_balanced(small_coo, n)
-        slabs = split_rows(small_coo, p)
-        dense = np.vstack([s.toarray() for s in slabs])
-        np.testing.assert_allclose(dense, small_coo.toarray())
-
-    def test_column_partition(self, small_coo):
-        n = min(3, max(1, small_coo.ncols))
-        p = partition_cols_balanced(small_coo, n)
-        assert p.bounds[-1] == small_coo.ncols
-        assert p.nnz_per_part.sum() == small_coo.nnz_logical
-
-
 class TestNuma:
     def test_spread_uses_both_sockets(self):
         m = get_machine("AMD X2")
@@ -200,4 +184,3 @@ class TestSegmentedScan:
         csr = coo_to_csr(small_coo)
         with pytest.raises(PartitionError):
             segmented_scan_spmv(csr, np.ones(csr.ncols), n_parts=0)
-

@@ -247,11 +247,14 @@ def test_threaded_spmv_bit_identical_to_serial_c():
 def test_threaded_spmv_really_threads():
     """The fixture matrix must clear threaded_spmv's per-thread
     nonzero floor, or the bit-identity case above compares the serial
-    fallback with itself."""
+    fallback with itself. Only the team path is attributed with
+    ``backend="threaded"``."""
     reg = get_registry()
-    before = reg.counter("threaded.calls")
+    before = reg.histogram("perf.gflops", backend="threaded",
+                           format="csr").count
     threaded_spmv(CSR, X, n_threads=2)
-    assert reg.counter("threaded.calls") == before + 1
+    assert reg.histogram("perf.gflops", backend="threaded",
+                         format="csr").count == before + 1
 
 
 def test_concurrent_threaded_spmv_on_different_matrices(rng):

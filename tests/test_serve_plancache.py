@@ -20,10 +20,24 @@ from repro.errors import ServeError
 from repro.machines import get_machine
 from repro.matrices import fem_blocked_matrix, generate, scattered_matrix
 from repro.observe.metrics import get_registry
-from repro.serve import MatrixRegistry, PlanCache, plans_equal
+from repro.serve import MatrixRegistry, PlanCache
 from tests.conftest import random_coo
 
 L = OptimizationLevel
+
+
+def plans_equal(a: SpmvPlan, b: SpmvPlan) -> bool:
+    """Field-by-field plan equality (dataclass ``==`` would trip on the
+    partition's ndarray fields)."""
+    return (
+        a.machine.name == b.machine.name
+        and a.config == b.config
+        and a.profile == b.profile
+        and np.array_equal(a.partition.bounds, b.partition.bounds)
+        and np.array_equal(a.partition.nnz_per_part,
+                           b.partition.nnz_per_part)
+        and a.choices == b.choices
+    )
 
 
 @pytest.fixture
@@ -55,14 +69,6 @@ class TestPlanRoundTrip:
         np.testing.assert_array_equal(
             plan.materialize(coo).spmv(x), back.materialize(coo).spmv(x)
         )
-
-    def test_plans_equal_detects_difference(self, engine):
-        coo = random_coo(100, 100, 0.05, seed=1)
-        a = engine.plan(coo, n_threads=1)
-        b = engine.plan(coo, n_threads=2)
-        assert not plans_equal(a, b)
-        assert plans_equal(a, engine.plan(coo, n_threads=1))
-
 
 class TestPlanCacheStore:
     def test_store_then_load(self, engine, tmp_path):

@@ -1,5 +1,5 @@
 """Acceptance: solvers driven through the serve client match the
-direct-library path — CG and the power method bit-for-bit, PageRank to
+direct-library path — CG bit-for-bit, PageRank to
 floating-point tolerance (its default path uses plain CSR, the served
 path the tuned format)."""
 
@@ -15,7 +15,6 @@ from repro.serve import ServeClient
 from repro.solvers import (
     conjugate_gradient,
     pagerank,
-    power_method,
     transition_matrix,
 )
 from tests.conftest import random_coo
@@ -64,17 +63,6 @@ class TestCGThroughServe:
         res = conjugate_gradient(op, b, tol=1e-12)
         assert res.converged
         np.testing.assert_allclose(res.x, x_true, rtol=1e-6)
-
-
-class TestPowerMethodThroughServe:
-    def test_bit_for_bit_vs_direct(self, client):
-        a = spd_matrix(50, seed=3)
-        op = client.operator(client.register(a).fingerprint)
-        lam_s, v_s, it_s = power_method(op, seed=7)
-        lam_d, v_d, it_d = power_method(direct_matrix(a), seed=7)
-        assert it_s == it_d
-        assert lam_s == lam_d
-        np.testing.assert_array_equal(v_s, v_d)
 
 
 class TestPageRankThroughServe:

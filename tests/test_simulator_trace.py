@@ -7,11 +7,10 @@ import pytest
 
 from repro.analysis.validation import validate_x_traffic, validation_sweep
 from repro.errors import SimulationError
-from repro.formats import coo_to_csr, to_bcsr
+from repro.formats import coo_to_csr
 from repro.machines.model import CacheLevel
 from repro.simulator.cache import CacheSim
 from repro.simulator.trace import (
-    bcsr_x_trace,
     csr_spmv_trace,
     default_layout,
 )
@@ -45,21 +44,10 @@ class TestTrace:
             (xonly - lay.x) // 8, csr.indices.astype(np.int64)
         )
 
-    def test_bcsr_trace_contiguous_per_tile(self):
-        coo = random_coo(32, 32, 0.1, seed=4)
-        b = to_bcsr(coo, 2, 2)
-        trace = bcsr_x_trace(b)
-        assert len(trace) == b.ntiles * b.c
-        # Within each tile, c consecutive element addresses.
-        per_tile = trace.reshape(b.ntiles, b.c)
-        assert ((per_tile[:, 1:] - per_tile[:, :-1]) == 8).all()
-
     def test_type_checks(self):
         coo = random_coo(10, 10, 0.2, seed=5)
         with pytest.raises(SimulationError):
             csr_spmv_trace(coo)
-        with pytest.raises(SimulationError):
-            bcsr_x_trace(coo_to_csr(coo))
 
     def test_matrix_streams_are_compulsory_only(self):
         """Streaming the value array through a big cache misses once

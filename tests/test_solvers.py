@@ -1,4 +1,4 @@
-"""Solver tests: CG, power method, PageRank on library SpMV."""
+"""Solver tests: CG and PageRank on library SpMV."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.core import SpmvEngine
 from repro.errors import ReproError
 from repro.formats import COOMatrix, coo_to_csr
 from repro.machines import get_machine
-from repro.solvers import conjugate_gradient, pagerank, power_method
+from repro.solvers import conjugate_gradient, pagerank
 
 
 def spd_matrix(n, seed=0, density=0.05):
@@ -81,25 +81,6 @@ class TestCG:
         b = rng.standard_normal(50)
         res = conjugate_gradient(coo_to_csr(a), b, tol=1e-16, max_iter=3)
         assert res.iterations <= 3
-
-
-class TestPowerMethod:
-    def test_dominant_eigenvalue(self):
-        d = np.diag([5.0, 2.0, 1.0])
-        lam, v, _ = power_method(coo_to_csr(COOMatrix.from_dense(d)))
-        assert lam == pytest.approx(5.0, rel=1e-6)
-        assert abs(v[0]) == pytest.approx(1.0, rel=1e-4)
-
-    def test_matches_numpy(self, rng):
-        a = spd_matrix(30, seed=7)
-        lam, _, _ = power_method(coo_to_csr(a), max_iter=5000, tol=1e-12)
-        expected = np.linalg.eigvalsh(a.toarray()).max()
-        assert lam == pytest.approx(expected, rel=1e-5)
-
-    def test_rejects_rectangular(self):
-        a = COOMatrix((3, 4), [0], [0], [1.0])
-        with pytest.raises(ReproError):
-            power_method(coo_to_csr(a))
 
 
 class TestPageRank:

@@ -11,7 +11,6 @@ from repro._util import (
     ceil_div,
     check_shape,
     dedupe_coo,
-    human_bytes,
     segment_sums,
     unique_count,
 )
@@ -136,9 +135,3 @@ class TestMisc:
         n = int(rng.integers(1, 5000))
         a = rng.integers(-(10 ** int(rng.integers(1, 12))), 10 ** 6, n)
         assert unique_count(a) == len(np.unique(a))
-
-    def test_human_bytes(self):
-        assert human_bytes(512) == "512 B"
-        assert human_bytes(2048) == "2.0 KiB"
-        assert human_bytes(3 * 2**20) == "3.0 MiB"
-        assert "GiB" in human_bytes(5 * 2**30)
