@@ -3,9 +3,10 @@
 :class:`ClusterClient` points at one address — a router or a single
 node, the protocol is identical — and keeps a persistent wire
 connection for SpMV (one frame out, one frame in, vectors as raw
-bytes). Registration and the debug plane ride plain HTTP/JSON: they
-run once per matrix, where JSON's cost is irrelevant and its
-debuggability is not.
+bytes). Registration and the debug plane ride plain HTTP/JSON, in the
+tier's one codec (:func:`repro.serve.routes.dumps` /
+:func:`~repro.serve.routes.loads`): they run once per matrix, where
+JSON's cost is irrelevant and its debuggability is not.
 
 Lifecycle follows :class:`~repro.serve.client.ServeClient`'s
 context-manager protocol: ``close()`` is idempotent (a double close is
@@ -31,7 +32,6 @@ unchanged::
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import urllib.error
@@ -41,21 +41,24 @@ import numpy as np
 
 from ..errors import ClusterError
 from ..observe import context as _context
+from ..serve.routes import dumps, loads
 from ..solvers.operator import FingerprintOperator
 from . import wire
 
 
 def http_fetch(url: str, *, method: str = "GET",
-               body: dict | None = None, timeout_s: float = 30.0,
-               who: str | None = None, parse=json.loads):
+               body: dict | bytes | None = None, timeout_s: float = 30.0,
+               who: str | None = None, parse=loads):
     """The tier's one HTTP exchange (client, router and CLI all call
-    it): ``body`` goes out as JSON, the reply comes back through
+    it): ``body`` goes out through :func:`~repro.serve.routes.dumps`
+    (bytes go out as they are), the reply comes back through
     ``parse``. An error status raises :class:`ClusterError` carrying
     it, as ``"<who> answered <status>: <reply body>"`` (``who``
     defaults to the URL); an unreachable peer or an unparseable reply
     raises ``"cannot reach <url>: ..."`` with status 503. The urllib
     exception stays reachable as ``__cause__``."""
-    data = json.dumps(body).encode() if body is not None else None
+    data = body if body is None or isinstance(body, bytes) \
+        else dumps(body)
     req = urllib.request.Request(
         url, data=data, method=method,
         headers={"Content-Type": "application/json"})
@@ -165,7 +168,7 @@ class ClusterClient:
 
     # ----------------------------------------------------- HTTP plane
     def _http(self, method: str, path: str,
-              body: dict | None = None, parse=json.loads):
+              body: dict | None = None, parse=loads):
         self._check_open()
         return http_fetch(
             f"http://{self.address}{path}", method=method, body=body,
@@ -184,9 +187,9 @@ class ClusterClient:
         if coo is not None:
             body = {
                 "shape": list(coo.shape),
-                "row": np.asarray(coo.row).tolist(),
-                "col": np.asarray(coo.col).tolist(),
-                "val": np.asarray(coo.val).tolist(),
+                "row": np.ascontiguousarray(coo.row),
+                "col": np.ascontiguousarray(coo.col),
+                "val": np.ascontiguousarray(coo.val),
             }
         else:
             body = {"generate": generate, "scale": scale, "seed": seed}

@@ -51,6 +51,7 @@ from ..serve.routes import (
     Response,
     error_response,
     registration_from_body,
+    spmv_response,
     vector_from_body,
 )
 from .aserver import AsyncFrontEnd
@@ -254,8 +255,10 @@ class ClusterRouter:
         results, errors = {}, {}
         for addr in owners:
             try:
+                # The client's own bytes: re-encoding could turn an
+                # Infinity the stdlib parsed into orjson's null.
                 results[addr] = self._http_json(
-                    addr, "POST", "/v1/matrices", body)
+                    addr, "POST", "/v1/matrices", req.body)
             except ClusterError as exc:
                 errors[addr] = str(exc)
         if not results:
@@ -271,7 +274,7 @@ class ClusterRouter:
         })
 
     def _http_json(self, addr: str, method: str, path: str,
-                   body: dict | None = None) -> dict:
+                   body: dict | bytes | None = None) -> dict:
         return http_fetch(
             f"http://{addr}{path}", method=method, body=body,
             timeout_s=self.timeout_s, who=f"node {addr}")
@@ -397,10 +400,7 @@ class ClusterRouter:
         _, reply, out = self._forward_spmv(header, view)
         y = wire.payload_vector(out, int(reply["n"]))
         headers = {TRACE_HEADER: trace} if trace else {}
-        return Response.json(200, {
-            "fingerprint": body["fingerprint"],
-            "y": y.tolist(),
-        }, headers)
+        return spmv_response(body["fingerprint"], y, headers)
 
     # ----------------------------------------------------- trace merge
     def _merged_trace(self, trace_id: str) -> Response:

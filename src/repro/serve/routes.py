@@ -47,6 +47,14 @@ Admission control: when the scheduler's bounded queue is full the
 router answers ``429 Too Many Requests`` with a ``Retry-After`` hint.
 A body that is not a JSON object, or a value that does not convert,
 answers ``400``.
+
+JSON codec: :func:`loads` and :func:`dumps` are the tier's one JSON
+format — this router, the cluster router and
+:func:`repro.cluster.client.http_fetch` all go through them. Both run
+``orjson``. The stdlib re-reads only a body ``orjson`` rejects (one
+with ``NaN``/``Infinity`` tokens, or a malformed one, which then gets
+the stdlib's error) and writes only a body whose float vector has a
+non-finite entry, where ``orjson`` would write ``null``.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from ..errors import ReproError, ServeAdmissionError, ServeError
 from ..formats.coo import COOMatrix
@@ -73,6 +82,32 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: Hard bound on a declared request body. The front end checks it
 #: against ``Content-Length`` before any byte of the body is read.
 MAX_BODY_BYTES = 256 * 2**20
+
+_ORJSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NON_STR_KEYS
+
+
+def loads(data: bytes):
+    """Parse one JSON document. ``orjson`` rejects the ``NaN`` /
+    ``Infinity`` tokens the stdlib writes (and integers past a double);
+    only a document it rejects is re-read by :func:`json.loads`, whose
+    error, if any, is the one raised."""
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return json.loads(data)
+
+
+def dumps(obj: dict) -> bytes:
+    """Encode a JSON object; NumPy arrays and scalars are written
+    natively. ``orjson`` writes a non-finite float as ``null``, so a
+    body with a top-level float array holding one goes through the
+    stdlib, which keeps the ``NaN``/``Infinity`` tokens. Non-finite
+    floats anywhere else become ``null``."""
+    for v in obj.values():
+        if (isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                and not np.isfinite(v).all()):
+            return json.dumps(obj, default=lambda a: a.tolist()).encode()
+    return orjson.dumps(obj, option=_ORJSON_OPTIONS)
 
 
 @dataclass
@@ -98,8 +133,9 @@ class Request:
         if not self.body:
             raise ServeError("missing request body")
         try:
-            body = json.loads(self.body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            body = loads(self.body)
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:
             raise ServeError(f"invalid JSON body: {exc}") from exc
         if not isinstance(body, dict):
             raise ServeError(
@@ -119,8 +155,8 @@ class Response:
     @classmethod
     def json(cls, status: int, obj: dict,
              headers: dict | None = None) -> "Response":
-        return cls(status, json.dumps(obj).encode(),
-                   "application/json", dict(headers or {}))
+        return cls(status, dumps(obj), "application/json",
+                   dict(headers or {}))
 
     @classmethod
     def error(cls, status: int, message: str,
@@ -259,10 +295,19 @@ class Router:
         y, echo = self.spmv(body["fingerprint"], x,
                             req.header(TRACE_HEADER))
         headers = {TRACE_HEADER: echo} if echo is not None else {}
-        return Response.json(200, {
-            "fingerprint": body["fingerprint"],
-            "y": y.tolist(),
-        }, headers)
+        return spmv_response(body["fingerprint"], y, headers)
+
+
+def spmv_response(fingerprint: str, y: np.ndarray,
+                  headers: dict) -> Response:
+    """The ``/v1/spmv`` reply, shared by this router and the cluster
+    router's JSON route. ``y`` goes to :func:`dumps` as a contiguous
+    float64 array, so a non-finite entry still reads back as its
+    ``NaN``/``Infinity`` token."""
+    return Response.json(200, {
+        "fingerprint": fingerprint,
+        "y": np.ascontiguousarray(y, dtype=np.float64),
+    }, headers)
 
 
 def _convert(body: dict, key: str, convert, default=None):
@@ -272,7 +317,7 @@ def _convert(body: dict, key: str, convert, default=None):
         return default
     try:
         return convert(body[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ServeError(f"bad {key!r} in request body: {exc}") from exc
 
 
@@ -304,13 +349,24 @@ def registration_from_body(body: dict) -> tuple[COOMatrix, int | None]:
     return coo, n_threads
 
 
+def _numbers(v) -> np.ndarray:
+    """``v`` as float64 when NumPy reads it as numbers: ``null``,
+    string and all-boolean entries are a :class:`TypeError`."""
+    a = np.array(v)
+    if a.dtype.kind not in "fiu":
+        raise TypeError(f"entries must be numbers, got {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def vector_from_body(body: dict) -> np.ndarray:
     """The ``x`` of an spmv body as a 1-D float64 vector; a body
     without ``fingerprint`` and ``x``, or an ``x`` that is not a flat
-    list of numbers, is a :class:`ServeError` (400)."""
+    list of numbers (a ``null``, a string, an integer past a double, or
+    only booleans), is a :class:`ServeError` (400). NumPy coerces a
+    boolean mixed in with numbers to 0.0 or 1.0."""
     if "fingerprint" not in body or "x" not in body:
         raise ServeError("spmv body needs 'fingerprint' and 'x'")
-    x = _convert(body, "x", lambda v: np.asarray(v, dtype=np.float64))
+    x = _convert(body, "x", _numbers)
     if x.ndim != 1:
         raise ServeError(f"'x' must be a flat list of numbers, got "
                          f"{x.ndim} dimension(s)")
@@ -323,7 +379,10 @@ __all__ = [
     "Request",
     "Response",
     "Router",
+    "dumps",
     "error_response",
+    "loads",
     "registration_from_body",
+    "spmv_response",
     "vector_from_body",
 ]

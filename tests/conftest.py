@@ -46,6 +46,29 @@ def random_coo(
     return COOMatrix((m, n), r, c, v)
 
 
+_INF, _NAN = float("inf"), float("nan")
+
+#: The JSON spmv routes' non-finite contract on :data:`NONFINITE_COO`,
+#: as ``(x, expected y)`` parameters. ``x`` goes out through the stdlib
+#: as ``NaN``/``Infinity`` tokens.
+NONFINITE_SPMV = [
+    # The tokens sit in columns no entry reads, so y is finite.
+    pytest.param([1.0, 2.0, 3.0, _NAN, _INF], [1.0, -2.0, 6.0, 0.0, 0.0],
+                 id="x-tokens"),
+    pytest.param([_INF, _INF, _NAN, 1.0, -_INF],
+                 [_INF, -_INF, _NAN, 0.0, 0.0], id="y-tokens"),
+]
+NONFINITE_COO = COOMatrix((5, 5), [0, 1, 2], [0, 1, 2], [1.0, -1.0, 2.0])
+
+
+def assert_same_floats(decoded: list, expected: list) -> None:
+    """``decoded`` holds floats only (a ``null`` would read as None)
+    and equals ``expected``, NaN where ``expected`` has NaN."""
+    got = np.asarray(decoded)
+    assert got.dtype == np.float64, decoded
+    np.testing.assert_array_equal(got, expected)
+
+
 def register_racing(registry, coo: COOMatrix, n: int = 4) -> list:
     """``n`` threads call ``registry.register(coo)`` at once; returns
     what each got back. A barrier inside planning holds every thread

@@ -11,10 +11,12 @@ import pytest
 from repro.cluster import ClusterClient, ClusterNode, ClusterRouter
 from repro.dist.fault import RetryPolicy
 from repro.errors import ClusterError
+from repro.formats import COOMatrix
 from repro.observe import context as _context
 from repro.serve.client import ServeClient
 
-from tests.conftest import random_coo
+from tests.conftest import (NONFINITE_COO, NONFINITE_SPMV,
+                            assert_same_floats, random_coo)
 
 
 @pytest.fixture
@@ -84,6 +86,32 @@ def test_json_spmv_through_router(cluster, rng):
     with ServeClient("AMD X2", n_threads=1) as local:
         y_ref = local.spmv(local.register(coo).fingerprint, x)
     assert np.array_equal(y, y_ref)
+
+
+@pytest.mark.parametrize("x,expected", NONFINITE_SPMV)
+def test_json_spmv_through_router_keeps_nonfinite_tokens(
+        cluster, x, expected):
+    nodes, router = cluster
+    reply = register_through_router(router, NONFINITE_COO)
+    body = json.dumps({"fingerprint": reply["fingerprint"],
+                       "x": x}).encode()
+    req = urllib.request.Request(
+        f"http://{router.address}/v1/spmv", data=body,
+        method="POST", headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=30) as resp:
+        assert_same_floats(json.loads(resp.read())["y"], expected)
+
+
+def test_infinite_matrix_value_registers_unchanged(cluster):
+    """An Infinity in ``val`` reaches every owner as Infinity, so the
+    nodes hold the fingerprint the router answered with."""
+    nodes, router = cluster
+    coo = COOMatrix((2, 2), [0, 1], [0, 1], [float("inf"), 1.0])
+    x = np.array([1.0, 2.0])
+    with ClusterClient(router.address) as cc:
+        fp = cc.register(coo)["fingerprint"]
+        assert fp == coo.content_fingerprint()
+        assert cc.spmv(fp, x).tolist() == [float("inf"), 2.0]
 
 
 def test_failover_on_node_death(cluster, rng):

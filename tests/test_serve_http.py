@@ -104,19 +104,28 @@ class TestRoutes:
         assert "repro_serve_http_requests" in text
 
 
-#: ``(id, path, body)``: bodies that parse as JSON but carry a value the
-#: service cannot convert. An spmv body gets a registered fingerprint.
+#: ``(id, path, body)``: bodies that are not a JSON object, nest past
+#: the parser's limit, or carry a value the service cannot convert. An
+#: spmv body gets a registered fingerprint; the full-length ``x`` bodies
+#: match its 20 columns.
 MALFORMED_IDS = [
     ("spmv-number", "/v1/spmv", b"5"),
     ("spmv-null", "/v1/spmv", b"null"),
     ("matrices-number", "/v1/matrices", b"5"),
     ("matrices-null", "/v1/matrices", b"null"),
+    ("spmv-deep", "/v1/spmv", b"[" * 5000),
     ("scale", "/v1/matrices", {"generate": "FEM-Har", "scale": "abc"}),
+    ("scale-huge-int", "/v1/matrices",
+     {"generate": "FEM-Har", "scale": 10**400}),
     ("seed", "/v1/matrices", {"generate": "FEM-Har", "seed": "s"}),
     ("n_threads", "/v1/matrices",
      {"generate": "FEM-Har", "n_threads": "x"}),
     ("x-strings", "/v1/spmv", {"x": ["a", "b"]}),
     ("x-ragged", "/v1/spmv", {"x": [[1, 2], [3]]}),
+    ("x-huge-int", "/v1/spmv", {"x": [1.0] * 19 + [10**400]}),
+    ("x-null-entry", "/v1/spmv", {"x": [1.0] * 19 + [None]}),
+    ("x-string-entry", "/v1/spmv", {"x": [1.0] * 19 + ["2.5"]}),
+    ("x-booleans", "/v1/spmv", {"x": [True] * 20}),
 ]
 MALFORMED = [(path, body) for _, path, body in MALFORMED_IDS]
 

@@ -22,7 +22,8 @@ from repro.serve import start_server, stop_server
 from repro.serve.client import ServeClient
 from repro.serve.transport import MAX_BODY_BYTES
 
-from tests.conftest import random_coo
+from tests.conftest import (NONFINITE_COO, NONFINITE_SPMV,
+                            assert_same_floats, random_coo)
 
 
 @pytest.fixture
@@ -88,6 +89,21 @@ def test_normal_request_still_works(served, rng):
     assert resp.status == 200
     y = np.asarray(json.loads(resp.read())["y"])
     assert np.array_equal(y, served.client.spmv(fp, x))
+    conn.close()
+
+
+@pytest.mark.parametrize("x,expected", NONFINITE_SPMV)
+def test_nonfinite_values_keep_their_tokens(served, x, expected):
+    """``NaN``/``Infinity`` in x are accepted, and a non-finite y comes
+    back as those tokens, never as ``null``."""
+    fp = served.client.register(NONFINITE_COO).fingerprint
+    conn = _conn(served)
+    conn.request("POST", "/v1/spmv",
+                 json.dumps({"fingerprint": fp, "x": x}).encode(),
+                 {"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    assert resp.status == 200
+    assert_same_floats(json.loads(resp.read())["y"], expected)
     conn.close()
 
 
