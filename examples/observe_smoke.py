@@ -13,7 +13,9 @@ The CI observe-smoke job runs this end to end, client → router → node:
 4. fetch the router's merged ``/v1/debug/trace/<id>`` and assert the
    span tree has one root, carries the router's ``cluster.request``
    and the node's ``serve.scheduler.enqueue`` / ``serve.batch``, and
-   spans at least two processes (router and node),
+   spans at least two processes (router and node), then fetch the same
+   trace with ``?format=chrome`` and assert Chrome trace events from
+   at least two pids,
 5. stop the router and the node cleanly.
 
 Exits 0 on success, 1 (with a traceback) on any failure.
@@ -138,6 +140,16 @@ def main() -> None:
         assert len(pids) >= 2, f"expected >=2 pids, got {pids}"
         print(f"merged trace: {len(spans)} spans across "
               f"{len(pids)} processes")
+
+        # The router's Chrome export of the same merged trace.
+        _, body = get(f"{base}/v1/debug/trace/{ctx.trace_id}"
+                      f"?format=chrome")
+        events = json.loads(body)["traceEvents"]
+        chrome_pids = {e["pid"] for e in events}
+        assert len(chrome_pids) >= 2, \
+            f"expected Chrome events from >=2 pids, got {chrome_pids}"
+        print(f"router Chrome export: {len(events)} events from "
+              f"{len(chrome_pids)} pids")
     finally:
         router.close()
         proc.terminate()

@@ -30,7 +30,11 @@ kernels             List compiled C kernel variants and cache status.
 
 Every command accepts ``--trace FILE`` (JSONL spans, load with
 :func:`repro.observe.read_trace`) and ``--trace-chrome FILE`` (Chrome
-trace-event JSON, open in ``about://tracing`` or Perfetto).
+trace-event JSON, open in ``about://tracing`` or Perfetto). Both run
+the command under one sampled root trace
+(:func:`repro.observe.recording`) and write, at exit, every trace its
+hub holds: the command's own tree, and for ``serve`` / ``cluster`` the
+sampled request traces too.
 
 ``serve`` and ``cluster node`` are one handler over one flag
 declaration, differing in the ``--port`` default and the banner.
@@ -318,8 +322,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    """Roofline observability: measure/show host ceilings, fetch a
-    running server's perf report, or collate flamegraph profiles."""
+    """Roofline observability: measure/show host ceilings, or fetch a
+    running server's perf report."""
     import json as _json
 
     if args.action == "ceilings":
@@ -343,57 +347,35 @@ def _cmd_perf(args) -> int:
             print(f"  spmv probe [{be}] {rate:.3f} GF/s")
         return 0
 
-    if args.action == "report":
-        from .cluster.client import http_fetch
+    # report
+    from .cluster.client import http_fetch
 
-        url = args.url.rstrip("/") + "/v1/debug/perf"
-        try:
-            report = http_fetch(url, timeout_s=args.timeout)
-        except ClusterError as exc:
-            print(f"error: cannot fetch {url}: {exc.__cause__}",
-                  file=sys.stderr)
-            return 1
-        if args.json:
-            print(_json.dumps(report, indent=2))
-            return 0
-        print(f"perf_watch: {report.get('perf_watch')}")
-        ceilings = report.get("ceilings")
-        if ceilings:
-            print(f"ceilings: {ceilings['n_cores']} cores, sustained "
-                  f"{max(ceilings['copy_gbs_all'], ceilings['triad_gbs_all'], ceilings['copy_gbs_single'], ceilings['triad_gbs_single']):.2f} GB/s")
-        print(f"regressions: {report.get('regressions', 0)}")
-        for row in report.get("bottom_fractions", []):
-            print(f"  low  {row['roofline_fraction']:6.3f}  "
-                  f"{row['fingerprint']}")
-        for row in report.get("top_fractions", []):
-            print(f"  high {row['roofline_fraction']:6.3f}  "
-                  f"{row['fingerprint']}")
-        for ev in report.get("events", []):
-            print(f"  regression {ev['fingerprint']} [{ev['key']}]: "
-                  f"{ev['baseline_gflops']:.3f} -> "
-                  f"{ev['observed_gflops']:.3f} GF/s")
+    url = args.url.rstrip("/") + "/v1/debug/perf"
+    try:
+        report = http_fetch(url, timeout_s=args.timeout)
+    except ClusterError as exc:
+        print(f"error: cannot fetch {url}: {exc.__cause__}",
+              file=sys.stderr)
+        return 1
+    if args.json:
+        print(_json.dumps(report, indent=2))
         return 0
-
-    # flame
-    from .observe.perf import collate_stacks, render_collapsed
-
-    if not args.profile_dir:
-        print("error: perf flame requires a profile directory "
-              "(serve --profile-dir)", file=sys.stderr)
-        return 1
-    counts = collate_stacks(args.profile_dir)
-    if not counts:
-        print(f"error: no .stacks profiles under {args.profile_dir}",
-              file=sys.stderr)
-        return 1
-    text = render_collapsed(counts)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(counts)} stacks to {args.out}",
-              file=sys.stderr)
-    else:
-        print(text, end="")
+    print(f"perf_watch: {report.get('perf_watch')}")
+    ceilings = report.get("ceilings")
+    if ceilings:
+        print(f"ceilings: {ceilings['n_cores']} cores, sustained "
+              f"{max(ceilings['copy_gbs_all'], ceilings['triad_gbs_all'], ceilings['copy_gbs_single'], ceilings['triad_gbs_single']):.2f} GB/s")
+    print(f"regressions: {report.get('regressions', 0)}")
+    for row in report.get("bottom_fractions", []):
+        print(f"  low  {row['roofline_fraction']:6.3f}  "
+              f"{row['fingerprint']}")
+    for row in report.get("top_fractions", []):
+        print(f"  high {row['roofline_fraction']:6.3f}  "
+              f"{row['fingerprint']}")
+    for ev in report.get("events", []):
+        print(f"  regression {ev['fingerprint']} [{ev['key']}]: "
+              f"{ev['baseline_gflops']:.3f} -> "
+              f"{ev['observed_gflops']:.3f} GF/s")
     return 0
 
 
@@ -693,9 +675,9 @@ def _add_server_flags(sp, *, port: int) -> None:
                          "(measures host ceilings on first run, "
                          "cached; see /v1/debug/perf)")
     sp.add_argument("--profile-dir", metavar="DIR", default=None,
-                    help="opt-in stack sampling profiler: the "
-                         "server's collapsed-stack .stacks file lands "
-                         "in DIR (repro perf flame DIR)")
+                    help="opt-in stack sampling profiler: writes "
+                         "DIR/serve-parent.stacks, collapsed stacks "
+                         "that flamegraph.pl or speedscope read as is")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -821,13 +803,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "perf",
-        help="roofline observability: ceilings / report / flame",
+        help="roofline observability: ceilings / report",
         parents=[common],
     )
-    sp.add_argument("action", choices=["ceilings", "report", "flame"])
-    sp.add_argument("profile_dir", nargs="?", default=None,
-                    help="flame: directory of .stacks profiles "
-                         "(serve --profile-dir)")
+    sp.add_argument("action", choices=["ceilings", "report"])
     sp.add_argument("--measure", action="store_true",
                     help="ceilings: force a re-measurement even when "
                          "a valid cache exists")
@@ -841,9 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timeout", type=float, default=5.0)
     sp.add_argument("--json", action="store_true",
                     help="print raw JSON")
-    sp.add_argument("-o", "--out", default=None,
-                    help="flame: write collapsed stacks to FILE "
-                         "(default stdout)")
 
     sp = sub.add_parser(
         "autoplan",
@@ -900,19 +876,24 @@ def main(argv: list[str] | None = None) -> int:
     if not (trace_path or chrome_path):
         return _COMMANDS[args.command](args)
 
-    from .observe import trace as _trace
+    import json
 
-    tracer = _trace.enable()
+    from .observe.hub import recording
+    from .observe.trace import encode_chrome, encode_jsonl
+
     try:
-        return _COMMANDS[args.command](args)
+        with recording(f"repro.{args.command}") as events:
+            return _COMMANDS[args.command](args)
     finally:
-        _trace.disable()
         if trace_path:
-            n = tracer.write_jsonl(trace_path)
-            print(f"wrote {n} spans to {trace_path}", file=sys.stderr)
+            with open(trace_path, "w") as f:
+                f.write(encode_jsonl(events))
+            print(f"wrote {len(events)} spans to {trace_path}",
+                  file=sys.stderr)
         if chrome_path:
-            n = tracer.write_chrome(chrome_path)
-            print(f"wrote {n} spans to {chrome_path} "
+            with open(chrome_path, "w") as f:
+                json.dump(encode_chrome(events), f)
+            print(f"wrote {len(events)} spans to {chrome_path} "
                   f"(open in about://tracing)", file=sys.stderr)
 
 

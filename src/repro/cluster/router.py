@@ -23,7 +23,8 @@ Tracing: a sampled inbound context makes the router record
 ``cluster.request``/``cluster.forward`` spans and propagate the
 context down the wire, so ``GET /v1/debug/trace/{id}`` — which merges
 the router's own spans with every node's ``/v1/debug/spans/{id}``
-export — returns one tree spanning router→node processes.
+export — returns one tree spanning router→node processes, or with
+``?format=chrome`` the same spans as Chrome trace events.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from ..serve.routes import (
     error_response,
     registration_from_body,
     spmv_response,
+    trace_response,
     vector_from_body,
 )
 from .aserver import AsyncFrontEnd
@@ -227,18 +229,11 @@ class ClusterRouter:
             if req.method == "GET" and \
                     req.path.startswith("/v1/debug/trace/"):
                 trace_id = req.path[len("/v1/debug/trace/"):]
-                trace_id = trace_id.partition("?")[0]
-                return self._merged_trace(trace_id)
+                self._pull_node_spans(trace_id.partition("?")[0])
+                return trace_response(self.hub, req.path)
             if req.method == "GET" and \
                     req.path.startswith("/v1/debug/spans/"):
-                trace_id = req.path[len("/v1/debug/spans/"):]
-                events = [e.to_json()
-                          for e in self.hub.get(trace_id)]
-                if not events:
-                    return Response.error(
-                        404, f"unknown trace {trace_id!r}")
-                return Response.json(200, {"trace_id": trace_id,
-                                           "events": events})
+                return trace_response(self.hub, req.path)
             return Response.error(
                 404, f"unknown route {req.method} {req.path}")
         except ReproError as exc:
@@ -403,11 +398,12 @@ class ClusterRouter:
         return spmv_response(body["fingerprint"], y, headers)
 
     # ----------------------------------------------------- trace merge
-    def _merged_trace(self, trace_id: str) -> Response:
-        """One tree across the tier: the router's own spans plus each
-        node's flat span export, stitched by explicit span ids."""
+    def _pull_node_spans(self, trace_id: str) -> None:
+        """Merge each node's flat span export for ``trace_id`` into
+        the router's hub, so the trace answers as one tree across the
+        tier, stitched by explicit span ids."""
         if not trace_id:
-            return Response.error(400, "missing trace id")
+            return
         for addr in self.live_nodes():
             try:
                 body = self._http_json(
@@ -418,11 +414,6 @@ class ClusterRouter:
                 SpanEvent.from_json(e)
                 for e in body.get("events", [])
             ])
-        tree = self.hub.tree(trace_id)
-        if not tree:
-            return Response.error(404, f"unknown trace {trace_id!r}")
-        return Response.json(200, {"trace_id": trace_id,
-                                   "spans": tree})
 
     # ----------------------------------------------------------- admin
     def describe(self) -> dict:

@@ -4,10 +4,10 @@ The paper's central output is an *explanation* of where SpMV time goes
 on each platform; this package makes the reproduction explain itself
 the same way:
 
-* :mod:`.trace` — a thread-safe span tracer (context-manager API, off
-  by default, near-zero overhead when disabled) with JSONL and Chrome
-  ``about://tracing`` export, wired through the plan → simulate →
-  materialize pipeline.
+* :mod:`.trace` — spans (context-manager API, recorded only under a
+  sampled trace context, near-zero overhead otherwise) with JSONL and
+  Chrome ``about://tracing`` encoders, wired through the plan →
+  simulate → materialize pipeline and every serving tier.
 * :mod:`.metrics` — a process-wide registry of counters, gauges, and
   histograms (``plan.blocks_created``,
   ``heuristic.format_chosen{fmt=...}``, ``oski.profile_builds``, ...).
@@ -21,8 +21,9 @@ The cross-process observability plane (v2) adds:
 
 * :mod:`.context` — :class:`TraceContext` carried on serve requests
   (HTTP header, control messages) so one request yields one span tree;
-* :mod:`.hub` — the parent-side bounded per-trace span store with
-  tree/Chrome exports;
+* :mod:`.hub` — the process's bounded per-trace span store (the one
+  span sink) with its tree export, and :func:`recording`, which runs a
+  block under one sampled root trace (the CLI's ``--trace``);
 * :mod:`.slo` — fixed-bucket phase latency accounting and the p99
   slow-request sampler.
 
@@ -40,7 +41,7 @@ collapsed-stack sampling profiler.
 """
 
 from .context import TRACE_HEADER, TraceContext, from_header, new_trace
-from .hub import TraceHub, install_hub, uninstall_hub
+from .hub import TraceHub, install_hub, recording, uninstall_hub
 from .metrics import (
     DEFAULT_BUCKETS,
     HistogramSummary,
@@ -62,11 +63,8 @@ from .slo import SloTracker, SlowSample
 from .trace import (
     NULL_SPAN,
     SpanEvent,
-    Tracer,
-    disable,
-    enable,
-    get_tracer,
-    is_enabled,
+    encode_chrome,
+    encode_jsonl,
     read_trace,
     set_span_sink,
     span,
@@ -87,19 +85,17 @@ __all__ = [
     "TRACE_HEADER",
     "TraceContext",
     "TraceHub",
-    "Tracer",
-    "disable",
-    "enable",
+    "encode_chrome",
+    "encode_jsonl",
     "from_header",
     "get_ceilings",
     "get_registry",
-    "get_tracer",
     "install_hub",
-    "is_enabled",
     "measure_ceilings",
     "new_trace",
     "observe_kernel",
     "read_trace",
+    "recording",
     "render_prometheus",
     "sample_process_gauges",
     "set_span_sink",

@@ -1,36 +1,42 @@
-"""Parent-side trace hub: collect sampled spans, merge, build trees.
+"""Trace hub: the process's one span sink, merged into bounded trees.
 
-The hub is the serving parent's span sink (:func:`install_hub` wires
-it into :func:`repro.observe.trace.set_span_sink`). Every span
-completed under a sampled :class:`~repro.observe.context.TraceContext`
-lands here, keyed by ``trace_id`` — shard children's spans too, which
-arrive on their compute replies and are handed to this sink by the
-shard group. Spans exported by *other* nodes (a cluster router pulls
-each node's ``/v1/debug/spans/{id}``) are merged in with
-:meth:`TraceHub.add_events`. Because every v2 span carries explicit
-``span_id``/``parent_id`` links and an absolute wall-clock stamp,
-merging needs no cross-process clock agreement: trees come from the
-ids, ordering from ``wall_us``.
+:func:`install_hub` wires the hub into
+:func:`repro.observe.trace.set_span_sink`. Every span completed under a
+sampled :class:`~repro.observe.context.TraceContext` lands here, keyed
+by ``trace_id`` — shard children's spans too, which arrive on their
+compute replies and are handed to this sink by the shard group. Spans
+exported by *other* nodes (a cluster router pulls each node's
+``/v1/debug/spans/{id}``) are merged in with
+:meth:`TraceHub.add_events`. Every span carries explicit
+``span_id``/``parent_id`` links and a wall-clock start, so merging
+needs no cross-process clock agreement: trees come from the ids,
+ordering from the start times.
 
 The store is bounded two ways: at most ``max_traces`` live traces
 (oldest evicted first) and at most ``max_spans_per_trace`` spans per
 trace (a runaway solver loop under one context cannot grow without
 bound — excess spans are dropped and counted in
 ``observe.spans_dropped``).
+
+:func:`recording` runs a block under one sampled root trace in a fresh
+hub — the CLI's ``--trace`` / ``--trace-chrome``, and the way tests
+read what a piece of code records.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
 
+from . import context as _context
 from . import metrics as _metrics
 from . import trace as _trace
 from .trace import SpanEvent
 
 
 class TraceHub:
-    """Bounded per-trace span store with tree/Chrome exports."""
+    """Bounded per-trace span store with a tree export."""
 
     def __init__(self, *, max_traces: int = 256,
                  max_spans_per_trace: int = 2048):
@@ -85,10 +91,6 @@ class TraceHub:
         with self._lock:
             return list(self._traces.get(trace_id, []))
 
-    def __contains__(self, trace_id: str) -> bool:
-        with self._lock:
-            return trace_id in self._traces
-
     # ---------------------------------------------------------- exports
     def tree(self, trace_id: str) -> list[dict]:
         """The trace as a forest of nested span dicts (usually one
@@ -96,14 +98,14 @@ class TraceHub:
         "dur_us", "args", "children": [...]}``. Spans whose parent
         never completed (or was dropped) surface as extra roots rather
         than disappearing."""
-        spans = sorted(self.get(trace_id), key=lambda e: e.wall_us)
+        spans = sorted(self.get(trace_id), key=lambda e: e.start_us)
         nodes = {
             e.span_id: {
                 "name": e.name,
                 "span_id": e.span_id,
                 "parent_id": e.parent_id,
                 "pid": e.pid,
-                "wall_us": e.wall_us,
+                "wall_us": e.start_us,
                 "dur_us": e.duration_us,
                 "args": e.args,
                 "children": [],
@@ -119,33 +121,9 @@ class TraceHub:
                 parent["children"].append(node)
         return roots
 
-    def to_chrome(self, trace_id: str) -> dict:
-        """One merged Chrome trace (``about://tracing`` / Perfetto);
-        timestamps are absolute wall-clock microseconds, processes keep
-        their real pids so parent and shard rows separate."""
-        events = [
-            {
-                "name": e.name,
-                "cat": "repro",
-                "ph": "X",
-                "ts": e.wall_us,
-                "dur": e.duration_us,
-                "pid": e.pid,
-                "tid": e.thread_id,
-                "args": {**e.args, "span_id": e.span_id,
-                         "parent_id": e.parent_id},
-            }
-            for e in sorted(self.get(trace_id), key=lambda e: e.wall_us)
-        ]
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
-
 
 # ---------------------------------------------------------------------
-# Process-global hub (the serving parent installs exactly one).
+# Process-global hub (a process installs exactly one).
 # ---------------------------------------------------------------------
 _HUB: TraceHub | None = None
 
@@ -166,3 +144,32 @@ def uninstall_hub() -> None:
     global _HUB
     _HUB = None
     _trace.set_span_sink(None)
+
+
+@contextlib.contextmanager
+def recording(name: str = "repro"):
+    """Record the block as one sampled trace in a fresh hub.
+
+    Installs a new :class:`TraceHub` as the process hub and span sink,
+    opens the root span ``name`` under a new sampled context, and
+    yields a list. When the block exits, the previous hub and sink come
+    back and the list holds every span the block's hub kept: the root
+    trace first, then any request traces sampled meanwhile (a server
+    run inside the block), within the hub's bounds. Threads that do not
+    carry the root context (a server's handlers) record only their
+    sampled requests.
+    """
+    global _HUB
+    prev_hub, prev_sink = _HUB, _trace.get_span_sink()
+    hub = install_hub(TraceHub())
+    root = _context.new_trace(sampled=True)
+    events: list[SpanEvent] = []
+    try:
+        with _context.use(root), _trace.span(name):
+            yield events
+    finally:
+        _HUB = prev_hub
+        _trace.set_span_sink(prev_sink)
+        for trace_id in sorted(hub.trace_ids(),
+                               key=lambda t: t != root.trace_id):
+            events.extend(hub.get(trace_id))

@@ -22,8 +22,8 @@ bound*. This package closes that loop, live:
   ``perf.regressions``, arm force-sampling for the offending matrix,
   and surface at ``GET /v1/debug/perf``.
 * :mod:`.sampler` — an opt-in thread-stack sampling profiler writing
-  collapsed-stack (flamegraph-ready) files the parent collates and
-  ``repro perf flame`` exports.
+  one collapsed-stack file, ``serve-parent.stacks``, that flamegraph
+  tools read as it is.
 """
 
 from .attribution import (
@@ -46,7 +46,6 @@ from .ceilings import (
 )
 from .sampler import (
     StackSampler,
-    collate_stacks,
     render_collapsed,
     start_sampler,
     stop_sampler,
@@ -62,7 +61,6 @@ __all__ = [
     "PerfWatchdog",
     "RegressionEvent",
     "StackSampler",
-    "collate_stacks",
     "configure",
     "default_cache_path",
     "get_ceilings",

@@ -7,7 +7,7 @@ flamegraph tooling consumes directly (``frame;frame;frame count``).
 Aggregation happens in memory (one dict entry per distinct stack, not
 per sample), and the counts are flushed atomically to a ``.stacks``
 file at a coarser period, so a process that dies leaves a partial
-profile behind to collate.
+profile behind.
 
 Pure-Python sampling can't see inside a C kernel while it holds the
 CPU, but the ctypes backend releases the GIL — samples taken during a
@@ -16,12 +16,15 @@ attribution granularity the serve tier wants (which matrix/batch is
 burning time, not which unrolled MAC).
 
 This is opt-in (``ServeClient(profile_dir=...)`` /
-``serve --profile-dir``): the default request path pays nothing.
+``serve --profile-dir DIR``): the default request path pays nothing.
+The sampler is process-wide, so ``DIR`` holds one file,
+``serve-parent.stacks``, sorted and already in the format
+``flamegraph.pl`` and speedscope read: it is the flamegraph input as
+it stands.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 
@@ -29,14 +32,10 @@ from ..._util import write_text_atomic
 
 __all__ = [
     "StackSampler",
-    "collate_stacks",
     "render_collapsed",
     "start_sampler",
     "stop_sampler",
 ]
-
-#: Filename suffix for collapsed-stack profile shards.
-STACKS_SUFFIX = ".stacks"
 
 #: Frames from these modules are the sampler observing itself — skipped.
 _SELF_MODULES = (__name__,)
@@ -126,42 +125,6 @@ def render_collapsed(counts: dict[str, int]) -> str:
     deterministic diffs."""
     lines = [f"{stack} {count}" for stack, count in sorted(counts.items())]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_collapsed(text: str) -> dict[str, int]:
-    """Inverse of :func:`render_collapsed`; torn lines are skipped."""
-    counts: dict[str, int] = {}
-    for line in text.splitlines():
-        stack, sep, count = line.rpartition(" ")
-        if not sep or not stack:
-            continue
-        try:
-            n = int(count)
-        except ValueError:
-            continue
-        counts[stack] = counts.get(stack, 0) + n
-    return counts
-
-
-def collate_stacks(directory: str) -> dict[str, int]:
-    """Merge every ``*.stacks`` profile under ``directory`` into one
-    collapsed-count dict."""
-    merged: dict[str, int] = {}
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return merged
-    for name in names:
-        if not name.endswith(STACKS_SUFFIX):
-            continue
-        try:
-            with open(os.path.join(directory, name)) as fh:
-                text = fh.read()
-        except OSError:
-            continue
-        for stack, n in parse_collapsed(text).items():
-            merged[stack] = merged.get(stack, 0) + n
-    return merged
 
 
 _ACTIVE: StackSampler | None = None

@@ -252,15 +252,6 @@ class ServeClient:
         return fut
 
     # ---------------------------------------------------- observability
-    def trace(self, trace_id: str) -> list[dict]:
-        """The span tree for one trace, from the hub. Empty list when
-        the trace is unknown."""
-        return self.hub.tree(trace_id)
-
-    def trace_chrome(self, trace_id: str) -> list[dict]:
-        """Chrome trace-event list of the same merged tree."""
-        return self.hub.to_chrome(trace_id)["traceEvents"]
-
     def slow_requests(self) -> list[dict]:
         """Recent SLO outliers (oldest first), JSON-shaped."""
         return [s.to_json() for s in self.slo.slow_samples()]

@@ -71,7 +71,9 @@ from ..formats.coo import COOMatrix
 from ..observe import context as _context
 from ..observe import metrics as _metrics
 from ..observe.context import TRACE_HEADER
+from ..observe.hub import TraceHub
 from ..observe.metrics import render_prometheus, sample_process_gauges
+from ..observe.trace import encode_chrome
 from ..observe.trace import span as _span
 from .client import ServeClient
 
@@ -176,6 +178,27 @@ def error_response(exc: ReproError) -> Response:
     return Response.error(status, str(exc))
 
 
+def trace_response(hub: TraceHub, path: str) -> Response:
+    """``GET /v1/debug/{trace,spans}/{id}`` from ``hub``, shared by
+    this router and the cluster router: the nested tree, its Chrome
+    trace events (``?format=chrome``), or the flat event list."""
+    kind, _, rest = path[len("/v1/debug/"):].partition("/")
+    trace_id, _, query = rest.partition("?")
+    if not trace_id:
+        return Response.error(400, "missing trace id")
+    events = hub.get(trace_id)
+    if not events:
+        return Response.error(404, f"unknown trace {trace_id!r}")
+    if kind == "spans":
+        return Response.json(200, {
+            "trace_id": trace_id,
+            "events": [e.to_json() for e in events]})
+    if query == "format=chrome":
+        return Response.json(200, encode_chrome(events))
+    return Response.json(200, {"trace_id": trace_id,
+                               "spans": hub.tree(trace_id)})
+
+
 class Router:
     """Maps :class:`Request` values onto one :class:`ServeClient`."""
 
@@ -211,46 +234,14 @@ class Router:
             sample_process_gauges()
             return Response(200, render_prometheus().encode(),
                             PROMETHEUS_CONTENT_TYPE)
-        if path.startswith("/v1/debug/trace/"):
-            return self._get_trace(path[len("/v1/debug/trace/"):])
-        if path.startswith("/v1/debug/spans/"):
-            return self._get_spans(path[len("/v1/debug/spans/"):])
+        if path.startswith(("/v1/debug/trace/", "/v1/debug/spans/")):
+            return trace_response(self.client.hub, path)
         if path == "/v1/debug/slow":
             return Response.json(
                 200, {"slow": self.client.slow_requests()})
         if path == "/v1/debug/perf":
             return Response.json(200, self.client.perf_report())
         return Response.error(404, f"unknown route GET {path}")
-
-    def _get_trace(self, rest: str) -> Response:
-        trace_id, _, query = rest.partition("?")
-        if not trace_id:
-            return Response.error(400, "missing trace id")
-        if query == "format=chrome":
-            events = self.client.trace_chrome(trace_id)
-            if not events:
-                return Response.error(404, f"unknown trace {trace_id!r}")
-            return Response.json(200, {"traceEvents": events,
-                                       "displayTimeUnit": "ms"})
-        tree = self.client.trace(trace_id)
-        if not tree:
-            return Response.error(404, f"unknown trace {trace_id!r}")
-        return Response.json(200, {"trace_id": trace_id, "spans": tree})
-
-    def _get_spans(self, rest: str) -> Response:
-        trace_id = rest.partition("?")[0]
-        if not trace_id:
-            return Response.error(400, "missing trace id")
-        events = self.trace_events(trace_id)
-        if not events:
-            return Response.error(404, f"unknown trace {trace_id!r}")
-        return Response.json(200, {"trace_id": trace_id,
-                                   "events": events})
-
-    def trace_events(self, trace_id: str) -> list[dict]:
-        """Flat span events for one trace, in the
-        :meth:`SpanEvent.to_json` schema. Empty when unknown."""
-        return [e.to_json() for e in self.client.hub.get(trace_id)]
 
     # ------------------------------------------------------------ POST
     def _post(self, req: Request) -> Response:

@@ -35,7 +35,7 @@ from repro.formats import COOMatrix
 from repro.kernels.registry import spmv_backend
 from repro.machines import get_machine
 from repro.matrices import fem_blocked_matrix, scattered_matrix
-from repro.observe import trace
+from repro.observe.hub import recording
 from repro.observe.metrics import get_registry
 from repro.serve import MatrixRegistry, PlanCache
 
@@ -98,18 +98,16 @@ class TestPredictPath:
     def test_similar_matrix_skips_sweep(self, trained_planner):
         engine = SpmvEngine(get_machine("AMD X2"))
         coo = family_member(seed=100)   # unseen family member
-        tracer = trace.enable()
-        try:
+        with recording() as events:
             outcome = plan_with_autoplan(
                 engine, coo, n_threads=2, mode="auto",
                 planner=trained_planner,
             )
-        finally:
-            trace.disable()
         assert outcome.path == "predict"
         assert outcome.confidence >= CONFIDENCE_THRESHOLD
-        assert "autoplan.sweep" not in tracer.names()
-        assert "autoplan.sweep.candidate" not in tracer.names()
+        names = {e.name for e in events}
+        assert "autoplan.sweep" not in names
+        assert "autoplan.sweep.candidate" not in names
 
     def test_predicted_plan_within_15pct_of_tuned(self, trained_planner):
         engine = SpmvEngine(get_machine("AMD X2"))

@@ -138,8 +138,9 @@ class TestCLI:
         assert "plan.blocks_created" in out
 
     def test_sweep_trace_writes_jsonl(self, capsys, tmp_path):
-        from repro.observe.trace import get_tracer, read_trace
+        from repro.observe.trace import get_span_sink, read_trace
 
+        sink = get_span_sink()
         path = tmp_path / "t.jsonl"
         code, _ = run(capsys, "sweep", "dense2", "--scale", "0.05",
                       "--machine", "AMD X2", "--trace", str(path))
@@ -148,8 +149,22 @@ class TestCLI:
         assert events, "trace file is empty"
         names = {e.name for e in events}
         assert "engine.plan" in names and "sim.memory" in names
-        # The CLI disables the global tracer when the command exits.
-        assert get_tracer() is None
+        # The CLI puts the span sink back when the command exits.
+        assert get_span_sink() is sink
+
+    def test_trace_file_is_one_tree(self, capsys, tmp_path):
+        from repro.observe.trace import read_trace
+
+        path = tmp_path / "t.jsonl"
+        code, _ = run(capsys, "--trace", str(path), "sweep", "dense2",
+                      "--scale", "0.05", "--machine", "AMD X2")
+        assert code == 0
+        events = read_trace(path)
+        assert len({e.trace_id for e in events}) == 1
+        ids = {e.span_id for e in events}
+        assert len(ids) == len(events)
+        orphans = [e for e in events if e.parent_id not in ids]
+        assert [e.name for e in orphans] == ["repro.sweep"]
 
     def test_trace_flag_before_subcommand(self, capsys, tmp_path):
         from repro.observe.trace import read_trace
@@ -168,6 +183,7 @@ class TestCLI:
                       "--trace-chrome", str(path))
         assert code == 0
         doc = json.loads(path.read_text())
+        assert doc["traceEvents"]
         assert all(e["ph"] == "X" for e in doc["traceEvents"])
 
     def test_version(self, capsys):

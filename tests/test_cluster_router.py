@@ -232,6 +232,36 @@ def test_merged_trace_spans_router_and_node(cluster, rng):
     assert "serve.request" in child_names
 
 
+def test_router_and_node_answer_chrome_format(cluster, rng):
+    """``?format=chrome`` is Chrome trace-event JSON on a router as on
+    a node; without the query both keep the nested tree."""
+    nodes, router = cluster
+    coo = random_coo(40, 40, 0.1, seed=8)
+    fp = register_through_router(router, coo)["fingerprint"]
+    ctx = _context.new_trace(sampled=True)
+    with ClusterClient(router.address) as cc:
+        with _context.use(ctx):
+            cc.spmv(fp, rng.standard_normal(40))
+
+    def fetch(address: str, query: str = "") -> dict:
+        with urllib.request.urlopen(
+                f"http://{address}/v1/debug/trace/{ctx.trace_id}{query}",
+                timeout=30) as resp:
+            return json.loads(resp.read())
+
+    owner = router.placement.owners(fp)[0]
+    for address in (router.address, owner):
+        doc = fetch(address, "?format=chrome")
+        assert set(doc) == {"traceEvents", "displayTimeUnit"}, address
+        names = {e["name"] for e in doc["traceEvents"]}
+        assert "serve.request" in names, address
+        assert all(e["ph"] == "X" for e in doc["traceEvents"])
+        assert set(fetch(address)) == {"trace_id", "spans"}, address
+    assert "cluster.forward" in {
+        e["name"] for e in fetch(router.address,
+                                 "?format=chrome")["traceEvents"]}
+
+
 def _walk(spans):
     for s in spans:
         yield s

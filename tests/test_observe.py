@@ -4,119 +4,173 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import OptimizationLevel, SpmvEngine
 from repro.machines import get_machine
 from repro.matrices import generate
-from repro.observe import NULL_SPAN, Tracer
+from repro.observe import NULL_SPAN, context, new_trace
 from repro.observe import metrics as metrics_mod
 from repro.observe import trace as trace_mod
+from repro.observe.hub import install_hub, recording
 from repro.observe.metrics import MetricsRegistry, get_registry
-from repro.observe.trace import read_trace
+from repro.observe.trace import (
+    encode_chrome,
+    encode_jsonl,
+    read_trace,
+    span,
+)
 from repro.simulator import (
     BottleneckAttribution,
     attribute,
     bottleneck_shares,
 )
+from tests.conftest import random_coo
 
 
 @pytest.fixture(autouse=True)
 def _clean_observability():
-    """Every test starts and ends with tracing off and metrics empty."""
-    trace_mod.disable()
+    """Every test starts and ends with metrics empty."""
     get_registry().reset()
     yield
-    trace_mod.disable()
     get_registry().reset()
+
+
+def _depth(event, by_id) -> int:
+    """Nesting depth of ``event``, read from the parent ids."""
+    parent = by_id.get(event.parent_id)
+    return 0 if parent is None else 1 + _depth(parent, by_id)
 
 
 class TestTracer:
+    """The one recorder: spans under :func:`recording`'s sampled root
+    trace land in the trace hub."""
+
     def test_spans_nest_and_record_depth(self):
-        t = trace_mod.enable()
-        with trace_mod.span("outer", kind="test"):
-            with trace_mod.span("inner"):
-                pass
-        events = t.events
-        assert [e.name for e in events] == ["inner", "outer"]
+        with recording("root") as events:
+            with span("outer", kind="test"):
+                with span("inner"):
+                    pass
+        # recorded at span exit: children precede parents
+        assert [e.name for e in events] == ["inner", "outer", "root"]
         by_name = {e.name: e for e in events}
-        assert by_name["outer"].depth == 0
-        assert by_name["inner"].depth == 1
+        by_id = {e.span_id: e for e in events}
+        assert {e.trace_id for e in events} == {by_name["root"].trace_id}
+        assert by_name["inner"].parent_id == by_name["outer"].span_id
+        assert by_name["outer"].parent_id == by_name["root"].span_id
+        assert [_depth(by_name[n], by_id)
+                for n in ("root", "outer", "inner")] == [0, 1, 2]
         assert by_name["inner"].start_us >= by_name["outer"].start_us
         assert by_name["outer"].duration_us >= by_name["inner"].duration_us
         assert by_name["outer"].args == {"kind": "test"}
 
     def test_set_attaches_args(self):
-        t = trace_mod.enable()
-        with trace_mod.span("s") as s:
-            s.set(n_blocks=4)
-        assert t.events[0].args == {"n_blocks": 4}
+        with recording() as events:
+            with span("s") as s:
+                s.set(n_blocks=4)
+        assert events[0].name == "s"
+        assert events[0].args == {"n_blocks": 4}
 
     def test_exception_is_annotated_and_propagates(self):
-        t = trace_mod.enable()
         with pytest.raises(ValueError):
-            with trace_mod.span("boom"):
-                raise ValueError("x")
-        assert t.events[0].args["error"] == "ValueError"
+            with recording() as events:
+                with span("boom"):
+                    raise ValueError("x")
+        assert [e.args["error"] for e in events] == ["ValueError"] * 2
+
+    def test_old_depth_schema_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps({
+            "name": "plan.partition", "ts_us": 247722.3, "dur_us": 6413.3,
+            "tid": 1, "depth": 1, "args": {}}) + "\n")
+        with pytest.raises(ValueError, match="older schema"):
+            read_trace(path)
 
     def test_jsonl_round_trip(self, tmp_path):
-        t = trace_mod.enable()
-        with trace_mod.span("a", matrix="Dense"):
-            with trace_mod.span("b"):
-                pass
+        with recording() as events:
+            with span("a", matrix="Dense"):
+                with span("b"):
+                    pass
         path = tmp_path / "trace.jsonl"
-        n = t.write_jsonl(path)
-        assert n == 2
-        events = read_trace(path)
-        assert [e.name for e in events] == ["b", "a"]
-        assert events[1].args == {"matrix": "Dense"}
-        assert events[0].duration_us >= 0.0
-        # Every line is standalone JSON.
+        path.write_text(encode_jsonl(events))
+        back = read_trace(path)
+        assert [e.name for e in back] == ["b", "a", "repro"]
+        assert back[1].args == {"matrix": "Dense"}
+        assert back[0].duration_us >= 0.0
+        assert [(e.trace_id, e.span_id, e.parent_id, e.pid)
+                for e in back] == [(e.trace_id, e.span_id, e.parent_id,
+                                    e.pid) for e in events]
+        # Every line is standalone JSON with ids and no depth.
         for line in path.read_text().splitlines():
-            json.loads(line)
+            assert set(json.loads(line)) == {
+                "name", "ts_us", "dur_us", "tid", "trace_id", "span_id",
+                "parent_id", "pid", "args"}
 
     def test_chrome_export(self, tmp_path):
-        t = trace_mod.enable()
-        with trace_mod.span("phase"):
-            pass
+        with recording() as events:
+            with span("phase"):
+                pass
         path = tmp_path / "trace.json"
-        assert t.write_chrome(path) == 1
+        path.write_text(json.dumps(encode_chrome(events)))
         doc = json.loads(path.read_text())
-        (ev,) = doc["traceEvents"]
+        assert doc["displayTimeUnit"] == "ms"
+        root, ev = doc["traceEvents"]       # ordered by start time
         assert ev["ph"] == "X" and ev["name"] == "phase"
-        assert ev["ts"] >= 0 and ev["dur"] >= 0
+        assert ev["ts"] >= root["ts"] > 0 and ev["dur"] >= 0
+        assert ev["args"]["parent_id"] == root["args"]["span_id"]
 
     def test_disabled_tracer_is_noop(self):
-        assert not trace_mod.is_enabled()
-        s = trace_mod.span("anything", big=1)
-        assert s is NULL_SPAN
-        with s as inner:
-            inner.set(ignored=True)
-        # Enabling afterwards starts from a clean slate: nothing from
+        sink = trace_mod.get_span_sink()
+        try:
+            trace_mod.set_span_sink(None)
+            with context.use(new_trace(sampled=True)):
+                assert span("no sink") is NULL_SPAN
+            spans = []
+            trace_mod.set_span_sink(spans.append)
+            assert span("no context", big=1) is NULL_SPAN
+            with context.use(new_trace(sampled=False)):
+                s = span("unsampled")
+            assert s is NULL_SPAN
+            with s as inner:
+                inner.set(ignored=True)
+            assert spans == []
+        finally:
+            trace_mod.set_span_sink(sink)
+        # Recording afterwards starts from a clean slate: nothing from
         # the disabled period leaked anywhere.
-        t = trace_mod.enable()
-        assert t.events == []
+        with recording() as events:
+            pass
+        assert [e.name for e in events] == ["repro"]
 
     def test_disabled_instrumented_pipeline_emits_nothing(self):
         engine = SpmvEngine(get_machine("AMD X2"))
         coo = generate("Dense", scale=0.02, seed=0)
-        engine.simulate(engine.plan(coo, n_threads=1))
-        t = trace_mod.enable()
-        assert t.events == []
+        with recording() as events:
+            with context.use(None):
+                engine.simulate(engine.plan(coo, n_threads=1))
+        assert [e.name for e in events] == ["repro"]
 
-    def test_clear(self):
-        t = trace_mod.enable()
-        with trace_mod.span("x"):
-            pass
-        t.clear()
-        assert t.events == []
+    def test_unsampled_requests_inside_recording_add_no_span(self):
+        """Requests that arrive unsampled (an ``X-Repro-Trace`` header
+        ending ``-00``) leave nothing in the hub, even while a command
+        records: the recorder is bounded by sampling."""
+        from repro.serve.client import ServeClient
 
-    def test_standalone_tracer_instances_are_independent(self):
-        a, b = Tracer(), Tracer()
-        with a.span("only-a"):
-            pass
-        assert a.names() == ["only-a"]
-        assert b.names() == []
+        client = ServeClient(n_workers=1)
+        try:
+            fp = client.register(random_coo(60, 60, 0.1, seed=3)).fingerprint
+            x = np.ones(60)
+            with recording() as events:
+                hub = install_hub()
+                with context.use(new_trace(sampled=False)):
+                    for _ in range(1000):
+                        client.spmv(fp, x)
+                assert hub.trace_ids() == []    # the root is still open
+        finally:
+            client.close()
+        assert [e.name for e in events] == ["repro"]
+        assert get_registry().counter("serve.requests") == 1000
 
 
 class TestMetrics:
@@ -257,18 +311,18 @@ class TestAttribution:
 
 class TestPipelineInstrumentation:
     def test_plan_and_simulate_emit_phase_spans(self):
-        t = trace_mod.enable()
         engine = SpmvEngine(get_machine("AMD X2"))
         coo = generate("Econom", scale=0.05, seed=0)
-        plan = engine.plan(coo, n_threads=2)
-        engine.simulate(plan)
-        names = set(t.names())
+        with recording() as events:
+            plan = engine.plan(coo, n_threads=2)
+            engine.simulate(plan)
+        names = {e.name for e in events}
         for expected in ["engine.plan", "plan.partition",
                          "plan.cache_block", "plan.format_select",
                          "engine.simulate", "sim.memory", "sim.compute"]:
             assert expected in names, expected
         # plan's span knows how many blocks it created
-        plan_ev = next(e for e in t.events if e.name == "engine.plan")
+        plan_ev = next(e for e in events if e.name == "engine.plan")
         assert plan_ev.args["n_blocks"] == len(plan.profile.blocks)
         assert plan_ev.args["machine"] == "AMD X2"
 
@@ -290,11 +344,11 @@ class TestPipelineInstrumentation:
         assert reg.counter("sim.runs", machine="AMD X2") == 1
 
     def test_tune_records_materialize_span(self):
-        t = trace_mod.enable()
         engine = SpmvEngine(get_machine("Clovertown"))
         coo = generate("Dense", scale=0.02, seed=0)
-        engine.tune(coo, n_threads=1)
-        assert "engine.materialize" in t.names()
+        with recording() as events:
+            engine.tune(coo, n_threads=1)
+        assert "engine.materialize" in {e.name for e in events}
         assert get_registry().counter("engine.tunes") == 1
 
 
@@ -306,11 +360,11 @@ class TestBaselineInstrumentation:
         # The install profile is memoized per machine for the whole
         # process; start from an empty memo so the build is counted here.
         machine_profile.cache_clear()
-        t = trace_mod.enable()
         tuner = OskiTuner(get_machine("AMD X2"))
         coo = generate("Circuit", scale=0.05, seed=0)
-        tuner.simulate(coo)
-        names = set(t.names())
+        with recording() as events:
+            tuner.simulate(coo)
+        names = {e.name for e in events}
         assert "oski.machine_profile" in names
         assert "oski.choose_blocking" in names
         reg = get_registry()
@@ -323,10 +377,10 @@ class TestBaselineInstrumentation:
     def test_petsc_spans_and_comm_fraction(self):
         from repro.baselines.petsc import petsc_spmv_model
 
-        t = trace_mod.enable()
         coo = generate("Econom", scale=0.05, seed=0)
-        res = petsc_spmv_model(coo, get_machine("AMD X2"), 2)
-        names = set(t.names())
+        with recording() as events:
+            res = petsc_spmv_model(coo, get_machine("AMD X2"), 2)
+        names = {e.name for e in events}
         assert "petsc.tune_ranks" in names
         assert "petsc.comm_model" in names
         h = get_registry().histogram("petsc.comm_fraction")

@@ -28,7 +28,6 @@ from repro.observe.perf import (
     PerfAttributor,
     PerfWatchdog,
     StackSampler,
-    collate_stacks,
     host_fingerprint,
     load_ceilings,
     measure_ceilings,
@@ -37,7 +36,6 @@ from repro.observe.perf import (
 )
 from repro.observe.perf import attribution as _attribution
 from repro.observe.perf import ceilings as _ceilings
-from repro.observe.perf.sampler import parse_collapsed
 from repro.observe.slo import SloTracker
 
 TEST_CEILINGS = MachineCeilings(
@@ -330,26 +328,20 @@ class TestSampler:
         counts = sampler.counts()
         assert sampler.samples > 10
         assert any("busy_marker_fn" in stack for stack in counts)
-        # flushed file parses back to the same aggregate
+        # the flushed file is the final aggregate, rendered
         text = (tmp_path / "p.stacks").read_text()
-        assert parse_collapsed(text) == counts
+        assert text == render_collapsed(counts)
 
     def test_render_parse_roundtrip(self):
-        counts = {"a;b;c": 5, "a;d": 2}
-        assert parse_collapsed(render_collapsed(counts)) == counts
-        # torn/garbage lines are skipped
-        assert parse_collapsed("a;b notanumber\nx;y 3\n") == {"x;y": 3}
+        """The file is the flamegraph input as it stands: one sorted
+        ``stack count`` line per stack, which splits back at its last
+        space."""
+        counts = {"a;d": 2, "a;b;c": 5}
+        text = render_collapsed(counts)
+        assert text == "a;b;c 5\na;d 2\n"
+        back = dict(line.rsplit(" ", 1) for line in text.splitlines())
+        assert {k: int(v) for k, v in back.items()} == counts
         assert render_collapsed({}) == ""
-
-    def test_collate_merges_shards(self, tmp_path):
-        (tmp_path / "shard-0.stacks").write_text("a;b 3\nc 1\n")
-        (tmp_path / "shard-1.stacks").write_text("a;b 2\nd 4\n")
-        (tmp_path / "ignored.jsonl").write_text("{}\n")
-        merged = collate_stacks(str(tmp_path))
-        assert merged == {"a;b": 5, "c": 1, "d": 4}
-
-    def test_collate_missing_dir(self, tmp_path):
-        assert collate_stacks(str(tmp_path / "nope")) == {}
 
 
 class TestServeIntegration:
@@ -449,7 +441,9 @@ class TestServeIntegration:
             client.close()
         # stop_sampler flushed the parent profile on close
         assert sampler_mod._ACTIVE is None
-        files = os.listdir(profile_dir)
-        assert "serve-parent.stacks" in files
-        merged = collate_stacks(str(profile_dir))
-        assert merged, "parent sampler captured nothing"
+        # one process-wide sampler: one file, the flamegraph input
+        assert os.listdir(profile_dir) == ["serve-parent.stacks"]
+        text = (profile_dir / "serve-parent.stacks").read_text()
+        assert text, "parent sampler captured nothing"
+        assert all(line.rsplit(" ", 1)[1].isdigit()
+                   for line in text.splitlines())

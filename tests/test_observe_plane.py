@@ -78,9 +78,9 @@ class TestTraceContext:
 def _event(name: str, trace_id: str, span_id: str = "aa00bb11",
            parent_id: str = "") -> SpanEvent:
     return SpanEvent(
-        name=name, start_us=1.0, duration_us=2.0, thread_id=0,
-        depth=0, trace_id=trace_id, span_id=span_id,
-        parent_id=parent_id, pid=os.getpid(), wall_us=123.0,
+        name=name, start_us=123.0, duration_us=2.0, thread_id=0,
+        trace_id=trace_id, span_id=span_id,
+        parent_id=parent_id, pid=os.getpid(),
     )
 
 
@@ -208,7 +208,7 @@ class TestEndToEnd:
             ctx = new_trace(sampled=True)
             with context.use(ctx):
                 client.spmv(fp, x)
-            tree = client.trace(ctx.trace_id)
+            tree = client.hub.tree(ctx.trace_id)
             assert len(tree) == 1, f"one root expected: {tree}"
             spans = list(_walk(tree))
             names = {s["name"] for s in spans}

@@ -37,8 +37,6 @@ KEEP = {
     "reset_for_tests": "test hook: rebinds every compiled program",
     "uninstall_hub": "test hook: detaches the trace hub",
     "clear_cache": "test hook: drops the generated-matrix cache",
-    "get_tracer": "test hook: the process tracer",
-    "is_enabled": "test hook: whether tracing is on",
     "naive_csr_variant": "fixture of the simulator tests",
     "nnz_per_row_per_cache_block": "fixture of the suite and stats tests",
 }
